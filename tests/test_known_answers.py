@@ -1,0 +1,114 @@
+"""Known-answer vectors that pin generated values across versions.
+
+Determinism between two runs of one build says nothing about whether a
+later version still produces the datasets people cite by seed. This
+module compares the current code against values recorded in
+``known_answers.json``: raw SplitMix64 outputs and bounded draws for a
+few key triples, and SHA-256 digests of emitted task files.
+
+A change that alters any of these values changes published datasets. It
+must say so, name the task and explain why; only then re-record with::
+
+    PYTHONPATH=src python tests/test_known_answers.py
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from gridbench import apply_variation, emit_dataset, new_stream, save_task_file, task_ids
+
+FIXTURE = Path(__file__).with_name("known_answers.json")
+
+# (master_seed, task_id, example_index): the extremes of the seed range,
+# a non-ASCII id (FNV-1a runs over UTF-8 bytes) and a large index.
+TRIPLES = [
+    (0, "543a7ed5", 0),
+    (2**64 - 1, "1e0a9b12", 7),
+    (7, "grille-été-✓", 3),
+    (123456789, "05269061", 2**63 + 12345),
+]
+
+# Bounded draws taken in this order from one fresh stream per triple.
+RANGES = [(0, 9), (1, 6), (-5, 5), (0, 2**32), (0, 2**64 - 1), (10**20, 10**20 + 7)]
+
+RAW_DRAWS = 8
+DATASET_SEEDS = (7, 2024)
+DATASET_TRAIN = 50
+VARIATION = {"task": "543a7ed5", "overrides": {"size": 8, "boxes": 1}, "count": 20, "seed": 5}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def rng_vectors() -> list[dict]:
+    vectors = []
+    for master_seed, task_id, example_index in TRIPLES:
+        stream = new_stream(master_seed, task_id, example_index)
+        state0 = stream.state
+        raw = [stream._next() for _ in range(RAW_DRAWS)]
+        stream = new_stream(master_seed, task_id, example_index)
+        bounded = [[lo, hi, stream.randint(lo, hi)] for lo, hi in RANGES]
+        # Integers are strings, 64-bit words hex, so that readers limited
+        # to 53-bit JSON numbers can check them too.
+        vectors.append(
+            {
+                "master_seed": str(master_seed),
+                "task_id": task_id,
+                "example_index": str(example_index),
+                "state0": f"{state0:016x}",
+                "next": [f"{word:016x}" for word in raw],
+                "randint": [[str(v) for v in draw] for draw in bounded],
+            }
+        )
+    return vectors
+
+
+def dataset_digests(seed: int) -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        emit_dataset(task_ids(), DATASET_TRAIN, seed, tmp)
+        return {path.name: _sha256(path) for path in sorted(Path(tmp).iterdir())}
+
+
+def variation_digest() -> dict:
+    result = apply_variation(
+        VARIATION["task"], VARIATION["overrides"], VARIATION["count"], VARIATION["seed"]
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "variation.json"
+        save_task_file(path, result.task_set)
+        return {"sha256": _sha256(path), "verifier_checked": result.verifier_checked}
+
+
+def record() -> dict:
+    return {
+        "rng": rng_vectors(),
+        "datasets": {str(seed): dataset_digests(seed) for seed in DATASET_SEEDS},
+        "variation": {**VARIATION, **variation_digest()},
+    }
+
+
+@pytest.fixture(scope="module")
+def known():
+    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+
+def test_splitmix64_vectors(known):
+    assert rng_vectors() == known["rng"]
+
+
+@pytest.mark.parametrize("seed", DATASET_SEEDS)
+def test_emit_dataset_digests(known, seed):
+    assert dataset_digests(seed) == known["datasets"][str(seed)]
+
+
+def test_variation_digest(known):
+    assert {**VARIATION, **variation_digest()} == known["variation"]
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")

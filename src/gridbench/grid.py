@@ -10,6 +10,7 @@ while a grid is being built; once a grid has been handed out inside an
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 MAX_SIDE = 30
 
@@ -38,17 +39,43 @@ def named_color(name: str) -> int:
         raise ValueError(f"unknown color name {name!r}") from None
 
 
+_ROW_TYPES = frozenset((list, tuple))
+_CELL_TYPES = frozenset((int,))
+_COLORS = frozenset(range(10))
+
+
 def _check_color(value: object) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 9:
         raise ValueError(f"{value!r} is not a color code in [0, 9]")
     return value
 
 
+def _check_cells(rows, width: int) -> None:
+    # Cell-by-cell reference check: raises on the first bad row or cell,
+    # and passes the row and cell subclasses the whole-grid test leaves out.
+    for r, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)) or len(row) != width:
+            raise ValueError(f"row {r} is not a list of {width} cells")
+        for c, value in enumerate(row):
+            if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 9:
+                raise ValueError(
+                    f"cell ({r}, {c}) holds {value!r}, not a color code in [0, 9]"
+                )
+
+
 class Grid:
     """Rectangular grid of color codes with value equality.
 
     Construction copies and validates the given rows; indexing returns
-    the live row list, so ``g[r][c]`` both reads and writes a cell.
+    the live row list, so ``g[r][c]`` both reads and writes a cell, and
+    ``for row in g`` iterates the live rows.
+
+    Validation contract: ``rows`` is a non-empty list or tuple of 1 to
+    30 rows, each a list or tuple of the same length (1 to 30), and
+    every cell is an ``int`` from 0 to 9. Subclasses of ``int`` (an
+    ``IntEnum`` member, say) are accepted; ``bool`` is rejected, as are
+    floats, strings and ``None``. A failure raises ``ValueError``
+    naming the first bad row or cell in row-major order.
     """
 
     __slots__ = ("_rows",)
@@ -65,17 +92,16 @@ class Grid:
             raise ValueError(
                 f"grid dimensions {height}x{width} outside [1, {MAX_SIDE}]"
             )
-        copied = []
-        for r, row in enumerate(rows):
-            if not isinstance(row, (list, tuple)) or len(row) != width:
-                raise ValueError(f"row {r} is not a list of {width} cells")
-            for c, value in enumerate(row):
-                if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 9:
-                    raise ValueError(
-                        f"cell ({r}, {c}) holds {value!r}, not a color code in [0, 9]"
-                    )
-            copied.append(list(row))
-        self._rows = copied
+        # Whole-grid checks run in C and never build a flattened copy; the
+        # type test precedes the value test because True == 1 and 1.0 == 1.
+        if not (
+            _ROW_TYPES.issuperset(map(type, rows))
+            and set(map(len, rows)) == {width}
+            and _CELL_TYPES.issuperset(map(type, chain.from_iterable(rows)))
+            and _COLORS.issuperset(chain.from_iterable(rows))
+        ):
+            _check_cells(rows, width)
+        self._rows = list(map(list, rows))
 
     @property
     def height(self) -> int:

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 from ..errors import GenerationError, VerifierDomainError
 from ..framework import MAX_ATTEMPTS, TaskGenerator, overlaps
-from ..grid import CYAN, GREEN, PINK, YELLOW, Example, Grid, TaskSet, grids
+from ..grid import CYAN, GREEN, PINK, YELLOW, Example, Grid, TaskSet, _check_color, grids
 
 TASK_ID = "543a7ed5"
 
 # Minimum clearance between rectangles; keeps each green ring clear of
 # the next rectangle's pink cells.
 _SPACING = 2
+
+_CYAN_PINK = frozenset((CYAN, PINK))
 
 
 def generate(
@@ -73,8 +75,10 @@ def generate(
 
 def _check_colors(colors) -> None:
     for i, color in enumerate(colors):
-        if not isinstance(color, int) or not 0 <= color <= 9:
-            raise ValueError(f"color {i} is {color!r}, not a color code in [0, 9]")
+        try:
+            _check_color(color)
+        except ValueError as err:
+            raise ValueError(f"color {i}: {err}") from None
 
 
 def _sample_layout(boxes, size, box_colors, rng):
@@ -172,13 +176,12 @@ def verify(grid: Grid) -> Grid:
     (possibly hollowed) that keep one cell clear of the grid edge and two
     cells clear of each other; anything else raises VerifierDomainError.
     """
-    h, w = grid.height, grid.width
-    for r in range(h):
-        for c in range(w):
-            if grid[r][c] not in (CYAN, PINK):
-                raise VerifierDomainError(
-                    f"cell ({r}, {c}) holds {grid[r][c]}, expected cyan or pink"
-                )
+    rows = list(grid)
+    h, w = len(rows), len(rows[0])
+    for r, row in enumerate(rows):
+        if not _CYAN_PINK.issuperset(row):
+            c, value = next((c, v) for c, v in enumerate(row) if v not in _CYAN_PINK)
+            raise VerifierDomainError(f"cell ({r}, {c}) holds {value}, expected cyan or pink")
     bounds = _pink_components(grid)
     if bounds:
         if overlaps(
@@ -190,36 +193,43 @@ def verify(grid: Grid) -> Grid:
         ):
             raise VerifierDomainError(f"pink rectangles come closer than spacing {_SPACING}")
     out = grid.copy()
+    out_rows = list(out)
     for r0, c0, r1, c1 in bounds:
         if r0 < 1 or c0 < 1 or r1 > h - 2 or c1 > w - 2:
             raise VerifierDomainError("pink rectangle touches the grid edge")
-        for c in range(c0, c1 + 1):
-            if grid[r0][c] != PINK or grid[r1][c] != PINK:
-                raise VerifierDomainError("pink component is not rectangular")
+        span = c1 - c0 + 1
+        if (
+            rows[r0][c0 : c1 + 1].count(PINK) != span
+            or rows[r1][c0 : c1 + 1].count(PINK) != span
+            or any(rows[r][c0] != PINK or rows[r][c1] != PINK for r in range(r0, r1 + 1))
+        ):
+            raise VerifierDomainError("pink component is not rectangular")
+        # The perimeter is all pink, so only interior cells can be holes.
+        for r in range(r0 + 1, r1):
+            row, out_row = rows[r], out_rows[r]
+            for c in range(c0 + 1, c1):
+                if row[c] == CYAN:
+                    out_row[c] = YELLOW
+        out_rows[r0 - 1][c0 - 1 : c1 + 2] = [GREEN] * (span + 2)
+        out_rows[r1 + 1][c0 - 1 : c1 + 2] = [GREEN] * (span + 2)
         for r in range(r0, r1 + 1):
-            if grid[r][c0] != PINK or grid[r][c1] != PINK:
-                raise VerifierDomainError("pink component is not rectangular")
-        for r in range(r0, r1 + 1):
-            for c in range(c0, c1 + 1):
-                if grid[r][c] == CYAN:
-                    out[r][c] = YELLOW
-        for c in range(c0 - 1, c1 + 2):
-            out[r0 - 1][c] = GREEN
-            out[r1 + 1][c] = GREEN
-        for r in range(r0 - 1, r1 + 2):
-            out[r][c0 - 1] = GREEN
-            out[r][c1 + 1] = GREEN
+            out_rows[r][c0 - 1] = GREEN
+            out_rows[r][c1 + 1] = GREEN
     return out
 
 
 def _pink_components(grid: Grid) -> list[tuple[int, int, int, int]]:
-    """Bounding boxes (r0, c0, r1, c1) of 4-connected pink components."""
-    h, w = grid.height, grid.width
+    """Bounding boxes (r0, c0, r1, c1) of 4-connected pink components,
+    in row-major order of each component's first cell."""
+    rows = list(grid)
+    h, w = len(rows), len(rows[0])
     seen = [[False] * w for _ in range(h)]
     bounds = []
-    for r in range(h):
-        for c in range(w):
-            if grid[r][c] != PINK or seen[r][c]:
+    for r, row in enumerate(rows):
+        if PINK not in row:
+            continue
+        for c, value in enumerate(row):
+            if value != PINK or seen[r][c]:
                 continue
             seen[r][c] = True
             stack = [(r, c)]
@@ -230,7 +240,7 @@ def _pink_components(grid: Grid) -> list[tuple[int, int, int, int]]:
                 r0, r1 = min(r0, rr), max(r1, rr)
                 c0, c1 = min(c0, cc), max(c1, cc)
                 for nr, nc in ((rr - 1, cc), (rr + 1, cc), (rr, cc - 1), (rr, cc + 1)):
-                    if 0 <= nr < h and 0 <= nc < w and grid[nr][nc] == PINK and not seen[nr][nc]:
+                    if 0 <= nr < h and 0 <= nc < w and rows[nr][nc] == PINK and not seen[nr][nc]:
                         seen[nr][nc] = True
                         stack.append((nr, nc))
             bounds.append((r0, c0, r1, c1))

@@ -50,13 +50,12 @@ def _distinct_rows(rng, n: int, k: int) -> list[int]:
 
 def verify(grid: Grid) -> Grid:
     """Reference transformation: per-column gravity, order preserved."""
-    h, w = grid.height, grid.width
-    rows = [[0] * w for _ in range(h)]
-    for c in range(w):
-        stack = [grid[r][c] for r in range(h) if grid[r][c]]
-        for k, value in enumerate(stack):
-            rows[h - len(stack) + k][c] = value
-    return Grid(rows)
+    h = grid.height
+    columns = []
+    for column in zip(*grid):
+        stack = list(filter(None, column))
+        columns.append([0] * (h - len(stack)) + stack)
+    return Grid(list(zip(*columns)))
 
 
 GENERATOR = TaskGenerator.from_callables(TASK_ID, generate, verify)

@@ -60,12 +60,18 @@ def verify(grid: Grid) -> Grid:
     four orthogonal neighbors are all nonzero, then paints its eight
     surrounding cells yellow.
     """
-    h, w = grid.height, grid.width
-    found = None
-    for r in range(1, h - 1):
-        for c in range(1, w - 1):
-            if grid[r][c - 1] and grid[r][c + 1] and grid[r - 1][c] and grid[r + 1][c]:
-                found = (r, c)
+    rows = list(grid)
+    h, w = len(rows), len(rows[0])
+    # Scanning backwards, the first hit is the last one in row-major order.
+    found = next(
+        (
+            (r, c)
+            for r in range(h - 2, 0, -1)
+            for c in range(w - 2, 0, -1)
+            if rows[r][c - 1] and rows[r][c + 1] and rows[r - 1][c] and rows[r + 1][c]
+        ),
+        None,
+    )
     if found is None:
         raise VerifierDomainError("no cell has four nonzero orthogonal neighbors")
     out = grid.copy()

@@ -75,6 +75,19 @@ def test_generate_variation_outside_domain_warns(tmp_path, capsys):
     assert "outside the verifier domain" in capsys.readouterr().err
 
 
+def test_generate_rejects_bool_box_colors(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run(
+        [
+            "generate", "--task", "543a7ed5", "--count", "1", "--seed", "3",
+            "--out", str(out), "--set", "colors=true,true,true",
+        ]
+    ) == 1
+    err = capsys.readouterr().err
+    assert err == "error: color 0: True is not a color code in [0, 9]\n"
+    assert not out.exists()
+
+
 def test_generate_set_requires_task(tmp_path, capsys):
     assert run(["generate", "--set", "size=20", "--out", str(tmp_path / "d")]) == 2
     assert "--set requires --task" in capsys.readouterr().err

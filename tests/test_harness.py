@@ -77,6 +77,20 @@ def test_load_error_names_the_file_and_element(tmp_path):
         load_task_file(path)
 
 
+def test_load_error_names_the_first_bad_cell(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"train":[{"input":[[1]],"output":[[2]]},{"input":[[0,1.5]],"output":[[0,1]]}],'
+        '"test":[{"input":[[0]],"output":[[0]]}]}',
+        encoding="utf-8",
+    )
+    with pytest.raises(FormatError) as info:
+        load_task_file(path)
+    assert str(info.value) == (
+        f"{path}: train[1].input: cell (0, 1) holds 1.5, not a color code in [0, 9]"
+    )
+
+
 def test_emit_dataset_writes_files_and_manifest(tmp_path):
     out = tmp_path / "d"
     manifest = emit_dataset(["543a7ed5", "1e0a9b12"], 3, 9, out)

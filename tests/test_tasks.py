@@ -57,7 +57,7 @@ def test_borders_hollow_frame_fills_yellow():
 def test_borders_verifier_rejects_edge_contact():
     g, _ = grids(5, 5, 8)
     g[0][2] = 6
-    with pytest.raises(VerifierDomainError):
+    with pytest.raises(VerifierDomainError, match=r"^pink rectangle touches the grid edge$"):
         borders_and_holes.verify(g)
 
 
@@ -65,14 +65,18 @@ def test_borders_verifier_rejects_non_rectangles():
     g, _ = grids(6, 6, 8)
     for r, c in ((1, 1), (2, 1), (2, 2)):  # L-shape
         g[r][c] = 6
-    with pytest.raises(VerifierDomainError):
+    with pytest.raises(VerifierDomainError, match=r"^pink component is not rectangular$"):
         borders_and_holes.verify(g)
 
 
 def test_borders_verifier_rejects_alien_colors():
     g, _ = grids(5, 5, 8)
     g[2][2] = 3
-    with pytest.raises(VerifierDomainError):
+    g[2][4] = 0
+    g[3][0] = 0
+    with pytest.raises(
+        VerifierDomainError, match=r"^cell \(2, 2\) holds 3, expected cyan or pink$"
+    ):
         borders_and_holes.verify(g)
 
 
@@ -80,7 +84,31 @@ def test_borders_verifier_rejects_crowded_rectangles():
     g, _ = grids(8, 8, 8)
     for r, c in ((1, 1), (1, 2), (2, 1), (2, 2), (4, 4), (4, 5), (5, 4), (5, 5)):
         g[r][c] = 6  # diagonal neighbors at gap 1 on both axes
-    with pytest.raises(VerifierDomainError):
+    with pytest.raises(
+        VerifierDomainError, match=r"^pink rectangles come closer than spacing 2$"
+    ):
+        borders_and_holes.verify(g)
+
+
+@pytest.mark.parametrize(
+    "pink,alien,message",
+    [
+        # An alien color is reported before any shape problem.
+        ([(0, 2), (2, 2), (2, 3)], (4, 0), r"cell \(4, 0\) holds 0"),
+        # Spacing is checked over all rectangles before edges and shapes.
+        ([(0, 1), (2, 2), (3, 3)], None, "closer than spacing"),
+        # Otherwise rectangles are checked in row-major order of first cell.
+        ([(0, 1), (4, 3), (4, 4), (5, 4)], None, "touches the grid edge"),
+        ([(1, 1), (2, 1), (2, 2), (6, 5)], None, "not rectangular"),
+    ],
+)
+def test_borders_verifier_reports_first_failing_condition(pink, alien, message):
+    g, _ = grids(7, 7, 8)
+    for r, c in pink:
+        g[r][c] = 6
+    if alien:
+        g[alien[0]][alien[1]] = 0
+    with pytest.raises(VerifierDomainError, match=message):
         borders_and_holes.verify(g)
 
 
@@ -251,7 +279,9 @@ def test_crossing_exactly_eight_cells_change():
 
 
 def test_crossing_verifier_rejects_no_crossing():
-    with pytest.raises(VerifierDomainError):
+    with pytest.raises(
+        VerifierDomainError, match=r"^no cell has four nonzero orthogonal neighbors$"
+    ):
         crossing_marker.verify(Grid([[0] * 4 for _ in range(4)]))
 
 

@@ -4,7 +4,8 @@ Determinism between two runs of one build says nothing about whether a
 later version still produces the datasets people cite by seed. This
 module compares the current code against values recorded in
 ``known_answers.json``: raw SplitMix64 outputs and bounded draws for a
-few key triples, and SHA-256 digests of emitted task files.
+few key triples, SHA-256 digests of emitted task files, and the stream
+state a failed 543a7ed5 layout search leaves behind.
 
 A change that alters any of these values changes published datasets. It
 must say so, name the task and explain why; only then re-record with::
@@ -19,7 +20,15 @@ from pathlib import Path
 
 import pytest
 
-from gridbench import apply_variation, emit_dataset, new_stream, save_task_file, task_ids
+from gridbench import (
+    GenerationError,
+    apply_variation,
+    emit_dataset,
+    lookup,
+    new_stream,
+    save_task_file,
+    task_ids,
+)
 
 FIXTURE = Path(__file__).with_name("known_answers.json")
 
@@ -39,6 +48,15 @@ RAW_DRAWS = 8
 DATASET_SEEDS = (7, 2024)
 DATASET_TRAIN = 50
 VARIATION = {"task": "543a7ed5", "overrides": {"size": 8, "boxes": 1}, "count": 20, "seed": 5}
+# Further 543a7ed5 layouts with the same task, count and seed: one box on
+# a large grid (few draws per example), many boxes (long searches), and
+# a grid small enough that many attempts draw a box that cannot fit.
+LAYOUT_OVERRIDES = [{"size": 30, "boxes": 1}, {"size": 30, "boxes": 6}, {"size": 6, "boxes": 1}]
+# Infeasible (size, boxes) pairs: every attempt fails, so the search
+# ends in GenerationError after consuming a fixed number of draws.
+INFEASIBLE = [(3, 1), (5, 2)]
+INFEASIBLE_SEED = 5
+INFEASIBLE_INDEXES = range(3)
 
 
 def _sha256(path: Path) -> str:
@@ -74,21 +92,37 @@ def dataset_digests(seed: int) -> dict[str, str]:
         return {path.name: _sha256(path) for path in sorted(Path(tmp).iterdir())}
 
 
-def variation_digest() -> dict:
-    result = apply_variation(
-        VARIATION["task"], VARIATION["overrides"], VARIATION["count"], VARIATION["seed"]
-    )
+def variation_digest(overrides: dict) -> dict:
+    result = apply_variation(VARIATION["task"], overrides, VARIATION["count"], VARIATION["seed"])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "variation.json"
         save_task_file(path, result.task_set)
         return {"sha256": _sha256(path), "verifier_checked": result.verifier_checked}
 
 
+def layout_digests() -> list[dict]:
+    return [{"overrides": o, **variation_digest(o)} for o in LAYOUT_OVERRIDES]
+
+
+def failed_search_states() -> list[dict]:
+    generate = lookup("543a7ed5").generate
+    states = []
+    for size, boxes in INFEASIBLE:
+        for index in INFEASIBLE_INDEXES:
+            rng = new_stream(INFEASIBLE_SEED, "543a7ed5", index)
+            with pytest.raises(GenerationError):
+                generate(rng=rng, size=size, boxes=boxes)
+            states.append({"size": size, "boxes": boxes, "index": index, "state": f"{rng.state:016x}"})
+    return states
+
+
 def record() -> dict:
     return {
         "rng": rng_vectors(),
         "datasets": {str(seed): dataset_digests(seed) for seed in DATASET_SEEDS},
-        "variation": {**VARIATION, **variation_digest()},
+        "variation": {**VARIATION, **variation_digest(VARIATION["overrides"])},
+        "layouts": layout_digests(),
+        "failed_searches": failed_search_states(),
     }
 
 
@@ -107,7 +141,15 @@ def test_emit_dataset_digests(known, seed):
 
 
 def test_variation_digest(known):
-    assert {**VARIATION, **variation_digest()} == known["variation"]
+    assert {**VARIATION, **variation_digest(VARIATION["overrides"])} == known["variation"]
+
+
+def test_layout_digests(known):
+    assert layout_digests() == known["layouts"]
+
+
+def test_failed_search_states(known):
+    assert failed_search_states() == known["failed_searches"]
 
 
 if __name__ == "__main__":

@@ -11,9 +11,18 @@ which avoids rejection loops entirely (the bias is at most
 span / 2**64, far below anything a statistical test at this scale can
 see). Both pieces are small enough to reproduce bit-exactly in any
 language with 64x64 -> 128 multiplication.
+
+A stream's position is a counter: word k after state s is the scrambled
+value of s + k * increment (mod 2**64), independent of the words before
+it. ``peek`` uses this to compute a block of words in bulk and ``skip``
+to advance the stream by any number of words in constant time; both
+give exactly the words that one ``_next`` call per word would.
 """
 
 from __future__ import annotations
+
+import sys
+from functools import lru_cache
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64 increment
@@ -28,6 +37,20 @@ def _scramble(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+@lru_cache(maxsize=16)
+def _lane_constants(n: int) -> tuple[int, int, int]:
+    # One 128-bit lane per word, word k in bits [128k, 128k + 64):
+    # ONES has a 1 in every lane, RAMP holds (k + 1) * increment in lane
+    # k, LANES masks every lane to its low 64 bits.
+    ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
+    lanes = int.from_bytes((b"\xff" * 8 + bytes(8)) * n, "little")
+    ramp = int.from_bytes(
+        b"".join(((k * _GOLDEN) & _MASK64).to_bytes(16, "little") for k in range(1, n + 1)),
+        "little",
+    )
+    return ones, ramp, lanes
 
 
 def _fnv1a(text: str) -> int:
@@ -58,6 +81,32 @@ class RngStream:
         self.state = (self.state + _GOLDEN) & _MASK64
         return _scramble(self.state)
 
+    def peek(self, n: int) -> list[int]:
+        """The next ``n`` raw 64-bit words, without advancing the stream.
+
+        All ``n`` words are computed at once in one integer holding a
+        128-bit lane per word; each lane is masked back to 64 bits
+        before every multiply, so no product carries into the next lane.
+        """
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        ones, ramp, lanes = _lane_constants(n)
+        z = (self.state * ones + ramp) & lanes
+        z = ((z ^ (z >> 30)) & lanes) * _MIX1 & lanes
+        z = ((z ^ (z >> 27)) & lanes) * _MIX2 & lanes
+        z ^= z >> 31
+        # Bits a shift carries in from the next lane land above bit 64
+        # of each lane, so only the low halves are read.
+        if sys.byteorder == "little":
+            return memoryview(z.to_bytes(16 * n, "little")).cast("Q")[::2].tolist()
+        return memoryview(z.to_bytes(16 * n, "big")).cast("Q")[::-2].tolist()
+
+    def skip(self, n: int) -> None:
+        """Advance the stream by ``n`` words, as ``n`` draws would."""
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        self.state = (self.state + n * _GOLDEN) & _MASK64
+
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""
         if lo > hi:
@@ -69,7 +118,12 @@ class RngStream:
         """List of ``n`` draws from [lo, hi], in draw order."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        return [self.randint(lo, hi) for _ in range(n)]
+        if n and lo > hi:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        span = hi - lo + 1
+        words = self.peek(n)
+        self.skip(n)
+        return [lo + ((x * span) >> 64) for x in words]
 
     def __repr__(self) -> str:
         return (

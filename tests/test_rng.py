@@ -95,3 +95,51 @@ def test_draws_stay_in_range():
     s = new_stream(21, "range", 0)
     for _ in range(10_000):
         assert 2 <= s.randint(2, 7) <= 7
+
+
+_GAMMA = 0x9E3779B97F4A7C15
+# The known-answer triples.
+PEEK_STREAMS = [
+    (0, "543a7ed5", 0),
+    (2**64 - 1, "1e0a9b12", 7),
+    (7, "grille-été-✓", 3),
+    (123456789, "05269061", 2**63 + 12345),
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+@pytest.mark.parametrize("key", PEEK_STREAMS)
+def test_peek_equals_sequential_next_and_keeps_state(key, n):
+    a, b = new_stream(*key), new_stream(*key)
+    state = a.state
+    assert a.peek(n) == [b._next() for _ in range(n)]
+    assert a.state == state
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+@pytest.mark.parametrize("key", PEEK_STREAMS)
+def test_skip_equals_sequential_next(key, n):
+    a, b = new_stream(*key), new_stream(*key)
+    a.skip(n)
+    for _ in range(n):
+        b._next()
+    assert a.state == b.state
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_peek_wraps_past_two_to_the_64(n):
+    # Within 3 increments of 2**64: every lane's counter wraps.
+    a, b = new_stream(0, "x", 0), new_stream(0, "x", 0)
+    a.state = b.state = 2**64 - 3
+    assert a.state + _GAMMA >= 2**64
+    assert a.peek(n) == [b._next() for _ in range(n)]
+    a.skip(n)
+    assert a.state == b.state
+
+
+def test_peek_and_skip_reject_negative_counts():
+    s = new_stream(1, "x", 0)
+    with pytest.raises(ValueError):
+        s.peek(-1)
+    with pytest.raises(ValueError):
+        s.skip(-1)

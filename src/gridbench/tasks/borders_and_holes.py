@@ -24,6 +24,11 @@ TASK_ID = "543a7ed5"
 # the next rectangle's pink cells.
 _SPACING = 2
 
+# Largest block of stream words the layout sampler peeks at once (unless
+# one attempt needs more). Blocks start at one attempt's worth and
+# double, so searches that end after a few attempts peek few words.
+_BLOCK_CAP = 512
+
 _CYAN_PINK = frozenset((CYAN, PINK))
 
 
@@ -89,28 +94,62 @@ def _sample_layout(boxes, size, box_colors, rng):
         if len(box_colors) != boxes:
             raise ValueError(f"expected {boxes} box colors, got {len(box_colors)}")
         _check_colors(box_colors)
+    # Each attempt is the draw-by-draw rejection sampler: widths, heights,
+    # rows, cols (randint raising when a box cannot fit ends the attempt),
+    # reject on overlap, then per box two hole extents and, for a
+    # non-empty hole, its row and col; reject on too little hole area.
+    # The words come from peeked blocks, mapped by the same multiply-shift
+    # as randint, and the stream is advanced by exactly the words those
+    # draws would have consumed, so layouts and final state are unchanged.
+    limit = size - 2  # largest extent that leaves a ring margin; extents reach 7
+    need = 8 * boxes  # most words one attempt can consume
+    cap = max(_BLOCK_CAP, need)
+    block = need // 2  # the first refill peeks one attempt's worth
+    words = []
+    p = 0
     for _ in range(MAX_ATTEMPTS):
-        try:
-            widths, heights = rng.randints(2, 7, boxes), rng.randints(2, 7, boxes)
-            rows = [rng.randint(1, size - height - 1) for height in heights]
-            cols = [rng.randint(1, size - width - 1) for width in widths]
-        except ValueError:
-            # A box cannot fit on this grid size; counts as a failed attempt.
+        if p + need > len(words):
+            rng.skip(p)
+            block = min(2 * block, cap)
+            words = rng.peek(block)
+            # Every word read as a box extent, randint(2, 7).
+            extents = [2 + ((x * 6) >> 64) for x in words]
+            p = 0
+        # Widths, heights, rows and cols take one word per box each.
+        h0 = p + boxes
+        r0 = h0 + boxes
+        c0 = r0 + boxes
+        widths, heights = extents[p:h0], extents[h0:r0]
+        if limit < 7:
+            if max(heights) > limit:
+                p = r0 + next(i for i, h in enumerate(heights) if h > limit)
+                continue
+            if max(widths) > limit:
+                p = c0 + next(i for i, w in enumerate(widths) if w > limit)
+                continue
+        p = c0 + boxes
+        placed = _place_boxes(words[r0:c0], words[c0:p], widths, heights, size)
+        if placed is None:
             continue
-        if overlaps(rows, cols, widths, heights, _SPACING):
-            continue
-        colors = list(box_colors) if box_colors is not None else [PINK] * boxes
+        rows, cols = placed
         hole_rows, hole_cols, hole_widths, hole_heights = [], [], [], []
+        area = 0
         for row, col, width, height in zip(rows, cols, widths, heights):
-            w, t = rng.randint(0, width - 2), rng.randint(0, height - 2)
+            w = (words[p] * (width - 1)) >> 64
+            t = (words[p + 1] * (height - 1)) >> 64
+            p += 2
             if not w or not t:
                 continue
-            hole_rows.append(row + rng.randint(1, height - t - 1))
-            hole_cols.append(col + rng.randint(1, width - w - 1))
+            hole_rows.append(row + 1 + ((words[p] * (height - t - 1)) >> 64))
+            hole_cols.append(col + 1 + ((words[p + 1] * (width - w - 1)) >> 64))
+            p += 2
             hole_widths.append(w)
             hole_heights.append(t)
-        if sum(w * t for w, t in zip(hole_widths, hole_heights)) < 2 * boxes:
+            area += w * t
+        if area < 2 * boxes:
             continue
+        rng.skip(p)
+        colors = box_colors if box_colors is not None else [PINK] * boxes
         return (
             rows + hole_rows,
             cols + hole_cols,
@@ -118,10 +157,32 @@ def _sample_layout(boxes, size, box_colors, rng):
             heights + hole_heights,
             colors + [YELLOW] * len(hole_rows),
         )
+    rng.skip(p)
     raise GenerationError(
         f"task {TASK_ID}: no layout satisfied the constraints "
         f"after {MAX_ATTEMPTS} attempts (boxes={boxes}, size={size})"
     )
+
+
+def _place_boxes(row_words, col_words, widths, heights, size):
+    """Rows and cols drawn from the words, or None at the first conflict.
+
+    Gives the same accept/reject as ``overlaps(..., _SPACING)``, since any
+    conflicting pair rejects: a pair conflicts iff the two boxes, each
+    grown by ``_SPACING`` cells down and right, intersect.
+    """
+    rows, cols, placed = [], [], []
+    for x, y, width, height in zip(row_words, col_words, widths, heights):
+        row = 1 + ((x * (size - height - 1)) >> 64)
+        col = 1 + ((y * (size - width - 1)) >> 64)
+        bottom, right = row + height + _SPACING, col + width + _SPACING
+        for r0, c0, r1, c1 in placed:
+            if row < r1 and r0 < bottom and col < c1 and c0 < right:
+                return None
+        placed.append((row, col, bottom, right))
+        rows.append(row)
+        cols.append(col)
+    return rows, cols
 
 
 def _checked_layout(rows, cols, widths, heights, colors, boxes, size):

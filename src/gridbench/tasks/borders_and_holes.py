@@ -14,6 +14,8 @@ this positional split coincides with the color split.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from ..errors import GenerationError, VerifierDomainError
 from ..framework import MAX_ATTEMPTS, TaskGenerator, overlaps
 from ..grid import CYAN, GREEN, PINK, YELLOW, Example, Grid, TaskSet, _check_color, grids
@@ -50,6 +52,11 @@ def generate(
     randomized, ``colors`` may still be supplied as exactly one color
     per rectangle.
     """
+    for name, value in (("boxes", boxes), ("size", size)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if colors is not None and not isinstance(colors, Sequence):
+        raise ValueError(f"colors must be a list of color codes, got {colors!r}")
     if boxes < 1:
         raise ValueError("boxes must be positive")
     supplied = [rows, cols, widths, heights]

@@ -88,6 +88,26 @@ def test_generate_rejects_bool_box_colors(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("colors=pink", "colors must be a list of color codes, got 6"),
+        ("boxes=1,2", "boxes must be an integer, got [1, 2]"),
+        ("size=true", "size must be an integer, got True"),
+    ],
+)
+def test_generate_rejects_mistyped_layout_overrides(tmp_path, capsys, override, message):
+    out = tmp_path / "d"
+    assert run(
+        [
+            "generate", "--task", "543a7ed5", "--count", "1", "--seed", "3",
+            "--out", str(out), "--set", override,
+        ]
+    ) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_generate_set_requires_task(tmp_path, capsys):
     assert run(["generate", "--set", "size=20", "--out", str(tmp_path / "d")]) == 2
     assert "--set requires --task" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import pytest
 from scipy import stats
 
 from gridbench import new_stream
+from gridbench.rng import _GOLDEN
 
 
 def draws(stream, n):
@@ -97,7 +98,6 @@ def test_draws_stay_in_range():
         assert 2 <= s.randint(2, 7) <= 7
 
 
-_GAMMA = 0x9E3779B97F4A7C15
 # The known-answer triples.
 PEEK_STREAMS = [
     (0, "543a7ed5", 0),
@@ -131,7 +131,7 @@ def test_peek_wraps_past_two_to_the_64(n):
     # Within 3 increments of 2**64: every lane's counter wraps.
     a, b = new_stream(0, "x", 0), new_stream(0, "x", 0)
     a.state = b.state = 2**64 - 3
-    assert a.state + _GAMMA >= 2**64
+    assert a.state + _GOLDEN >= 2**64
     assert a.peek(n) == [b._next() for _ in range(n)]
     a.skip(n)
     assert a.state == b.state

@@ -11,7 +11,7 @@ generated example must satisfy ``verifier(input) == output`` exactly.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from .errors import VerificationError, VerifierDomainError
@@ -22,6 +22,18 @@ from .rng import RngStream, new_stream
 # turns a pathological parameter combination into a diagnosable error
 # instead of a hang.
 MAX_ATTEMPTS = 10_000
+
+
+def check_int(name: str, value) -> None:
+    """Reject a parameter value that is not an ``int``; ``bool`` is rejected too."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_list(name: str, value, items: str) -> None:
+    """Reject a parameter value that is not a sequence; ``items`` names its entries."""
+    if not isinstance(value, Sequence):
+        raise ValueError(f"{name} must be a list of {items}, got {value!r}")
 
 
 def overlaps(

@@ -76,6 +76,12 @@ class Grid:
     ``IntEnum`` member, say) are accepted; ``bool`` is rejected, as are
     floats, strings and ``None``. A failure raises ``ValueError``
     naming the first bad row or cell in row-major order.
+
+    A grid is validated where its rows enter: this constructor,
+    ``load_task_file`` (which calls it) and a judge program's result
+    that is not a ``Grid`` (which ``evaluate`` passes to it). ``copy()``
+    and the bundled verifiers build from cells that were already
+    checked, so they wrap fresh row lists without checking them again.
     """
 
     __slots__ = ("_rows",)
@@ -103,6 +109,17 @@ class Grid:
             _check_cells(rows, width)
         self._rows = list(map(list, rows))
 
+    @classmethod
+    def _of(cls, rows: list[list[int]]) -> "Grid":
+        """Wrap freshly built row lists of checked cells, without checks.
+
+        The grid takes ownership of ``rows``: the caller must not keep
+        or share any of the lists.
+        """
+        grid = object.__new__(cls)
+        grid._rows = rows
+        return grid
+
     @property
     def height(self) -> int:
         return len(self._rows)
@@ -129,7 +146,7 @@ class Grid:
         return f"Grid({self._rows!r})"
 
     def copy(self) -> "Grid":
-        return Grid(self._rows)
+        return Grid._of(list(map(list, self._rows)))
 
     def to_lists(self) -> list[list[int]]:
         """Plain list-of-lists copy, e.g. for JSON serialization."""

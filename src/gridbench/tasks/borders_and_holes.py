@@ -14,10 +14,10 @@ this positional split coincides with the color split.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import re
 
 from ..errors import GenerationError, VerifierDomainError
-from ..framework import MAX_ATTEMPTS, TaskGenerator, overlaps
+from ..framework import MAX_ATTEMPTS, TaskGenerator, check_int, check_list, overlaps
 from ..grid import CYAN, GREEN, PINK, YELLOW, Example, Grid, TaskSet, _check_color, grids
 
 TASK_ID = "543a7ed5"
@@ -32,6 +32,9 @@ _SPACING = 2
 _BLOCK_CAP = 512
 
 _CYAN_PINK = frozenset((CYAN, PINK))
+
+# A run of pink cells in a row's bytes (cells are checked codes 0-9).
+_PINK_RUN = re.compile(bytes((PINK,)) + b"+")
 
 
 def generate(
@@ -52,11 +55,15 @@ def generate(
     randomized, ``colors`` may still be supplied as exactly one color
     per rectangle.
     """
-    for name, value in (("boxes", boxes), ("size", size)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if colors is not None and not isinstance(colors, Sequence):
-        raise ValueError(f"colors must be a list of color codes, got {colors!r}")
+    check_int("boxes", boxes)
+    check_int("size", size)
+    if colors is not None:
+        check_list("colors", colors, "color codes")
+    for name, values in (("rows", rows), ("cols", cols), ("widths", widths), ("heights", heights)):
+        if values is not None:
+            check_list(name, values, "integers")
+            for i, value in enumerate(values):
+                check_int(f"{name}[{i}]", value)
     if boxes < 1:
         raise ValueError("boxes must be positive")
     supplied = [rows, cols, widths, heights]
@@ -289,30 +296,45 @@ def verify(grid: Grid) -> Grid:
 def _pink_components(grid: Grid) -> list[tuple[int, int, int, int]]:
     """Bounding boxes (r0, c0, r1, c1) of 4-connected pink components,
     in row-major order of each component's first cell."""
-    rows = list(grid)
-    h, w = len(rows), len(rows[0])
-    seen = [[False] * w for _ in range(h)]
-    bounds = []
-    for r, row in enumerate(rows):
+    # Label each row's pink runs; a run joins every component with a run
+    # in the row above that shares a column. Labels are numbered in
+    # row-major order of their first run, and a merge keeps the smaller,
+    # so the surviving roots list components by their first cell.
+    parent = []
+    boxes = []
+    above = []
+    for r, row in enumerate(grid):
         if PINK not in row:
+            above = []
             continue
-        for c, value in enumerate(row):
-            if value != PINK or seen[r][c]:
-                continue
-            seen[r][c] = True
-            stack = [(r, c)]
-            r0 = r1 = r
-            c0 = c1 = c
-            while stack:
-                rr, cc = stack.pop()
-                r0, r1 = min(r0, rr), max(r1, rr)
-                c0, c1 = min(c0, cc), max(c1, cc)
-                for nr, nc in ((rr - 1, cc), (rr + 1, cc), (rr, cc - 1), (rr, cc + 1)):
-                    if 0 <= nr < h and 0 <= nc < w and rows[nr][nc] == PINK and not seen[nr][nc]:
-                        seen[nr][nc] = True
-                        stack.append((nr, nc))
-            bounds.append((r0, c0, r1, c1))
-    return bounds
+        runs = []
+        for match in _PINK_RUN.finditer(bytes(row)):
+            start, stop = match.span()
+            root = None
+            for a, b, label in above:
+                if a < stop and start < b:
+                    while parent[label] != label:
+                        label = parent[label]
+                    if root is None:
+                        root = label
+                    elif label != root:
+                        root, label = min(root, label), max(root, label)
+                        parent[label] = root
+                        box, other = boxes[root], boxes[label]
+                        box[1] = min(box[1], other[1])
+                        box[3] = max(box[3], other[3])
+            if root is None:
+                root = len(boxes)
+                parent.append(root)
+                boxes.append([r, start, r, stop - 1])
+            else:
+                box = boxes[root]
+                box[1] = min(box[1], start)
+                box[2] = r
+                box[3] = max(box[3], stop - 1)
+            runs.append((start, stop, root))
+        above = runs
+    return [tuple(box) for label, box in enumerate(boxes) if parent[label] == label]
 
 
 def validate() -> TaskSet:

@@ -7,7 +7,7 @@ against the bottom edge, keeping their top-to-bottom order per column.
 from __future__ import annotations
 
 from ..errors import GenerationError
-from ..framework import MAX_ATTEMPTS, TaskGenerator
+from ..framework import MAX_ATTEMPTS, TaskGenerator, check_int
 from ..grid import Example, Grid
 
 TASK_ID = "1e0a9b12"
@@ -15,6 +15,8 @@ TASK_ID = "1e0a9b12"
 
 def generate(size=None, rng=None) -> Example:
     """One square example; every column holds 1-3 colored cells."""
+    if size is not None:
+        check_int("size", size)
     if size is None:
         size = rng.randint(4, 6)
     if not 3 <= size <= 10:
@@ -55,7 +57,7 @@ def verify(grid: Grid) -> Grid:
     for column in zip(*grid):
         stack = list(filter(None, column))
         columns.append([0] * (h - len(stack)) + stack)
-    return Grid(list(zip(*columns)))
+    return Grid._of(list(map(list, zip(*columns))))
 
 
 GENERATOR = TaskGenerator.from_callables(TASK_ID, generate, verify)

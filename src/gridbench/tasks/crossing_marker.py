@@ -8,7 +8,7 @@ yellow while the crossing itself keeps its color.
 from __future__ import annotations
 
 from ..errors import VerifierDomainError
-from ..framework import TaskGenerator
+from ..framework import TaskGenerator, check_int
 from ..grid import YELLOW, Example, Grid
 
 TASK_ID = "67a423a3"
@@ -19,6 +19,10 @@ _LINE_COLORS = (1, 2, 3, 5, 6, 7, 8, 9)
 
 def generate(size=None, row=None, col=None, row_color=None, col_color=None, rng=None) -> Example:
     """One square example with a single interior crossing."""
+    supplied = dict(size=size, row=row, col=col, row_color=row_color, col_color=col_color)
+    for name, value in supplied.items():
+        if value is not None:
+            check_int(name, value)
     if size is None:
         size = rng.randint(6, 12)
     if not 3 <= size <= 30:

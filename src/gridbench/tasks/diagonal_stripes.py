@@ -8,7 +8,7 @@ complete pattern.
 
 from __future__ import annotations
 
-from ..framework import TaskGenerator
+from ..framework import TaskGenerator, check_int, check_list
 from ..grid import Example, Grid
 
 TASK_ID = "05269061"
@@ -21,6 +21,11 @@ def generate(size=None, colors=None, bands=None, corner=None, rng=None) -> Examp
     ``bands`` the number of three-diagonal periods revealed (1-3), and
     ``corner`` the band anchor: 0 for top-left, 1 for bottom-right.
     """
+    for name, value in (("size", size), ("bands", bands), ("corner", corner)):
+        if value is not None:
+            check_int(name, value)
+    if colors is not None:
+        check_list("colors", colors, "color codes")
     if size is None:
         size = rng.randint(5, 9)
     if not 3 <= size <= 30:
@@ -34,7 +39,7 @@ def generate(size=None, colors=None, bands=None, corner=None, rng=None) -> Examp
     else:
         colors = list(colors)
         if len(colors) != 3 or len(set(colors)) != 3 or not all(
-            isinstance(v, int) and 1 <= v <= 9 for v in colors
+            isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= 9 for v in colors
         ):
             raise ValueError("colors must be three distinct codes in [1, 9]")
     if bands is None:
@@ -62,23 +67,53 @@ def generate(size=None, colors=None, bands=None, corner=None, rng=None) -> Examp
 
 
 def verify(grid: Grid) -> Grid:
-    """Reference transformation: three row-major passes, each carrying the
-    last seen color per (row + col) mod 3 class into every cell.
+    """Reference transformation: fill each (row + col) mod 3 class.
 
-    Tolerates any grid; inconsistent seeds simply settle on the last
-    color encountered per class.
+    Take the cells of each residue class ``(r + c) % 3`` in row-major
+    order. A nonzero cell keeps its value; a zero cell takes the last
+    nonzero value before it in its class, and zero cells before the
+    class's first nonzero take the class's last nonzero value. A class
+    with no nonzero cell stays 0. This is the fixed point of carrying
+    the last seen color per class through row-major passes, so any grid
+    is accepted: inconsistent seeds settle on the last color per class.
     """
-    h, w = grid.height, grid.width
     rows = grid.to_lists()
+    # Row r holds class k at columns (k - r) % 3, +3, ...; start every
+    # class's carry at its last nonzero value, found from the bottom up.
     carry = [0, 0, 0]
-    for _ in range(3):
-        for r in range(h):
-            for c in range(w):
-                value = rows[r][c]
+    missing = [0, 1, 2]
+    for r in range(len(rows) - 1, -1, -1):
+        row = rows[r]
+        if not any(row):
+            continue
+        for k in missing[:]:
+            seen = list(filter(None, row[(k - r) % 3 :: 3]))
+            if seen:
+                carry[k] = seen[-1]
+                missing.remove(k)
+        if not missing:
+            break
+    for r, row in enumerate(rows):
+        if not any(row):
+            period = [carry[r % 3], carry[(r + 1) % 3], carry[(r + 2) % 3]]
+            row[:] = (period * (len(row) // 3 + 1))[: len(row)]
+            continue
+        for k in range(3):
+            start = (k - r) % 3
+            cells = row[start::3]
+            if 0 not in cells:
+                if cells:
+                    carry[k] = cells[-1]
+                continue
+            last = carry[k]
+            for i, value in enumerate(cells):
                 if value:
-                    carry[(r + c) % 3] = value
-                rows[r][c] = carry[(r + c) % 3]
-    return Grid(rows)
+                    last = value
+                else:
+                    cells[i] = last
+            row[start::3] = cells
+            carry[k] = last
+    return Grid._of(rows)
 
 
 GENERATOR = TaskGenerator.from_callables(TASK_ID, generate, verify)

@@ -108,6 +108,40 @@ def test_generate_rejects_mistyped_layout_overrides(tmp_path, capsys, override, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "task, overrides, message",
+    [
+        ("67a423a3", ["row=1,2"], "row must be an integer, got [1, 2]"),
+        ("67a423a3", ["size=1,2"], "size must be an integer, got [1, 2]"),
+        ("67a423a3", ["row=true"], "row must be an integer, got True"),
+        ("67a423a3", ["row_color=true"], "row_color must be an integer, got True"),
+        ("05269061", ["size=1,2"], "size must be an integer, got [1, 2]"),
+        ("05269061", ["colors=3"], "colors must be a list of color codes, got 3"),
+        ("05269061", ["corner=true"], "corner must be an integer, got True"),
+        ("05269061", ["colors=true,2,3"], "colors must be three distinct codes in [1, 9]"),
+        ("1e0a9b12", ["size=1,2"], "size must be an integer, got [1, 2]"),
+        (
+            "543a7ed5",
+            ["rows=2", "cols=2", "widths=2", "heights=2"],
+            "rows must be a list of integers, got 2",
+        ),
+        (
+            "543a7ed5",
+            ["rows=true,8", "cols=2,2", "widths=2,2", "heights=2,2", "boxes=2"],
+            "rows[0] must be an integer, got True",
+        ),
+    ],
+)
+def test_generate_rejects_mistyped_overrides(tmp_path, capsys, task, overrides, message):
+    out = tmp_path / "d"
+    argv = ["generate", "--task", task, "--count", "1", "--out", str(out)]
+    for override in overrides:
+        argv += ["--set", override]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_generate_set_requires_task(tmp_path, capsys):
     assert run(["generate", "--set", "size=20", "--out", str(tmp_path / "d")]) == 2
     assert "--set requires --task" in capsys.readouterr().err

@@ -158,6 +158,14 @@ def test_grid_copy_is_detached():
     assert g != h
 
 
+def test_grid_copy_shares_no_row_list():
+    g = Grid([[1, 2, 3]] * 2 + [(4, 5, 6)])
+    h = g.copy()
+    assert h == g and type(h) is Grid
+    assert not {id(row) for row in h} & {id(row) for row in g}
+    assert all(type(row) is list for row in h)
+
+
 def test_render_text_single_cell():
     assert render_text(Grid([[5]])) == "5\n"
 

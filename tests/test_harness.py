@@ -160,6 +160,26 @@ def test_evaluate_crashing_program_counts_as_failure(tmp_path):
     assert not score.passed
 
 
+def test_evaluate_checks_list_results(tmp_path):
+    from gridbench import lookup
+
+    emit_dataset(["05269061"], 2, 5, tmp_path)
+    verify = lookup("05269061").verifier
+
+    def as_lists(grid):
+        return verify(grid).to_lists()
+
+    def with_float_cell(grid):
+        rows = as_lists(grid)
+        rows[0][0] = float(rows[0][0])  # equal in value, but not a color code
+        return rows
+
+    assert evaluate(tmp_path, {"05269061": as_lists}).per_task["05269061"].passed
+    for program in (with_float_cell, lambda grid: [[1.5]], lambda grid: [[1], [2, 3]]):
+        score = evaluate(tmp_path, {"05269061": program}).per_task["05269061"]
+        assert score.pass_count == 0 and score.total_count == 3
+
+
 def test_evaluate_skips_tasks_without_programs(tmp_path):
     emit_dataset(["543a7ed5", "67a423a3"], 2, 5, tmp_path)
     from gridbench import lookup

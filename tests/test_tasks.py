@@ -351,6 +351,20 @@ def test_stripes_fully_specified_is_deterministic():
     assert all(v == 0 for row in a.input for v in row if v not in (1, 2, 3))
 
 
+@pytest.mark.parametrize("task_id", ["543a7ed5", "1e0a9b12", "67a423a3", "05269061"])
+def test_verifier_result_owns_its_rows(task_id):
+    gen = lookup(task_id)
+    for index in range(5):
+        grid = gen.generate(rng=_stream(task_id, index)).input
+        before = grid.to_lists()
+        out = gen.verifier(grid)
+        assert not {id(row) for row in out} & {id(row) for row in grid}
+        assert len({id(row) for row in out}) == out.height
+        for row in out:
+            row[:] = [9] * len(row)
+        assert grid.to_lists() == before
+
+
 def test_registered_verifiers_match_module_functions():
     assert lookup("543a7ed5").verifier is borders_and_holes.verify
     assert lookup("1e0a9b12").verifier is column_gravity.verify

@@ -101,10 +101,6 @@ def verify(grid: Grid) -> Grid:
         for k in range(3):
             start = (k - r) % 3
             cells = row[start::3]
-            if 0 not in cells:
-                if cells:
-                    carry[k] = cells[-1]
-                continue
             last = carry[k]
             for i, value in enumerate(cells):
                 if value:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -16,8 +15,9 @@ from .harness import (
     format_percent,
     format_report,
     golden_check,
-    save_task_file,
     load_task_file,
+    save_dataset,
+    save_task_file,  # noqa: F401  (bench/spans.py wraps cli.save_task_file)
 )
 from .rng import new_stream
 
@@ -61,23 +61,7 @@ def _cmd_generate(args) -> int:
                 "domain; examples were not consistency-checked",
                 file=sys.stderr,
             )
-        out_dir.mkdir(parents=True, exist_ok=True)
-        file_name = f"{args.task}.json"
-        save_task_file(out_dir / file_name, result.task_set)
-        manifest = {
-            "master_seed": args.seed,
-            "tasks": [
-                {
-                    "id": args.task,
-                    "train_count": len(result.task_set.train),
-                    "test_count": len(result.task_set.test),
-                    "file": file_name,
-                }
-            ],
-        }
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, separators=(",", ":")), encoding="utf-8"
-        )
+        manifest = save_dataset(out_dir, args.seed, [(args.task, result.task_set)])
     else:
         ids = [args.task] if args.task else task_ids()
         manifest = emit_dataset(ids, args.count, args.seed, out_dir)
@@ -115,7 +99,8 @@ def _cmd_evaluate(args) -> int:
     programs = {task_id: lookup(task_id).verifier for task_id in task_ids()}
     report = evaluate(args.examples, programs)
     print(format_report(report))
-    return 0 if report.tasks_passed == report.tasks_total else 1
+    # A run that judged no task passes nothing, e.g. a mistyped directory.
+    return 0 if 0 < report.tasks_passed == report.tasks_total else 1
 
 
 def _cmd_render(args) -> int:

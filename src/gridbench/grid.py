@@ -78,10 +78,12 @@ class Grid:
     naming the first bad row or cell in row-major order.
 
     A grid is validated where its rows enter: this constructor,
-    ``load_task_file`` (which calls it) and a judge program's result
-    that is not a ``Grid`` (which ``evaluate`` passes to it). ``copy()``
-    and the bundled verifiers build from cells that were already
-    checked, so they wrap fresh row lists without checking them again.
+    ``load_task_file`` (which calls it, except on a file whose canonical
+    layout already proves every cell a digit and every grid
+    rectangular) and a judge program's result that is not a ``Grid``
+    (which ``evaluate`` passes to it). ``copy()`` and the bundled
+    verifiers build from cells that were already checked, so they wrap
+    fresh row lists without checking them again.
     """
 
     __slots__ = ("_rows",)

@@ -1,45 +1,107 @@
 """Dataset files, golden-set validation, and verifier-success evaluation.
 
 Task files use the ARC JSON layout: an object with exactly the keys
-"train" and "test", each a list of {"input": rows, "output": rows}
-objects, where rows are lists of lists of color codes 0-9. Files are
-written compactly (no whitespace) so identical task sets serialize to
-identical bytes.
+"train" and "test", each a non-empty list of {"input": rows, "output":
+rows} objects, where rows are lists of lists of color codes 0-9.
+
+Files are written in one canonical layout: compact JSON with no
+whitespace and the keys in that order, so identical task sets serialize
+to identical bytes. Any other JSON layout of the same content (spaces
+after separators, another key order, a trailing newline) loads to the
+same task set, and a malformed file fails with the same error whatever
+its layout. A file in the canonical layout is read by string operations
+on its text, without building a JSON object tree; every other file goes
+through ``json.loads`` and is validated element by element.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+import os
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import FormatError, VerifierDomainError
 from .framework import generate_task_set, lookup
-from .grid import Example, Grid, TaskSet
+from .grid import MAX_SIDE, Example, Grid, TaskSet
+
+# The canonical layout around the grids; a grid's text is its rows
+# without the outermost brackets, e.g. "1,2],[3,4" for [[1,2],[3,4]].
+_HEAD = '{"train":[{"input":[['
+_PAIR = ']],"output":[['
+_NEXT = ']]},{"input":[['
+_SPLIT = ']]}],"test":[{"input":[['
+_TAIL = ']]}]}'
+_ROWS = "],["
+# Cell value -> ASCII digit; any byte that is not a color maps to 0x80,
+# which the ASCII decode rejects.
+_TO_DIGIT = bytes(range(48, 58)).ljust(256, b"\x80")
+# ASCII digit -> cell value (only digits are ever translated).
+_FROM_DIGIT = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _grid_text(grid: Grid) -> str:
+    """A grid's rows as canonical JSON text, without the outer brackets.
+
+    The same text as ``json.dumps`` with compact separators for a grid
+    that meets the ``Grid`` contract. Rows mutated after construction
+    into anything else raise ``ValueError`` naming the first bad row or
+    cell, so no file is written that ``load_task_file`` would reject.
+    """
+    rows = list(grid)
+    try:
+        width = len(rows[0]) if rows else 0
+        if not (
+            1 <= len(rows) <= MAX_SIDE and 1 <= width <= MAX_SIDE and set(map(len, rows)) == {width}
+        ):
+            raise ValueError(f"grid rows are not 1 to {MAX_SIDE} rows of 1 to {MAX_SIDE} cells")
+        return _ROWS.join(",".join(bytes(row).translate(_TO_DIGIT).decode("ascii")) for row in rows)
+    except (TypeError, ValueError):
+        Grid(rows)  # names the first bad row or cell
+        raise
+
+
+def _task_text(task_set: TaskSet) -> str:
+    def examples(split) -> str:
+        return _NEXT.join(
+            _grid_text(ex.input) + _PAIR + _grid_text(ex.output) for ex in split
+        )
+
+    return _HEAD + examples(task_set.train) + _SPLIT + examples(task_set.test) + _TAIL
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then move it into place.
+
+    A reader sees the old file or the new one, never a partial write. The
+    temporary name does not match ``*.json``, and it is removed if the
+    write fails.
+    """
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        temp.write_text(text, encoding="utf-8")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def save_task_file(path, task_set: TaskSet) -> None:
-    """Write a task set as compact ARC JSON."""
-    payload = {
-        "train": [
-            {"input": ex.input.to_lists(), "output": ex.output.to_lists()}
-            for ex in task_set.train
-        ],
-        "test": [
-            {"input": ex.input.to_lists(), "output": ex.output.to_lists()}
-            for ex in task_set.test
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
+    """Write a task set as compact ARC JSON, atomically."""
+    _write_atomic(Path(path), _task_text(task_set))
 
 
 def load_task_file(path) -> TaskSet:
     """Read and strictly validate an ARC JSON task file."""
     path = Path(path)
+    text = path.read_text(encoding="utf-8")
+    task_set = _decode_canonical(text)
+    if task_set is not None:
+        return task_set
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise FormatError(f"{path}: line {err.lineno}: {err.msg}") from None
     if not isinstance(payload, dict) or set(payload) != {"train", "test"}:
@@ -50,6 +112,50 @@ def load_task_file(path) -> TaskSet:
         train=_read_examples(path, payload, "train"),
         test=_read_examples(path, payload, "test"),
     )
+
+
+def _decode_canonical(text: str) -> TaskSet | None:
+    """The task set of a file in the canonical layout; None for any other text.
+
+    The layout proves the grids valid: every cell is one ASCII digit,
+    rows have one length and both sides are at most 30. So they are
+    wrapped without a second check.
+    """
+    if not (text.startswith(_HEAD) and text.endswith(_TAIL)):
+        return None
+    train, split, test = text[len(_HEAD) : -len(_TAIL)].partition(_SPLIT)
+    if not split:
+        return None
+    splits = []
+    for part in (train, test):
+        examples = []
+        for item in part.split(_NEXT):
+            pair = item.split(_PAIR)
+            if len(pair) != 2:
+                return None
+            grid_in, grid_out = _decode_grid(pair[0]), _decode_grid(pair[1])
+            if grid_in is None or grid_out is None:
+                return None
+            examples.append(Example(input=grid_in, output=grid_out))
+        splits.append(examples)
+    return TaskSet(train=splits[0], test=splits[1])
+
+
+def _decode_grid(text: str) -> Grid | None:
+    rows = text.split(_ROWS)
+    height, chars = len(rows), len(rows[0])
+    # A row of w single-digit cells is 2w - 1 characters long.
+    if height > MAX_SIDE or chars % 2 == 0 or chars > 2 * MAX_SIDE - 1:
+        return None
+    if set(map(len, rows)) != {chars}:
+        return None
+    joined = ",".join(rows)
+    digits = joined[::2]
+    if joined[1::2] != "," * (len(digits) - 1) or not (digits.isascii() and digits.isdigit()):
+        return None
+    cells = digits.encode("ascii").translate(_FROM_DIGIT)
+    width = (chars + 1) // 2
+    return Grid._of([list(cells[i : i + width]) for i in range(0, len(cells), width)])
 
 
 def _read_examples(path: Path, payload: dict, split: str) -> list[Example]:
@@ -71,6 +177,33 @@ def _read_examples(path: Path, payload: dict, split: str) -> list[Example]:
     return examples
 
 
+def save_dataset(out_dir, master_seed: int, task_sets: Iterable[tuple[str, TaskSet]]) -> dict:
+    """Write one ``<task_id>.json`` per ``(task_id, task_set)``, then the manifest.
+
+    ``task_sets`` is consumed lazily, so a generator keeps one task set
+    in memory at a time. Every file is written atomically and
+    ``manifest.json`` goes last, so it lists only files that were
+    written in full. Returns the manifest.
+    """
+    directory = Path(out_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for task_id, task_set in task_sets:
+        file_name = f"{task_id}.json"
+        save_task_file(directory / file_name, task_set)
+        entries.append(
+            {
+                "id": task_id,
+                "train_count": len(task_set.train),
+                "test_count": len(task_set.test),
+                "file": file_name,
+            }
+        )
+    manifest = {"master_seed": master_seed, "tasks": entries}
+    _write_atomic(directory / "manifest.json", json.dumps(manifest, separators=(",", ":")))
+    return manifest
+
+
 def emit_dataset(task_list, per_task_train: int, master_seed: int, out_dir) -> dict:
     """Write one ``<task_id>.json`` per task plus a manifest.
 
@@ -81,26 +214,14 @@ def emit_dataset(task_list, per_task_train: int, master_seed: int, out_dir) -> d
     """
     if per_task_train < 1:
         raise ValueError("per_task_train must be positive")
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest_tasks = []
-    for task_id in sorted(task_list):
-        task_set = generate_task_set(task_id, per_task_train, 1, master_seed)
-        file_name = f"{task_id}.json"
-        save_task_file(directory / file_name, task_set)
-        manifest_tasks.append(
-            {
-                "id": task_id,
-                "train_count": len(task_set.train),
-                "test_count": len(task_set.test),
-                "file": file_name,
-            }
-        )
-    manifest = {"master_seed": master_seed, "tasks": manifest_tasks}
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, separators=(",", ":")), encoding="utf-8"
+    return save_dataset(
+        out_dir,
+        master_seed,
+        (
+            (task_id, generate_task_set(task_id, per_task_train, 1, master_seed))
+            for task_id in sorted(task_list)
+        ),
     )
-    return manifest
 
 
 @dataclass(frozen=True)
@@ -158,9 +279,12 @@ def evaluate(example_dir, programs: dict[str, Callable[[Grid], Grid]]) -> EvalRe
 
     Every train and test pair counts equally. A program that raises on
     an example fails that example; tasks present in the directory but
-    missing from ``programs`` are skipped and listed in the report.
+    missing from ``programs`` are skipped and listed in the report. A
+    path that is not a directory raises ``NotADirectoryError``.
     """
     directory = Path(example_dir)
+    if not directory.is_dir():
+        raise NotADirectoryError(f"{directory} is not a directory")
     scores: dict[str, tuple[int, int]] = {}
     skipped = []
     for path in sorted(directory.glob("*.json")):

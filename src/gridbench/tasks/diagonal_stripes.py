@@ -54,15 +54,18 @@ def generate(size=None, colors=None, bands=None, corner=None, rng=None) -> Examp
     diag_count = 2 * size - 1
     # Always hide at least one diagonal so the pair shows the rule.
     band = min(3 * bands, diag_count - 1)
-    if corner == 0:
-        revealed = range(0, band)
-    else:
-        revealed = range(diag_count - band, diag_count)
-    out_rows = [[colors[(r + c) % 3] for c in range(size)] for r in range(size)]
-    grid_rows = [
-        [out_rows[r][c] if (r + c) in revealed else 0 for c in range(size)]
-        for r in range(size)
-    ]
+    lo = 0 if corner == 0 else diag_count - band
+    hi = lo + band
+    # Output row r is the three-color period rotated by r; input row r
+    # shows it only at the columns c with lo <= r + c < hi.
+    periods = [(colors[k:] + colors[:k]) * (size // 3 + 1) for k in range(3)]
+    out_rows = [periods[r % 3][:size] for r in range(size)]
+    grid_rows = []
+    for r, out_row in enumerate(out_rows):
+        row = [0] * size
+        start, stop = max(0, lo - r), max(0, min(size, hi - r))
+        row[start:stop] = out_row[start:stop]
+        grid_rows.append(row)
     return Example(input=Grid(grid_rows), output=Grid(out_rows))
 
 

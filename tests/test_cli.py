@@ -187,6 +187,28 @@ def test_evaluate_corrupted_file_fails(tmp_path, capsys):
     assert lines[-1] == "Examples pass for 3/4 tasks (75%)"
 
 
+@pytest.mark.parametrize("make", [None, "file"])
+def test_evaluate_path_that_is_not_a_directory_fails(tmp_path, capsys, make):
+    path = tmp_path / "dataset"
+    if make == "file":
+        path.write_text("{}", encoding="utf-8")
+    assert run(["evaluate", "--examples", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} is not a directory\n"
+
+
+def test_evaluate_that_judges_no_task_fails(tmp_path, capsys):
+    assert run(["evaluate", "--examples", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == "Examples pass for 0/0 tasks (0%)\n"
+    (tmp_path / "unknown.json").write_text("{}", encoding="utf-8")
+    assert run(["evaluate", "--examples", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "Skipping task unknown (no program)",
+        "Examples pass for 0/0 tasks (0%)",
+    ]
+
+
 def test_render_generated_example(capsys):
     assert run(["render", "--task", "1e0a9b12", "--seed", "3", "--index", "1"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Task files, dataset emission, evaluation, and golden checks."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,27 @@ def test_emit_dataset_rejects_zero_train(tmp_path):
         emit_dataset(["543a7ed5"], 0, 0, tmp_path)
 
 
+@pytest.mark.parametrize("failing", ["1e0a9b12.json", "manifest.json"])
+def test_failed_write_keeps_the_previous_file_and_no_temp_file(tmp_path, monkeypatch, failing):
+    out = tmp_path / "d"
+    emit_dataset(["1e0a9b12"], 2, 1, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    write_text = Path.write_text
+
+    def disk_full(self, data, *args, **kwargs):
+        # Half the text reaches the disk, then the write fails.
+        if failing in self.name:
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        return write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    with pytest.raises(OSError):
+        emit_dataset(["1e0a9b12"], 3, 2, out)
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
+    assert (out / failing).read_bytes() == before[failing]
+
+
 def test_evaluate_bundled_verifiers_pass(tmp_path):
     from gridbench import lookup, task_ids
 
@@ -178,6 +200,11 @@ def test_evaluate_checks_list_results(tmp_path):
     for program in (with_float_cell, lambda grid: [[1.5]], lambda grid: [[1], [2, 3]]):
         score = evaluate(tmp_path, {"05269061": program}).per_task["05269061"]
         assert score.pass_count == 0 and score.total_count == 3
+
+
+def test_evaluate_rejects_a_path_that_is_not_a_directory(tmp_path):
+    with pytest.raises(NotADirectoryError, match="missing is not a directory"):
+        evaluate(tmp_path / "missing", {})
 
 
 def test_evaluate_skips_tasks_without_programs(tmp_path):

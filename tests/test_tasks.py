@@ -351,6 +351,23 @@ def test_stripes_fully_specified_is_deterministic():
     assert all(v == 0 for row in a.input for v in row if v not in (1, 2, 3))
 
 
+def test_stripes_generator_matches_cell_by_cell_reference():
+    # The per-cell construction that the row-slice generator replaced.
+    colors = [4, 9, 2]
+    for size in range(3, 31):
+        diag_count = 2 * size - 1
+        for bands in (1, 2, 3):
+            band = min(3 * bands, diag_count - 1)
+            for corner, revealed in ((0, range(band)), (1, range(diag_count - band, diag_count))):
+                out = [[colors[(r + c) % 3] for c in range(size)] for r in range(size)]
+                grid = [
+                    [out[r][c] if (r + c) in revealed else 0 for c in range(size)]
+                    for r in range(size)
+                ]
+                ex = diagonal_stripes.generate(size=size, colors=colors, bands=bands, corner=corner)
+                assert (ex.input, ex.output) == (Grid(grid), Grid(out)), (size, bands, corner)
+
+
 @pytest.mark.parametrize("task_id", ["543a7ed5", "1e0a9b12", "67a423a3", "05269061"])
 def test_verifier_result_owns_its_rows(task_id):
     gen = lookup(task_id)

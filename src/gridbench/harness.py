@@ -46,9 +46,14 @@ def _grid_text(grid: Grid) -> str:
     """A grid's rows as canonical JSON text, without the outer brackets.
 
     The same text as ``json.dumps`` with compact separators for a grid
-    that meets the ``Grid`` contract. Rows mutated after construction
-    into anything else raise ``ValueError`` naming the first bad row or
-    cell, so no file is written that ``load_task_file`` would reject.
+    that meets the ``Grid`` contract. Cells are encoded by their integer
+    value (``bytes(row)``), and cell types are not checked again: rows
+    mutated after construction to ragged or empty rows, or to a cell
+    that is not an integer or lies outside 0-9, raise ``ValueError``
+    naming the first bad row or cell, while a mutated-in ``bool`` or
+    other integer-like cell (a NumPy integer, say) is written as its
+    digit. Either way no file is written that ``load_task_file`` would
+    reject.
     """
     rows = list(grid)
     try:
@@ -75,9 +80,11 @@ def _task_text(task_set: TaskSet) -> str:
 def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then move it into place.
 
-    A reader sees the old file or the new one, never a partial write. The
-    temporary name does not match ``*.json``, and it is removed if the
-    write fails.
+    A reader sees the old file or the new one, never a partial write, even
+    if the writing process fails or is killed. The file is not synced to
+    disk, so this does not hold across a power loss or an operating-system
+    crash. The temporary name does not match ``*.json``, and it is removed
+    if the write fails.
     """
     temp = path.with_name(f".{path.name}.tmp")
     try:

@@ -123,6 +123,30 @@ def test_save_rejects_grids_mutated_outside_the_contract(tmp_path, mutate, messa
     assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
 
+class Index:
+    """An integer-like cell that is not an ``int``, as a NumPy integer is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("cell", [True, Index(7)], ids=["bool", "index"])
+def test_save_writes_mutated_in_integer_like_cells_as_their_digit(tmp_path, cell):
+    # Cell types are not checked again on save; such a cell is written by
+    # its integer value, so the file still loads.
+    path = tmp_path / "t.json"
+    grid = Grid([[1, 2], [3, 4]])
+    bad = Grid([[1, 2], [3, 4]])
+    list(bad)[1][0] = cell
+    save_task_file(path, TaskSet(train=[Example(grid, grid)], test=[Example(grid, bad)]))
+    value = cell.__index__()
+    assert path.read_text(encoding="ascii").endswith(f'"output":[[1,2],[{value},4]]}}]}}')
+    assert load_task_file(path).test[0].output == Grid([[1, 2], [value, 4]])
+
+
 def test_canonical_file_is_read_without_json(tmp_path, monkeypatch):
     rnd = random.Random(7)
     path = tmp_path / "t.json"

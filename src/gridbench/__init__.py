@@ -18,7 +18,6 @@ from .grid import (
     Grid,
     TaskSet,
     grids,
-    named_color,
     parse_text,
     render_text,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "grids",
     "load_task_file",
     "lookup",
-    "named_color",
     "new_stream",
     "overlaps",
     "parse_text",

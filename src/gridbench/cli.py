@@ -75,6 +75,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.golden_dir and not Path(args.golden_dir).is_dir():
+        raise NotADirectoryError(f"{args.golden_dir} is not a directory")
     ids = [args.task] if args.task else task_ids()
     checked = passed = 0
     for task_id in ids:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import VerificationError, VerifierDomainError
 from .grid import Example, Grid, TaskSet
-from .rng import RngStream, new_stream
+from .rng import new_stream
 
 # Retry budget for constraint-satisfying layout sampling. Exhausting it
 # turns a pathological parameter combination into a diagnosable error
@@ -121,17 +121,26 @@ def task_ids() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def _check_overrides(gen: TaskGenerator, overrides: dict) -> None:
-    unknown = sorted(set(overrides) - set(gen.params))
-    if unknown:
-        raise ValueError(f"task {gen.task_id}: unknown parameters {unknown}")
-
-
-def _check_consistent(gen: TaskGenerator, example: Example, index: int) -> None:
-    if gen.verifier(example.input) != example.output:
-        raise VerificationError(
-            f"task {gen.task_id}: example {index} does not satisfy its verifier"
-        )
+def _generate(
+    gen: TaskGenerator, overrides: dict, train_count: int, test_count: int, master_seed: int
+) -> tuple[TaskSet, VerifierDomainError | None]:
+    """The loop behind both fronts: the task set, one stream per example,
+    and the first ``VerifierDomainError`` its verifier raised, if any."""
+    examples = []
+    domain_error = None
+    for index in range(train_count + test_count):
+        example = gen.generate(rng=new_stream(master_seed, gen.task_id, index), **overrides)
+        try:
+            expected = gen.verifier(example.input)
+        except VerifierDomainError as err:
+            domain_error = domain_error or err
+        else:
+            if expected != example.output:
+                raise VerificationError(
+                    f"task {gen.task_id}: example {index} does not satisfy its verifier"
+                )
+        examples.append(example)
+    return TaskSet(train=examples[:train_count], test=examples[train_count:]), domain_error
 
 
 def generate_task_set(
@@ -141,18 +150,16 @@ def generate_task_set(
 
     Train examples use example indexes 0..train_count-1 and the test
     examples continue the range, so any example can be regenerated in
-    isolation. Every example is checked against the task's verifier.
+    isolation. Every example is checked against the task's verifier, and
+    one outside the verifier's domain raises :class:`VerifierDomainError`.
     """
     gen = lookup(task_id)
     if train_count < 1 or test_count < 1:
         raise ValueError("train_count and test_count must be positive")
-    examples = []
-    for index in range(train_count + test_count):
-        rng = new_stream(master_seed, task_id, index)
-        example = gen.generate(rng=rng)
-        _check_consistent(gen, example, index)
-        examples.append(example)
-    return TaskSet(train=examples[:train_count], test=examples[train_count:])
+    task_set, domain_error = _generate(gen, {}, train_count, test_count, master_seed)
+    if domain_error is not None:
+        raise domain_error
+    return task_set
 
 
 @dataclass(frozen=True)
@@ -181,25 +188,10 @@ def apply_variation(
     generated output raises :class:`VerificationError`.
     """
     gen = lookup(task_id)
-    _check_overrides(gen, overrides)
+    unknown = sorted(set(overrides) - set(gen.params))
+    if unknown:
+        raise ValueError(f"task {task_id}: unknown parameters {unknown}")
     if count < 1:
         raise ValueError("count must be positive")
-    examples = []
-    checked = True
-    for index in range(count + 1):
-        rng = new_stream(master_seed, task_id, index)
-        example = gen.generate(rng=rng, **overrides)
-        try:
-            expected = gen.verifier(example.input)
-        except VerifierDomainError:
-            checked = False
-        else:
-            if expected != example.output:
-                raise VerificationError(
-                    f"task {task_id}: example {index} does not satisfy its verifier"
-                )
-        examples.append(example)
-    return VariationResult(
-        task_set=TaskSet(train=examples[:count], test=examples[count:]),
-        verifier_checked=checked,
-    )
+    task_set, domain_error = _generate(gen, overrides, count, 1, master_seed)
+    return VariationResult(task_set=task_set, verifier_checked=domain_error is None)

@@ -31,14 +31,6 @@ PALETTE = {
 BLACK, BLUE, RED, GREEN, YELLOW, GREY, PINK, ORANGE, CYAN, MAROON = range(10)
 
 
-def named_color(name: str) -> int:
-    """Color code for one of the ten canonical palette names."""
-    try:
-        return PALETTE[name]
-    except KeyError:
-        raise ValueError(f"unknown color name {name!r}") from None
-
-
 _ROW_TYPES = frozenset((list, tuple))
 _CELL_TYPES = frozenset((int,))
 _COLORS = frozenset(range(10))
@@ -81,9 +73,9 @@ class Grid:
     ``load_task_file`` (which calls it, except on a file whose canonical
     layout already proves every cell a digit and every grid
     rectangular) and a judge program's result that is not a ``Grid``
-    (which ``evaluate`` passes to it). ``copy()`` and the bundled
-    verifiers build from cells that were already checked, so they wrap
-    fresh row lists without checking them again.
+    (which ``evaluate`` passes to it). ``copy()``, :func:`grids` and the
+    bundled generators and verifiers build from cells that were already
+    checked, so they wrap fresh row lists without checking them again.
     """
 
     __slots__ = ("_rows",)
@@ -159,13 +151,14 @@ def grids(height: int, width: int, fill: int) -> tuple[Grid, Grid]:
     """Two independent grids of one shape, every cell set to ``fill``.
 
     The pair shares no storage: mutating one never affects the other.
+    The shape and ``fill`` are checked here, before the rows are built.
     """
     if not 1 <= height <= MAX_SIDE or not 1 <= width <= MAX_SIDE:
         raise ValueError(f"grid dimensions {height}x{width} outside [1, {MAX_SIDE}]")
     _check_color(fill)
     return (
-        Grid([[fill] * width for _ in range(height)]),
-        Grid([[fill] * width for _ in range(height)]),
+        Grid._of([[fill] * width for _ in range(height)]),
+        Grid._of([[fill] * width for _ in range(height)]),
     )
 
 

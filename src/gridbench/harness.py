@@ -188,14 +188,15 @@ def save_dataset(out_dir, master_seed: int, task_sets: Iterable[tuple[str, TaskS
     """Write one ``<task_id>.json`` per ``(task_id, task_set)``, then the manifest.
 
     ``task_sets`` is consumed lazily, so a generator keeps one task set
-    in memory at a time. Every file is written atomically and
+    in memory at a time, and one that fails before its first task set
+    leaves no directory behind. Every file is written atomically and
     ``manifest.json`` goes last, so it lists only files that were
     written in full. Returns the manifest.
     """
     directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for task_id, task_set in task_sets:
+        directory.mkdir(parents=True, exist_ok=True)
         file_name = f"{task_id}.json"
         save_task_file(directory / file_name, task_set)
         entries.append(
@@ -207,6 +208,7 @@ def save_dataset(out_dir, master_seed: int, task_sets: Iterable[tuple[str, TaskS
             }
         )
     manifest = {"master_seed": master_seed, "tasks": entries}
+    directory.mkdir(parents=True, exist_ok=True)
     _write_atomic(directory / "manifest.json", json.dumps(manifest, separators=(",", ":")))
     return manifest
 
@@ -237,48 +239,38 @@ class TaskScore:
 
     pass_count: int
     total_count: int
-    passed: bool
 
     def __post_init__(self) -> None:
         if not 0 <= self.pass_count <= self.total_count:
             raise ValueError("pass_count must lie in [0, total_count]")
-        if self.passed != (self.total_count > 0 and self.pass_count == self.total_count):
-            raise ValueError("passed must equal (pass_count == total_count > 0)")
+
+    @property
+    def passed(self) -> bool:
+        return self.total_count > 0 and self.pass_count == self.total_count
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-task pass/fail tallies plus the overall success percentage."""
+    """Per-task pass/fail tallies; the overall tallies are derived from them."""
 
     per_task: dict[str, TaskScore]
     skipped: tuple[str, ...]
-    tasks_passed: int
-    tasks_total: int
-    percent: float
 
-    def __post_init__(self) -> None:
-        passed = sum(1 for score in self.per_task.values() if score.passed)
-        if self.tasks_passed != passed or self.tasks_total != len(self.per_task):
-            raise ValueError("task tallies do not match per_task")
-        expected = 100.0 * passed / self.tasks_total if self.tasks_total else 0.0
-        if abs(self.percent - expected) > 1e-9:
-            raise ValueError("percent does not match tallies")
+    @property
+    def tasks_passed(self) -> int:
+        return sum(score.passed for score in self.per_task.values())
+
+    @property
+    def tasks_total(self) -> int:
+        return len(self.per_task)
+
+    @property
+    def percent(self) -> float:
+        return 100.0 * self.tasks_passed / self.tasks_total if self.tasks_total else 0.0
 
     @classmethod
     def from_scores(cls, scores: dict[str, tuple[int, int]], skipped=()) -> "EvalReport":
-        per_task = {
-            task_id: TaskScore(p, t, t > 0 and p == t)
-            for task_id, (p, t) in scores.items()
-        }
-        passed = sum(1 for score in per_task.values() if score.passed)
-        total = len(per_task)
-        return cls(
-            per_task=per_task,
-            skipped=tuple(skipped),
-            tasks_passed=passed,
-            tasks_total=total,
-            percent=100.0 * passed / total if total else 0.0,
-        )
+        return cls({task_id: TaskScore(*tally) for task_id, tally in scores.items()}, tuple(skipped))
 
 
 def evaluate(example_dir, programs: dict[str, Callable[[Grid], Grid]]) -> EvalReport:

@@ -114,17 +114,6 @@ class RngStream:
         span = hi - lo + 1
         return lo + ((self._next() * span) >> 64)
 
-    def randints(self, lo: int, hi: int, n: int) -> list[int]:
-        """List of ``n`` draws from [lo, hi], in draw order."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        if n and lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        span = hi - lo + 1
-        words = self.peek(n)
-        self.skip(n)
-        return [lo + ((x * span) >> 64) for x in words]
-
     def __repr__(self) -> str:
         return (
             f"RngStream(master_seed={self.master_seed}, "

@@ -37,7 +37,7 @@ def generate(size=None, rng=None) -> Example:
                 moved = True
         # At least one column must actually move, or the pair shows nothing.
         if moved:
-            return Example(input=Grid(grid_rows), output=Grid(out_rows))
+            return Example(input=Grid._of(grid_rows), output=Grid._of(out_rows))
     raise GenerationError(f"task {TASK_ID}: every sampled layout was already settled")
 
 

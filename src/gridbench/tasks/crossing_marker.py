@@ -54,7 +54,7 @@ def generate(size=None, row=None, col=None, row_color=None, col_color=None, rng=
         for dc in (-1, 0, 1):
             if dr or dc:
                 out_rows[row + dr][col + dc] = YELLOW
-    return Example(input=Grid(grid_rows), output=Grid(out_rows))
+    return Example(input=Grid._of(grid_rows), output=Grid._of(out_rows))
 
 
 def verify(grid: Grid) -> Grid:

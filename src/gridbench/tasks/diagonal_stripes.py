@@ -66,7 +66,7 @@ def generate(size=None, colors=None, bands=None, corner=None, rng=None) -> Examp
         start, stop = max(0, lo - r), max(0, min(size, hi - r))
         row[start:stop] = out_row[start:stop]
         grid_rows.append(row)
-    return Example(input=Grid(grid_rows), output=Grid(out_rows))
+    return Example(input=Grid._of(grid_rows), output=Grid._of(out_rows))
 
 
 def verify(grid: Grid) -> Grid:

@@ -47,6 +47,22 @@ def test_generate_unknown_task_fails_cleanly(tmp_path, capsys):
     assert "unknown task" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--seed", "-1"], "master_seed must be an unsigned 64-bit integer"),
+        (["--task", "nope"], "unknown task 'nope'"),
+    ],
+)
+def test_generate_failing_before_its_first_file_leaves_no_directory(tmp_path, capsys, argv, message):
+    out = tmp_path / "d"
+    assert run(["generate", *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_generate_rejects_non_positive_count(tmp_path, capsys):
     assert run(["generate", "--count", "0", "--out", str(tmp_path / "d")]) == 1
     assert "positive" in capsys.readouterr().err
@@ -162,6 +178,17 @@ def test_validate_with_golden_dir(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "Testing task 1e0a9b12 ... pass" in lines
     assert lines[-1] == "Examples pass for 2/2 tasks (100%)"
+
+
+@pytest.mark.parametrize("make", [None, "file"])
+def test_validate_golden_dir_that_is_not_a_directory_fails(tmp_path, capsys, make):
+    path = tmp_path / "typo"
+    if make == "file":
+        path.write_text("{}", encoding="utf-8")
+    assert run(["validate", "--golden-dir", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} is not a directory\n"
 
 
 def test_evaluate_freshly_emitted_dataset(tmp_path, capsys):

@@ -7,6 +7,7 @@ from gridbench import (
     GenerationError,
     Grid,
     TaskGenerator,
+    VerifierDomainError,
     apply_variation,
     generate_task_set,
     lookup,
@@ -48,10 +49,10 @@ def test_overlaps_symmetric_and_monotone():
     rng = new_stream(31, "overlap-props", 0)
     for _ in range(200):
         n = rng.randint(2, 5)
-        rows = rng.randints(0, 12, n)
-        cols = rng.randints(0, 12, n)
-        widths = rng.randints(1, 5, n)
-        heights = rng.randints(1, 5, n)
+        rows = [rng.randint(0, 12) for _ in range(n)]
+        cols = [rng.randint(0, 12) for _ in range(n)]
+        widths = [rng.randint(1, 5) for _ in range(n)]
+        heights = [rng.randint(1, 5) for _ in range(n)]
         order = list(range(n))
         for i in range(n):  # shuffle
             j = rng.randint(i, n - 1)
@@ -162,9 +163,33 @@ def test_variation_larger_grid_and_more_boxes():
 
 
 def test_variation_empty_overrides_match_generate_task_set():
-    assert apply_variation("543a7ed5", {}, 3, master_seed=7).task_set == generate_task_set(
-        "543a7ed5", 3, 1, master_seed=7
-    )
+    for task_id in task_ids():
+        result = apply_variation(task_id, {}, 3, master_seed=7)
+        assert result.verifier_checked is True
+        assert result.task_set == generate_task_set(task_id, 3, 1, master_seed=7)
+
+
+def test_verifier_domain_error_raises_or_marks_the_variation_unchecked():
+    # An example whose cell is even falls outside the fake verifier's domain.
+    def fake_generate(size=1, rng=None):
+        cell = rng.randint(0, 9)
+        return Example(input=Grid([[cell] * size]), output=Grid([[cell] * size]))
+
+    def fake_verify(grid):
+        if grid[0][0] % 2 == 0:
+            raise VerifierDomainError("even cell")
+        return grid
+
+    register(TaskGenerator.from_callables("fffffffe", fake_generate, fake_verify))
+    try:
+        with pytest.raises(VerifierDomainError, match="even cell"):
+            generate_task_set("fffffffe", 20, 1, master_seed=1)
+        result = apply_variation("fffffffe", {"size": 2}, 20, master_seed=1)
+        assert result.verifier_checked is False
+        assert len(result.task_set.train) == 20 and len(result.task_set.test) == 1
+        assert all(ex.input.width == 2 for ex in result.task_set.train)
+    finally:
+        del _REGISTRY["fffffffe"]
 
 
 def test_variation_recolored_boxes_flagged_out_of_domain():

@@ -4,7 +4,7 @@ from enum import IntEnum
 
 import pytest
 
-from gridbench import Example, Grid, TaskSet, grids, named_color, parse_text, render_text
+from gridbench import PALETTE, Example, Grid, TaskSet, grids, parse_text, render_text
 from gridbench.grid import _check_cells
 from gridbench.rng import new_stream
 
@@ -41,8 +41,8 @@ def test_grids_rejects_bad_fill():
         grids(3, 3, 10)
 
 
-def test_named_color_full_palette():
-    expected = {
+def test_palette_maps_the_ten_color_names():
+    assert PALETTE == {
         "black": 0,
         "blue": 1,
         "red": 2,
@@ -54,13 +54,6 @@ def test_named_color_full_palette():
         "cyan": 8,
         "maroon": 9,
     }
-    for name, code in expected.items():
-        assert named_color(name) == code
-
-
-def test_named_color_unknown():
-    with pytest.raises(ValueError):
-        named_color("fuchsia")
 
 
 @pytest.mark.parametrize(

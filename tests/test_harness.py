@@ -218,18 +218,18 @@ def test_evaluate_skips_tasks_without_programs(tmp_path):
 
 
 def test_report_invariants_are_enforced():
-    with pytest.raises(ValueError):
-        TaskScore(pass_count=2, total_count=1, passed=True)
-    with pytest.raises(ValueError):
-        TaskScore(pass_count=1, total_count=2, passed=True)
-    with pytest.raises(ValueError):
-        EvalReport(
-            per_task={"a": TaskScore(1, 1, True)},
-            skipped=(),
-            tasks_passed=0,
-            tasks_total=1,
-            percent=100.0,
-        )
+    for pass_count, total_count in ((2, 1), (-1, 2)):
+        with pytest.raises(ValueError):
+            TaskScore(pass_count=pass_count, total_count=total_count)
+
+
+def test_report_tallies_are_derived_from_per_task_scores():
+    assert [TaskScore(p, t).passed for p, t in ((0, 0), (1, 2), (2, 2))] == [False, False, True]
+    report = EvalReport.from_scores({"a": (2, 2), "b": (1, 2), "c": (3, 3)}, ["d"])
+    assert (report.tasks_passed, report.tasks_total, report.skipped) == (2, 3, ("d",))
+    assert report.percent == 100.0 * 2 / 3
+    empty = EvalReport.from_scores({})
+    assert (empty.tasks_passed, empty.tasks_total, empty.percent) == (0, 0, 0.0)
 
 
 def test_format_percent_trims_zeros():

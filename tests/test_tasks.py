@@ -387,3 +387,28 @@ def test_registered_verifiers_match_module_functions():
     assert lookup("1e0a9b12").verifier is column_gravity.verify
     assert lookup("67a423a3").verifier is crossing_marker.verify
     assert lookup("05269061").verifier is diagonal_stripes.verify
+
+
+@pytest.mark.parametrize(
+    "task_id, overrides",
+    [
+        ("543a7ed5", {}),
+        ("1e0a9b12", {}),
+        ("67a423a3", {}),
+        ("05269061", {}),
+        ("543a7ed5", {"size": 30, "boxes": 1}),
+        ("1e0a9b12", {"size": 10}),
+        ("67a423a3", {"size": 30}),
+        ("05269061", {"size": 30}),
+    ],
+)
+def test_generated_grids_meet_the_grid_contract(task_id, overrides):
+    # Generators wrap their rows unchecked, so the checked constructor must
+    # accept every grid they make, and no two grids may share a row.
+    gen = lookup(task_id)
+    for index in range(40):
+        ex = gen.generate(rng=_stream(task_id, index), **overrides)
+        for grid in (ex.input, ex.output):
+            assert Grid(grid.to_lists()) == grid
+        rows = [*ex.input, *ex.output]
+        assert len({id(row) for row in rows}) == len(rows)

@@ -10,9 +10,9 @@ from .errors import GridBenchError
 from .framework import apply_variation, lookup, task_ids
 from .grid import PALETTE, render_text
 from .harness import (
+    EvalReport,
     emit_dataset,
     evaluate,
-    format_percent,
     format_report,
     golden_check,
     load_task_file,
@@ -74,35 +74,31 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _print_report(report: EvalReport, skip_reason: str) -> int:
+    """Print the report; exit 0 only if it judged a task and every task passed."""
+    print(format_report(report, skip_reason))
+    return 0 if 0 < report.tasks_passed == report.tasks_total else 1
+
+
 def _cmd_validate(args) -> int:
-    if args.golden_dir and not Path(args.golden_dir).is_dir():
-        raise NotADirectoryError(f"{args.golden_dir} is not a directory")
-    ids = [args.task] if args.task else task_ids()
-    checked = passed = 0
-    for task_id in ids:
-        golden_path = None
-        if args.golden_dir:
-            candidate = Path(args.golden_dir) / f"{task_id}.json"
-            if candidate.is_file():
-                golden_path = candidate
-        result = golden_check(task_id, golden_path)
+    golden_dir = Path(args.golden_dir) if args.golden_dir else None
+    if golden_dir and not golden_dir.is_dir():
+        raise NotADirectoryError(f"{golden_dir} is not a directory")
+    scores, skipped = {}, []
+    for task_id in [args.task] if args.task else task_ids():
+        lookup(task_id)  # an unknown id is an error, whatever the golden directory holds
+        path = golden_dir / f"{task_id}.json" if golden_dir else None
+        result = golden_check(task_id, path) if path is None or path.is_file() else None
         if result is None:
-            print(f"Skipping task {task_id} (no golden data)")
-            continue
-        checked += 1
-        passed += int(result)
-        print(f"Testing task {task_id} ... {'pass' if result else 'FAIL'}")
-    percent = 100.0 * passed / checked if checked else 0.0
-    print(f"Examples pass for {passed}/{checked} tasks ({format_percent(percent)}%)")
-    return 0 if passed == checked else 1
+            skipped.append(task_id)
+        else:
+            scores[task_id] = (int(result), 1)
+    return _print_report(EvalReport.from_scores(scores, skipped), "no golden data")
 
 
 def _cmd_evaluate(args) -> int:
     programs = {task_id: lookup(task_id).verifier for task_id in task_ids()}
-    report = evaluate(args.examples, programs)
-    print(format_report(report))
-    # A run that judged no task passes nothing, e.g. a mistyped directory.
-    return 0 if 0 < report.tasks_passed == report.tasks_total else 1
+    return _print_report(evaluate(args.examples, programs), "no program")
 
 
 def _cmd_render(args) -> int:
@@ -184,15 +180,12 @@ def run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GridBenchError as err:
+    except (GridBenchError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except KeyError as err:
         message = err.args[0] if err.args else str(err)
         print(f"error: {message}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
         return 1
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import FormatError, VerifierDomainError
+from .errors import FormatError
 from .framework import generate_task_set, lookup
 from .grid import MAX_SIDE, Example, Grid, TaskSet
 
@@ -293,21 +293,26 @@ def evaluate(example_dir, programs: dict[str, Callable[[Grid], Grid]]) -> EvalRe
         if task_id not in programs:
             skipped.append(task_id)
             continue
-        program = programs[task_id]
-        task_set = load_task_file(path)
-        passed = total = 0
-        for example in (*task_set.train, *task_set.test):
-            total += 1
-            try:
-                result = program(example.input.copy())
-                if not isinstance(result, Grid):
-                    result = Grid(result)
-            except Exception:
-                continue
-            if result == example.output:
-                passed += 1
-        scores[task_id] = (passed, total)
+        scores[task_id] = _judge(programs[task_id], load_task_file(path))
     return EvalReport.from_scores(scores, skipped)
+
+
+def _judge(program: Callable[[Grid], Grid], task_set: TaskSet) -> tuple[int, int]:
+    """``(passed, total)`` of a program over every train and test example; it
+    gets a fresh copy of each input, and an example fails when it raises or
+    returns a result that is not a valid grid."""
+    examples = (*task_set.train, *task_set.test)
+    passed = 0
+    for example in examples:
+        try:
+            result = program(example.input.copy())
+            if not isinstance(result, Grid):
+                result = Grid(result)
+        except Exception:
+            continue
+        if result == example.output:
+            passed += 1
+    return passed, len(examples)
 
 
 def format_percent(value: float) -> str:
@@ -316,14 +321,15 @@ def format_percent(value: float) -> str:
     return text or "0"
 
 
-def format_report(report: EvalReport) -> str:
-    """One status line per task, then the overall tally."""
+def format_report(report: EvalReport, skip_reason: str = "no program") -> str:
+    """One line per task in task-id order, judged or skipped (``skip_reason``), then the tally."""
     lines = []
-    for task_id in sorted(report.per_task):
-        status = "pass" if report.per_task[task_id].passed else "FAIL"
-        lines.append(f"Testing task {task_id} ... {status}")
-    for task_id in report.skipped:
-        lines.append(f"Skipping task {task_id} (no program)")
+    for task_id in sorted((*report.per_task, *report.skipped)):
+        score = report.per_task.get(task_id)
+        if score is None:
+            lines.append(f"Skipping task {task_id} ({skip_reason})")
+        else:
+            lines.append(f"Testing task {task_id} ... {'pass' if score.passed else 'FAIL'}")
     lines.append(
         f"Examples pass for {report.tasks_passed}/{report.tasks_total} tasks "
         f"({format_percent(report.percent)}%)"
@@ -342,25 +348,19 @@ def _bundled_golden(task_id: str) -> TaskSet | None:
 def golden_check(task_id: str, golden_path=None) -> bool | None:
     """Check a task against golden example data.
 
-    For a task with a built-in fixture the fixture's output is compared
-    cell for cell against the golden task set (an explicit file, or the
-    snapshot bundled with the package). A task without a fixture is
-    checked by running its verifier over the supplied golden examples.
+    The golden task set is read from ``golden_path`` when one is given,
+    otherwise from the snapshot bundled with the package. For a task
+    with a built-in fixture the fixture's output is compared cell for
+    cell against it. A task without a fixture is judged like a program
+    in ``evaluate``: its verifier runs over every golden example, and an
+    example fails when the verifier raises or gives another grid.
     Returns None when there is no golden data to check against.
     """
     gen = lookup(task_id)
-    if golden_path is not None:
-        golden = load_task_file(golden_path)
-    else:
-        golden = _bundled_golden(task_id)
+    golden = _bundled_golden(task_id) if golden_path is None else load_task_file(golden_path)
     if golden is None:
         return None
     if gen.validate is not None:
         return gen.validate() == golden
-    try:
-        return all(
-            gen.verifier(example.input) == example.output
-            for example in (*golden.train, *golden.test)
-        )
-    except VerifierDomainError:
-        return False
+    passed, total = _judge(gen.verifier, golden)
+    return passed == total

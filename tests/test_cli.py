@@ -1,6 +1,7 @@
 """Command-line behavior."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -177,7 +178,68 @@ def test_validate_with_golden_dir(tmp_path, capsys):
     assert run(["validate", "--golden-dir", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "Testing task 1e0a9b12 ... pass" in lines
-    assert lines[-1] == "Examples pass for 2/2 tasks (100%)"
+    assert "Skipping task 543a7ed5 (no golden data)" in lines
+    assert lines[-1] == "Examples pass for 1/1 tasks (100%)"
+
+
+def test_validate_with_empty_golden_dir_judges_nothing(tmp_path, capsys):
+    assert run(["validate", "--golden-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "Skipping task 05269061 (no golden data)",
+        "Skipping task 1e0a9b12 (no golden data)",
+        "Skipping task 543a7ed5 (no golden data)",
+        "Skipping task 67a423a3 (no golden data)",
+        "Examples pass for 0/0 tasks (0%)",
+    ]
+
+
+def test_validate_task_without_golden_data_judges_nothing(capsys):
+    assert run(["validate", "--task", "1e0a9b12"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "Skipping task 1e0a9b12 (no golden data)",
+        "Examples pass for 0/0 tasks (0%)",
+    ]
+
+
+@pytest.mark.parametrize("golden_dir", [False, True])
+def test_validate_unknown_task_fails(tmp_path, capsys, golden_dir):
+    argv = ["validate", "--task", "nope"] + (["--golden-dir", str(tmp_path)] if golden_dir else [])
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown task 'nope'\n"
+
+
+def test_validate_malformed_golden_file_prints_only_the_error(tmp_path, capsys):
+    (tmp_path / "543a7ed5.json").write_text("{oops", encoding="utf-8")
+    assert run(["validate", "--golden-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {tmp_path / '543a7ed5.json'}: line 1: ")
+
+
+def test_validate_fixtureless_verifier_that_raises_fails_its_task(tmp_path, capsys, monkeypatch):
+    from gridbench import Example, Grid, TaskSet, framework, golden_check, save_task_file
+
+    def verifier(grid):
+        grid[1]  # IndexError on a one-row grid
+        return grid
+
+    fake = framework.TaskGenerator("ffffffff", generate=None, verifier=verifier)
+    monkeypatch.setitem(framework._REGISTRY, "ffffffff", fake)
+    path = tmp_path / "ffffffff.json"
+    save_task_file(
+        path,
+        TaskSet(
+            train=[Example(input=Grid([[1], [2]]), output=Grid([[1], [2]]))],
+            test=[Example(input=Grid([[3]]), output=Grid([[3]]))],
+        ),
+    )
+    assert golden_check("ffffffff", path) is False
+    assert run(["validate", "--golden-dir", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "Testing task ffffffff ... FAIL" in lines
+    assert lines[-1] == "Examples pass for 0/1 tasks (0%)"
 
 
 @pytest.mark.parametrize("make", [None, "file"])
@@ -234,6 +296,28 @@ def test_evaluate_that_judges_no_task_fails(tmp_path, capsys):
         "Skipping task unknown (no program)",
         "Examples pass for 0/0 tasks (0%)",
     ]
+
+
+def test_evaluate_lists_tasks_in_task_id_order(tmp_path, capsys):
+    assert run(["generate", "--task", "05269061", "--out", str(tmp_path), "--seed", "2"]) == 0
+    (tmp_path / "00000000.json").write_text("{}", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["evaluate", "--examples", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "Skipping task 00000000 (no program)",
+        "Testing task 05269061 ... pass",
+        "Examples pass for 1/1 tasks (100%)",
+    ]
+
+
+def test_readme_evaluate_sample_matches_output(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    after = readme.split("`evaluate` prints one line per task", 1)[1]
+    sample = after.split("```\n", 2)[1]
+    assert run(["generate", "--out", str(tmp_path), "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert run(["evaluate", "--examples", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == sample
 
 
 def test_render_generated_example(capsys):

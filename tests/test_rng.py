@@ -1,7 +1,6 @@
 """Random stream determinism and distribution checks."""
 
 import pytest
-from scipy import stats
 
 from gridbench import new_stream
 from gridbench.rng import _GOLDEN
@@ -75,7 +74,10 @@ def test_chi_square_uniformity():
     counts = [0] * 6
     for _ in range(100_000):
         counts[s.randint(2, 7) - 2] += 1
-    assert stats.chisquare(counts).pvalue > 0.001
+    expected = 100_000 / 6
+    statistic = sum((count - expected) ** 2 / expected for count in counts)
+    # The chi-square critical value for p = 0.001 at 5 degrees of freedom.
+    assert statistic < 20.515005652432876
 
 
 def test_draws_stay_in_range():

@@ -24,10 +24,13 @@ from .rng import new_stream
 MAX_ATTEMPTS = 10_000
 
 
-def check_int(name: str, value) -> None:
-    """Reject a parameter value that is not an ``int``; ``bool`` is rejected too."""
+def check_int(name: str, value, lo: int, hi: int) -> int:
+    """``value`` if it is an ``int`` in ``[lo, hi]``; ``bool`` is rejected too."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} {value} outside [{lo}, {hi}]")
+    return value
 
 
 def check_list(name: str, value, items: str) -> None:

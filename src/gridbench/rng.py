@@ -10,7 +10,10 @@ draws map the 64-bit output onto [lo, hi] with a 128-bit multiply-shift,
 which avoids rejection loops entirely (the bias is at most
 span / 2**64, far below anything a statistical test at this scale can
 see). Both pieces are small enough to reproduce bit-exactly in any
-language with 64x64 -> 128 multiplication.
+language with 64x64 -> 128 multiplication, for draws whose bounds and
+span ``hi - lo + 1`` fit in 64 bits. Wider ranges, such as the pinned
+``[0, 2**64 - 1]`` and ``[10**20, 10**20 + 7]`` vectors, need Python's
+unbounded integers.
 
 A stream's position is a counter: word k after state s is the scrambled
 value of s + k * increment (mod 2**64), independent of the words before
@@ -123,11 +126,16 @@ class RngStream:
 
 def new_stream(master_seed: int, task_id: str, example_index: int) -> RngStream:
     """Stream whose output sequence is a pure function of the three keys."""
-    if not isinstance(master_seed, int) or not 0 <= master_seed <= _MASK64:
+    # bool is an int subclass; True would silently key the stream as 1.
+    if (
+        isinstance(master_seed, bool)
+        or not isinstance(master_seed, int)
+        or not 0 <= master_seed <= _MASK64
+    ):
         raise ValueError("master_seed must be an unsigned 64-bit integer")
     if not isinstance(task_id, str) or not task_id:
         raise ValueError("task_id must be a non-empty string")
-    if not isinstance(example_index, int) or example_index < 0:
+    if isinstance(example_index, bool) or not isinstance(example_index, int) or example_index < 0:
         raise ValueError("example_index must be a non-negative integer")
     state = _scramble((master_seed + _GOLDEN) & _MASK64)
     state = _scramble(state ^ _fnv1a(task_id))

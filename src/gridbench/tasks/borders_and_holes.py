@@ -18,7 +18,7 @@ import re
 
 from ..errors import GenerationError, VerifierDomainError
 from ..framework import MAX_ATTEMPTS, TaskGenerator, check_int, check_list, overlaps
-from ..grid import CYAN, GREEN, PINK, YELLOW, Example, Grid, TaskSet, _check_color, grids
+from ..grid import CYAN, GREEN, MAX_SIDE, PINK, YELLOW, Example, Grid, TaskSet, _check_color, grids
 
 TASK_ID = "543a7ed5"
 
@@ -55,17 +55,15 @@ def generate(
     randomized, ``colors`` may still be supplied as exactly one color
     per rectangle.
     """
-    check_int("boxes", boxes)
-    check_int("size", size)
+    check_int("boxes", boxes, 1, MAX_SIDE * MAX_SIDE)
+    check_int("size", size, 1, MAX_SIDE)
     if colors is not None:
         check_list("colors", colors, "color codes")
     for name, values in (("rows", rows), ("cols", cols), ("widths", widths), ("heights", heights)):
         if values is not None:
             check_list(name, values, "integers")
             for i, value in enumerate(values):
-                check_int(f"{name}[{i}]", value)
-    if boxes < 1:
-        raise ValueError("boxes must be positive")
+                check_int(f"{name}[{i}]", value, 0, MAX_SIDE)
     supplied = [rows, cols, widths, heights]
     if rows is None:
         if any(v is not None for v in supplied):

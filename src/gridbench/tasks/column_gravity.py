@@ -15,12 +15,7 @@ TASK_ID = "1e0a9b12"
 
 def generate(size=None, rng=None) -> Example:
     """One square example; every column holds 1-3 colored cells."""
-    if size is None:
-        size = rng.randint(4, 6)
-    else:
-        check_int("size", size)
-    if not 3 <= size <= 10:
-        raise ValueError(f"size {size} outside [3, 10]")
+    size = rng.randint(4, 6) if size is None else check_int("size", size, 3, 10)
     for _ in range(MAX_ATTEMPTS):
         grid_rows = [[0] * size for _ in range(size)]
         out_rows = [[0] * size for _ in range(size)]

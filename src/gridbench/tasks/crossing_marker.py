@@ -19,27 +19,17 @@ _LINE_COLORS = (1, 2, 3, 5, 6, 7, 8, 9)
 
 def generate(size=None, row=None, col=None, row_color=None, col_color=None, rng=None) -> Example:
     """One square example with a single interior crossing."""
-    supplied = dict(size=size, row=row, col=col, row_color=row_color, col_color=col_color)
-    for name, value in supplied.items():
-        if value is not None:
-            check_int(name, value)
-    if size is None:
-        size = rng.randint(6, 12)
-    if not 3 <= size <= 30:
-        raise ValueError(f"size {size} outside [3, 30]")
-    if row is None:
-        row = rng.randint(1, size - 2)
-    if col is None:
-        col = rng.randint(1, size - 2)
-    if not (1 <= row <= size - 2 and 1 <= col <= size - 2):
-        raise ValueError("crossing must sit strictly inside the grid")
+    size = rng.randint(6, 12) if size is None else check_int("size", size, 3, 30)
+    # The crossing sits strictly inside the grid.
+    row = rng.randint(1, size - 2) if row is None else check_int("row", row, 1, size - 2)
+    col = rng.randint(1, size - 2) if col is None else check_int("col", col, 1, size - 2)
     if row_color is None:
         row_color = _LINE_COLORS[rng.randint(0, len(_LINE_COLORS) - 1)]
     if col_color is None:
         remaining = [v for v in _LINE_COLORS if v != row_color]
         col_color = remaining[rng.randint(0, len(remaining) - 1)]
     for name, value in (("row_color", row_color), ("col_color", col_color)):
-        if value not in _LINE_COLORS:
+        if check_int(name, value, 0, 9) not in _LINE_COLORS:
             raise ValueError(f"{name} must be a color in {_LINE_COLORS}")
     if row_color == col_color:
         raise ValueError("row_color and col_color must differ")

@@ -21,15 +21,7 @@ def generate(size=None, colors=None, bands=None, corner=None, rng=None) -> Examp
     ``bands`` the number of three-diagonal periods revealed (1-3), and
     ``corner`` the band anchor: 0 for top-left, 1 for bottom-right.
     """
-    for name, value in (("size", size), ("bands", bands), ("corner", corner)):
-        if value is not None:
-            check_int(name, value)
-    if colors is not None:
-        check_list("colors", colors, "color codes")
-    if size is None:
-        size = rng.randint(5, 9)
-    if not 3 <= size <= 30:
-        raise ValueError(f"size {size} outside [3, 30]")
+    size = rng.randint(5, 9) if size is None else check_int("size", size, 3, 30)
     if colors is None:
         pool = list(range(1, 10))
         for i in range(3):
@@ -37,19 +29,14 @@ def generate(size=None, colors=None, bands=None, corner=None, rng=None) -> Examp
             pool[i], pool[j] = pool[j], pool[i]
         colors = pool[:3]
     else:
+        check_list("colors", colors, "color codes")
         colors = list(colors)
         if len(colors) != 3 or len(set(colors)) != 3 or not all(
             isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= 9 for v in colors
         ):
             raise ValueError("colors must be three distinct codes in [1, 9]")
-    if bands is None:
-        bands = rng.randint(1, 3)
-    if not 1 <= bands <= 3:
-        raise ValueError(f"bands {bands} outside [1, 3]")
-    if corner is None:
-        corner = rng.randint(0, 1)
-    if corner not in (0, 1):
-        raise ValueError("corner must be 0 (top-left) or 1 (bottom-right)")
+    bands = rng.randint(1, 3) if bands is None else check_int("bands", bands, 1, 3)
+    corner = rng.randint(0, 1) if corner is None else check_int("corner", corner, 0, 1)
 
     diag_count = 2 * size - 1
     # Always hide at least one diagonal so the pair shows the rule.

@@ -147,6 +147,12 @@ def test_generate_rejects_mistyped_layout_overrides(tmp_path, capsys, override, 
             ["rows=true,8", "cols=2,2", "widths=2,2", "heights=2,2", "boxes=2"],
             "rows[0] must be an integer, got True",
         ),
+        ("67a423a3", ["size=12", "row=0"], "row 0 outside [1, 10]"),
+        ("05269061", ["corner=2"], "corner 2 outside [0, 1]"),
+        ("05269061", ["bands=4"], "bands 4 outside [1, 3]"),
+        ("1e0a9b12", ["size=11"], "size 11 outside [3, 10]"),
+        ("543a7ed5", ["boxes=0"], "boxes 0 outside [1, 900]"),
+        ("543a7ed5", ["size=40"], "size 40 outside [1, 30]"),
     ],
 )
 def test_generate_rejects_mistyped_overrides(tmp_path, capsys, task, overrides, message):

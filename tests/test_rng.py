@@ -54,6 +54,11 @@ def test_new_stream_argument_validation():
         new_stream(-1, "x", 0)
     with pytest.raises(ValueError):
         new_stream(2**64, "x", 0)
+    # bool is an int subclass but not a seed or an index: True is not 1.
+    with pytest.raises(ValueError, match="^master_seed must be an unsigned 64-bit integer$"):
+        new_stream(True, "x", 0)
+    with pytest.raises(ValueError, match="^example_index must be a non-negative integer$"):
+        new_stream(1, "x", False)
 
 
 def test_binary_frequency_within_3_sigma():

@@ -11,6 +11,7 @@ generated example must satisfy ``verifier(input) == output`` exactly.
 from __future__ import annotations
 
 import inspect
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -24,8 +25,9 @@ from .rng import new_stream
 MAX_ATTEMPTS = 10_000
 
 
-def check_int(name: str, value, lo: int, hi: int) -> int:
-    """``value`` if it is an ``int`` in ``[lo, hi]``; ``bool`` is rejected too."""
+def check_int(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """``value`` if it is an ``int`` in ``[lo, hi]``, by default any ``int``;
+    ``bool`` is rejected too."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if not lo <= value <= hi:
@@ -157,6 +159,8 @@ def generate_task_set(
     one outside the verifier's domain raises :class:`VerifierDomainError`.
     """
     gen = lookup(task_id)
+    check_int("train_count", train_count)
+    check_int("test_count", test_count)
     if train_count < 1 or test_count < 1:
         raise ValueError("train_count and test_count must be positive")
     task_set, domain_error = _generate(gen, {}, train_count, test_count, master_seed)
@@ -194,7 +198,7 @@ def apply_variation(
     unknown = sorted(set(overrides) - set(gen.params))
     if unknown:
         raise ValueError(f"task {task_id}: unknown parameters {unknown}")
-    if count < 1:
+    if check_int("count", count) < 1:
         raise ValueError("count must be positive")
     task_set, domain_error = _generate(gen, overrides, count, 1, master_seed)
     return VariationResult(task_set=task_set, verifier_checked=domain_error is None)

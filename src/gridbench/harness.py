@@ -9,22 +9,28 @@ whitespace and the keys in that order, so identical task sets serialize
 to identical bytes. Any other JSON layout of the same content (spaces
 after separators, another key order, a trailing newline) loads to the
 same task set, and a malformed file fails with the same error whatever
-its layout. A file in the canonical layout is read by string operations
-on its text, without building a JSON object tree; every other file goes
-through ``json.loads`` and is validated element by element.
+its layout. Both sides of the canonical layout go through one strided
+byte frame per grid shape, whose even slots hold the cells and the
+commas between rows and whose odd slots hold fixed separators: a grid
+is written by copying its cells into the frame, and read, without
+building a JSON object tree, by checking the text against the frame and
+taking the rows from its even slots. Every other file goes through
+``json.loads`` and is validated element by element.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import tempfile
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import FormatError
-from .framework import generate_task_set, lookup
+from .framework import check_int, generate_task_set, lookup
 from .grid import MAX_SIDE, Example, Grid, TaskSet
 
 # The canonical layout around the grids; a grid's text is its rows
@@ -34,35 +40,59 @@ _PAIR = ']],"output":[['
 _NEXT = ']]},{"input":[['
 _SPLIT = ']]}],"test":[{"input":[['
 _TAIL = ']]}]}'
-_ROWS = "],["
 # Cell value -> ASCII digit; any byte that is not a color maps to 0x80,
 # which the ASCII decode rejects.
 _TO_DIGIT = bytes(range(48, 58)).ljust(256, b"\x80")
 # ASCII digit -> cell value (only digits are ever translated).
 _FROM_DIGIT = bytes.maketrans(b"0123456789", bytes(range(10)))
+# The mode open() gives a new file under the process umask, which can
+# only be read by setting it; a file from mkstemp starts as 0600.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
+
+
+@functools.cache
+def _frame(height: int, width: int) -> bytes:
+    """The text of a ``height`` x ``width`` grid with a comma in every cell slot.
+
+    A grid's text is strided: cell (r, c) sits at index
+    ``2 * (r * (width + 1) + c)``, the comma between rows r and r + 1 at
+    the pad slot c = width, and every odd index holds a fixed separator:
+    "," inside a row, "]" and "[" around a pad slot.
+    """
+    return b"],[".join([b"," * (2 * width - 1)] * height)
 
 
 def _grid_text(grid: Grid) -> str:
     """A grid's rows as canonical JSON text, without the outer brackets.
 
     The same text as ``json.dumps`` with compact separators for a grid
-    that meets the ``Grid`` contract. Cells are encoded by their integer
-    value (``bytes(row)``), and cell types are not checked again: rows
-    mutated after construction to ragged or empty rows, or to a cell
-    that is not an integer or lies outside 0-9, raise ``ValueError``
-    naming the first bad row or cell, while a mutated-in ``bool`` or
-    other integer-like cell (a NumPy integer, say) is written as its
-    digit. Either way no file is written that ``load_task_file`` would
-    reject.
+    that meets the ``Grid`` contract. The rows are joined into one byte
+    string of cells (``bytes(row)``, by integer value) with the row
+    breaks at the pad slots, which is written over the even slots of
+    the shape's frame. Cell types are not checked again: rows mutated
+    after construction to ragged or empty rows, or to a cell that is
+    not an integer or lies outside 0-9, raise ``ValueError`` naming the
+    first bad row or cell, while a mutated-in ``bool`` or other
+    integer-like cell (a NumPy integer, say) is written as its digit.
+    Either way no file is written that ``load_task_file`` would reject.
     """
     rows = list(grid)
     try:
+        height = len(rows)
         width = len(rows[0]) if rows else 0
         if not (
-            1 <= len(rows) <= MAX_SIDE and 1 <= width <= MAX_SIDE and set(map(len, rows)) == {width}
+            1 <= height <= MAX_SIDE and 1 <= width <= MAX_SIDE and set(map(len, rows)) == {width}
         ):
             raise ValueError(f"grid rows are not 1 to {MAX_SIDE} rows of 1 to {MAX_SIDE} cells")
-        return _ROWS.join(",".join(bytes(row).translate(_TO_DIGIT).decode("ascii")) for row in rows)
+        # The row breaks become 0x80 like a cell outside 0-9, until the
+        # commas overwrite them.
+        cells = bytearray(b"\n".join(map(bytes, rows)).translate(_TO_DIGIT))
+        cells[width :: width + 1] = b"," * (height - 1)
+        frame = bytearray(_frame(height, width))
+        frame[::2] = cells
+        return frame.decode("ascii")
     except (TypeError, ValueError):
         Grid(rows)  # names the first bad row or cell
         raise
@@ -83,11 +113,15 @@ def _write_atomic(path: Path, text: str) -> None:
     A reader sees the old file or the new one, never a partial write, even
     if the writing process fails or is killed. The file is not synced to
     disk, so this does not hold across a power loss or an operating-system
-    crash. The temporary name does not match ``*.json``, and it is removed
-    if the write fails.
+    crash. The temporary name is unique, so writers to one directory never
+    share a temporary file; it does not match ``*.json``, and it is removed
+    if the write fails. The file gets the mode ``open`` would give it.
     """
-    temp = path.with_name(f".{path.name}.tmp")
+    fd, name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    temp = Path(name)
     try:
+        temp.chmod(_FILE_MODE)
         temp.write_text(text, encoding="utf-8")
         os.replace(temp, path)
     except BaseException:
@@ -128,7 +162,7 @@ def _decode_canonical(text: str) -> TaskSet | None:
     rows have one length and both sides are at most 30. So they are
     wrapped without a second check.
     """
-    if not (text.startswith(_HEAD) and text.endswith(_TAIL)):
+    if not (text.isascii() and text.startswith(_HEAD) and text.endswith(_TAIL)):
         return None
     train, split, test = text[len(_HEAD) : -len(_TAIL)].partition(_SPLIT)
     if not split:
@@ -149,20 +183,30 @@ def _decode_canonical(text: str) -> TaskSet | None:
 
 
 def _decode_grid(text: str) -> Grid | None:
-    rows = text.split(_ROWS)
-    height, chars = len(rows), len(rows[0])
-    # A row of w single-digit cells is 2w - 1 characters long.
-    if height > MAX_SIDE or chars % 2 == 0 or chars > 2 * MAX_SIDE - 1:
+    """The grid whose canonical ASCII text is ``text``; None for any other text.
+
+    The shape is read off the first row, the odd slots must match its
+    frame, and the even slots must hold digits except for one comma at
+    each pad slot. The rows come from one C call on the digits.
+    """
+    data = text.encode("ascii")
+    end = data.find(b"]")
+    width = (len(data) if end < 0 else end) // 2 + 1  # a row is 2 * width - 1 long
+    height = (len(data) + 3) // (2 * width + 2)
+    if not (width <= MAX_SIDE and 1 <= height <= MAX_SIDE):
         return None
-    if set(map(len, rows)) != {chars}:
+    if data[1::2] != _frame(height, width)[1::2]:
         return None
-    joined = ",".join(rows)
-    digits = joined[::2]
-    if joined[1::2] != "," * (len(digits) - 1) or not (digits.isascii() and digits.isdigit()):
+    cells = data[::2]
+    digits = cells.translate(None, b",")
+    if not (
+        len(digits) == height * width
+        and cells[width :: width + 1] == b"," * (height - 1)
+        and digits.isdigit()
+    ):
         return None
-    cells = digits.encode("ascii").translate(_FROM_DIGIT)
-    width = (chars + 1) // 2
-    return Grid._of([list(cells[i : i + width]) for i in range(0, len(cells), width)])
+    rows = memoryview(digits.translate(_FROM_DIGIT)).cast("B", (height, width)).tolist()
+    return Grid._of(rows)
 
 
 def _read_examples(path: Path, payload: dict, split: str) -> list[Example]:
@@ -221,7 +265,7 @@ def emit_dataset(task_list, per_task_train: int, master_seed: int, out_dir) -> d
     directory contents. Returns the manifest, which is also written as
     ``manifest.json``.
     """
-    if per_task_train < 1:
+    if check_int("per_task_train", per_task_train) < 1:
         raise ValueError("per_task_train must be positive")
     return save_dataset(
         out_dir,

@@ -1,12 +1,12 @@
 """Task-file writing and reading against the ``json`` module references.
 
 ``save_task_file`` encodes grids itself, and ``load_task_file`` decodes
-the canonical layout it writes with string operations, falling back to
-``json.loads`` for any other text. The references below are the code
-they replace: ``json.dumps`` with compact separators, and ``json.loads``
-followed by ``Grid(...)`` on every grid. Writing must give the same
-bytes; reading must give the same task set or the same ``FormatError``
-message, whatever the layout of the file.
+the canonical layout it writes through a strided byte frame per grid
+shape, falling back to ``json.loads`` for any other text. The references
+below are the code they replace: ``json.dumps`` with compact separators,
+and ``json.loads`` followed by ``Grid(...)`` on every grid. Writing must
+give the same bytes; reading must give the same task set or the same
+``FormatError`` message, whatever the layout of the file.
 """
 
 import json
@@ -105,6 +105,13 @@ def test_save_matches_json_dumps_for_int_enum_cells(tmp_path):
         (lambda rows: rows[1].__setitem__(0, -1), "cell (1, 0) holds -1, not a color code in [0, 9]"),
         (lambda rows: rows[1].__setitem__(1, 1.0), "cell (1, 1) holds 1.0, not a color code in [0, 9]"),
         (lambda rows: rows[0].__setitem__(0, None), "cell (0, 0) holds None, not a color code in [0, 9]"),
+        # The byte values of the row break and of the separators, and one
+        # that is not a byte, must not pass as cells either.
+        (lambda rows: rows[1].__setitem__(0, 10), "cell (1, 0) holds 10, not a color code in [0, 9]"),
+        (lambda rows: rows[0].__setitem__(1, 44), "cell (0, 1) holds 44, not a color code in [0, 9]"),
+        (lambda rows: rows[1].__setitem__(1, 91), "cell (1, 1) holds 91, not a color code in [0, 9]"),
+        (lambda rows: rows[0].__setitem__(0, 93), "cell (0, 0) holds 93, not a color code in [0, 9]"),
+        (lambda rows: rows[1].__setitem__(1, 256), "cell (1, 1) holds 256, not a color code in [0, 9]"),
         (lambda rows: rows[1].append(3), "row 1 is not a list of 2 cells"),
         (lambda rows: rows[0].clear(), "grid dimensions 2x0 outside [1, 30]"),
     ],
@@ -194,6 +201,10 @@ NAMED = {
     "empty grid": _with_input("[[]]"),
     "no rows": _with_input("[]"),
     "ragged rows": _with_input("[[1,2],[3]]"),
+    # Same-length rows whose separators sit where a digit belongs.
+    "comma in a digit slot": _with_input("[[0,1,2],[3,,,5]]"),
+    "bracket in a digit slot": _with_input("[[0,1,2],[],1,2]]"),
+    "digit in a pad slot": _with_input("[[0,1,2]5[3,4,5]]"),
     "31 rows": _with_input(json.dumps([[1]] * 31, separators=(",", ":"))),
     "31 columns": _with_input(json.dumps([[1] * 31], separators=(",", ":"))),
     "30 by 30": _with_input(json.dumps([[7] * 30] * 30, separators=(",", ":"))),

@@ -133,10 +133,15 @@ def test_generate_task_set_hundreds_of_examples():
 
 
 def test_generate_task_set_validates_counts():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be positive"):
         generate_task_set("543a7ed5", 0, 1, master_seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be positive"):
         generate_task_set("543a7ed5", 1, 0, master_seed=0)
+    for count in (True, 2.5):
+        with pytest.raises(ValueError, match=f"^train_count must be an integer, got {count}$"):
+            generate_task_set("1e0a9b12", count, 1, master_seed=5)
+        with pytest.raises(ValueError, match=f"^test_count must be an integer, got {count}$"):
+            generate_task_set("1e0a9b12", 1, count, master_seed=5)
 
 
 def test_fully_specified_generate_draws_nothing():
@@ -202,6 +207,11 @@ def test_variation_recolored_boxes_flagged_out_of_domain():
 def test_variation_unknown_parameter():
     with pytest.raises(ValueError):
         apply_variation("543a7ed5", {"bogus": 1}, 1, master_seed=0)
+    with pytest.raises(ValueError, match="^count must be positive$"):
+        apply_variation("1e0a9b12", {}, 0, master_seed=5)
+    for count in (True, 2.5):
+        with pytest.raises(ValueError, match=f"^count must be an integer, got {count}$"):
+            apply_variation("1e0a9b12", {}, count, master_seed=5)
 
 
 def test_variation_impossible_layout_exhausts_budget():

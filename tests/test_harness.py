@@ -120,8 +120,31 @@ def test_emit_dataset_is_byte_deterministic(tmp_path):
 
 
 def test_emit_dataset_rejects_zero_train(tmp_path):
-    with pytest.raises(ValueError):
-        emit_dataset(["543a7ed5"], 0, 0, tmp_path)
+    out = tmp_path / "d"
+    for count, message in [
+        (0, "per_task_train must be positive"),
+        (True, "per_task_train must be an integer, got True"),
+        (2.5, "per_task_train must be an integer, got 2.5"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            emit_dataset(["543a7ed5"], count, 0, out)
+        assert str(info.value) == message
+        assert not out.exists()
+
+
+def test_save_leaves_another_writers_temp_file_alone(tmp_path):
+    # Another writer may be mid-write in .t.json.tmp; saving t.json must
+    # neither truncate nor move that file.
+    foreign = tmp_path / ".t.json.tmp"
+    foreign.write_text("partial", encoding="utf-8")
+    plain = tmp_path / "plain.txt"
+    plain.write_text("", encoding="utf-8")
+    save_task_file(tmp_path / "t.json", MINIMAL)
+    assert foreign.read_text(encoding="utf-8") == "partial"
+    assert load_task_file(tmp_path / "t.json") == MINIMAL
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".t.json.tmp", "plain.txt", "t.json"]
+    # The file gets the mode of any new file, not the 0600 of a temporary one.
+    assert (tmp_path / "t.json").stat().st_mode == plain.stat().st_mode
 
 
 @pytest.mark.parametrize("failing", ["1e0a9b12.json", "manifest.json"])

@@ -143,7 +143,7 @@ class Grid:
         return Grid._of(list(map(list, self._rows)))
 
     def to_lists(self) -> list[list[int]]:
-        """Plain list-of-lists copy, e.g. for JSON serialization."""
+        """Plain list-of-lists copy, for callers that want mutable lists of ints."""
         return [list(row) for row in self._rows]
 
 

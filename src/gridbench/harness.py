@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import tempfile
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from importlib import resources
@@ -45,11 +44,6 @@ _TAIL = ']]}]}'
 _TO_DIGIT = bytes(range(48, 58)).ljust(256, b"\x80")
 # ASCII digit -> cell value (only digits are ever translated).
 _FROM_DIGIT = bytes.maketrans(b"0123456789", bytes(range(10)))
-# The mode open() gives a new file under the process umask, which can
-# only be read by setting it; a file from mkstemp starts as 0600.
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
-_FILE_MODE = 0o666 & ~_UMASK
 
 
 @functools.cache
@@ -113,15 +107,14 @@ def _write_atomic(path: Path, text: str) -> None:
     A reader sees the old file or the new one, never a partial write, even
     if the writing process fails or is killed. The file is not synced to
     disk, so this does not hold across a power loss or an operating-system
-    crash. The temporary name is unique, so writers to one directory never
-    share a temporary file; it does not match ``*.json``, and it is removed
-    if the write fails. The file gets the mode ``open`` would give it.
+    crash. The temporary name is unique and created exclusively, so writers
+    to one directory never share a temporary file; it does not match
+    ``*.json``, and it is removed if the write fails. The file gets the mode
+    ``open`` gives a new file under the umask in force when it is written.
     """
-    fd, name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
-    os.close(fd)
-    temp = Path(name)
+    temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    temp.touch(exist_ok=False)
     try:
-        temp.chmod(_FILE_MODE)
         temp.write_text(text, encoding="utf-8")
         os.replace(temp, path)
     except BaseException:
@@ -321,9 +314,10 @@ def evaluate(example_dir, programs: dict[str, Callable[[Grid], Grid]]) -> EvalRe
     """Run each program over every stored example of its task.
 
     Every train and test pair counts equally. A program that raises on
-    an example fails that example; tasks present in the directory but
-    missing from ``programs`` are skipped and listed in the report. A
-    path that is not a directory raises ``NotADirectoryError``.
+    an example, or calls ``sys.exit``, fails that example; tasks present
+    in the directory but missing from ``programs`` are skipped and listed
+    in the report. A path that is not a directory raises
+    ``NotADirectoryError``.
     """
     directory = Path(example_dir)
     if not directory.is_dir():
@@ -343,8 +337,9 @@ def evaluate(example_dir, programs: dict[str, Callable[[Grid], Grid]]) -> EvalRe
 
 def _judge(program: Callable[[Grid], Grid], task_set: TaskSet) -> tuple[int, int]:
     """``(passed, total)`` of a program over every train and test example; it
-    gets a fresh copy of each input, and an example fails when it raises or
-    returns a result that is not a valid grid."""
+    gets a fresh copy of each input, and an example fails when it raises
+    (``SystemExit`` too, but not ``KeyboardInterrupt``) or returns a result
+    that is not a valid grid."""
     examples = (*task_set.train, *task_set.test)
     passed = 0
     for example in examples:
@@ -352,7 +347,7 @@ def _judge(program: Callable[[Grid], Grid], task_set: TaskSet) -> tuple[int, int
             result = program(example.input.copy())
             if not isinstance(result, Grid):
                 result = Grid(result)
-        except Exception:
+        except (Exception, SystemExit):
             continue
         if result == example.output:
             passed += 1

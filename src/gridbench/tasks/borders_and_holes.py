@@ -59,19 +59,20 @@ def generate(
     check_int("size", size, 1, MAX_SIDE)
     if colors is not None:
         check_list("colors", colors, "color codes")
-    for name, values in (("rows", rows), ("cols", cols), ("widths", widths), ("heights", heights)):
+        colors = list(colors)
+        _check_colors(colors)
+    for name, values, lo in (
+        ("rows", rows, 0), ("cols", cols, 0), ("widths", widths, 1), ("heights", heights, 1)
+    ):
         if values is not None:
             check_list(name, values, "integers")
             for i, value in enumerate(values):
-                check_int(f"{name}[{i}]", value, 0, MAX_SIDE)
-    supplied = [rows, cols, widths, heights]
+                check_int(f"{name}[{i}]", value, lo, MAX_SIDE)
+    if [rows, cols, widths, heights].count(None) not in (0, 4):
+        raise ValueError("rows, cols, widths and heights must be supplied together")
     if rows is None:
-        if any(v is not None for v in supplied):
-            raise ValueError("rows, cols, widths and heights must be supplied together")
         rows, cols, widths, heights, colors = _sample_layout(boxes, size, colors, rng)
     else:
-        if any(v is None for v in supplied):
-            raise ValueError("rows, cols, widths and heights must be supplied together")
         colors = _checked_layout(rows, cols, widths, heights, colors, boxes, size)
 
     grid, out = grids(size, size, CYAN)
@@ -101,11 +102,8 @@ def _check_colors(colors) -> None:
 def _sample_layout(boxes, size, box_colors, rng):
     if rng is None:
         raise ValueError("layout randomization needs an rng stream")
-    if box_colors is not None:
-        box_colors = list(box_colors)
-        if len(box_colors) != boxes:
-            raise ValueError(f"expected {boxes} box colors, got {len(box_colors)}")
-        _check_colors(box_colors)
+    if box_colors is not None and len(box_colors) != boxes:
+        raise ValueError(f"expected {boxes} box colors, got {len(box_colors)}")
     # Each attempt is the draw-by-draw rejection sampler: widths, heights,
     # rows, cols (randint raising when a box cannot fit ends the attempt),
     # reject on overlap, then per box two hole extents and, for a
@@ -205,14 +203,8 @@ def _checked_layout(rows, cols, widths, heights, colors, boxes, size):
         raise ValueError(f"layout provides {n} entries for {boxes} boxes")
     if colors is None:
         colors = [PINK] * boxes + [YELLOW] * (n - boxes)
-    else:
-        colors = list(colors)
-        if len(colors) != n:
-            raise ValueError(f"expected {n} colors, got {len(colors)}")
-        _check_colors(colors)
-    for i in range(n):
-        if widths[i] < 1 or heights[i] < 1:
-            raise ValueError(f"layout entry {i} has empty extent")
+    elif len(colors) != n:
+        raise ValueError(f"expected {n} colors, got {len(colors)}")
     # Rectangles keep a one-cell margin on every side for the ring.
     for i in range(boxes):
         if (
@@ -256,15 +248,14 @@ def verify(grid: Grid) -> Grid:
             c, value = next((c, v) for c, v in enumerate(row) if v not in _CYAN_PINK)
             raise VerifierDomainError(f"cell ({r}, {c}) holds {value}, expected cyan or pink")
     bounds = _pink_components(grid)
-    if bounds:
-        if overlaps(
-            [b[0] for b in bounds],
-            [b[1] for b in bounds],
-            [b[3] - b[1] + 1 for b in bounds],
-            [b[2] - b[0] + 1 for b in bounds],
-            _SPACING,
-        ):
-            raise VerifierDomainError(f"pink rectangles come closer than spacing {_SPACING}")
+    if overlaps(
+        [b[0] for b in bounds],
+        [b[1] for b in bounds],
+        [b[3] - b[1] + 1 for b in bounds],
+        [b[2] - b[0] + 1 for b in bounds],
+        _SPACING,
+    ):
+        raise VerifierDomainError(f"pink rectangles come closer than spacing {_SPACING}")
     out = grid.copy()
     out_rows = list(out)
     for r0, c0, r1, c1 in bounds:

@@ -151,6 +151,17 @@ def test_generate_rejects_mistyped_layout_overrides(tmp_path, capsys, override, 
         ("05269061", ["corner=2"], "corner 2 outside [0, 1]"),
         ("05269061", ["bands=4"], "bands 4 outside [1, 3]"),
         ("1e0a9b12", ["size=11"], "size 11 outside [3, 10]"),
+        ("543a7ed5", ["rows=2,3"], "rows, cols, widths and heights must be supplied together"),
+        (
+            "543a7ed5",
+            ["cols=2,3", "widths=2,2", "heights=2,2"],
+            "rows, cols, widths and heights must be supplied together",
+        ),
+        (
+            "543a7ed5",
+            ["boxes=1", "rows=2,3", "cols=2,3", "widths=0,1", "heights=4,1"],
+            "widths[0] 0 outside [1, 30]",
+        ),
         ("543a7ed5", ["boxes=0"], "boxes 0 outside [1, 900]"),
         ("543a7ed5", ["size=40"], "size 40 outside [1, 30]"),
     ],

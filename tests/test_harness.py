@@ -1,6 +1,8 @@
 """Task files, dataset emission, evaluation, and golden checks."""
 
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,14 +134,21 @@ def test_emit_dataset_rejects_zero_train(tmp_path):
         assert not out.exists()
 
 
-def test_save_leaves_another_writers_temp_file_alone(tmp_path):
+@pytest.mark.parametrize("umask", [None, 0o077], ids=["umask-unchanged", "umask-077"])
+def test_save_leaves_another_writers_temp_file_alone(tmp_path, umask):
     # Another writer may be mid-write in .t.json.tmp; saving t.json must
     # neither truncate nor move that file.
     foreign = tmp_path / ".t.json.tmp"
     foreign.write_text("partial", encoding="utf-8")
-    plain = tmp_path / "plain.txt"
-    plain.write_text("", encoding="utf-8")
-    save_task_file(tmp_path / "t.json", MINIMAL)
+    # A umask set after import applies to the saved file as to any other.
+    previous = None if umask is None else os.umask(umask)
+    try:
+        plain = tmp_path / "plain.txt"
+        plain.write_text("", encoding="utf-8")
+        save_task_file(tmp_path / "t.json", MINIMAL)
+    finally:
+        if previous is not None:
+            os.umask(previous)
     assert foreign.read_text(encoding="utf-8") == "partial"
     assert load_task_file(tmp_path / "t.json") == MINIMAL
     assert sorted(p.name for p in tmp_path.iterdir()) == [".t.json.tmp", "plain.txt", "t.json"]
@@ -192,17 +201,28 @@ def test_evaluate_constant_program_fails_its_task(tmp_path):
     assert format_report(report).splitlines()[-1] == "Examples pass for 3/4 tasks (75%)"
 
 
-def test_evaluate_crashing_program_counts_as_failure(tmp_path):
+def _raise(error):
+    raise error
+
+
+@pytest.mark.parametrize(
+    "program",
+    [lambda grid: _raise(RuntimeError("no")), lambda grid: sys.exit(0)],
+    ids=["raises", "sys-exit"],
+)
+def test_evaluate_crashing_program_counts_as_failure(tmp_path, program):
     emit_dataset(["543a7ed5"], 2, 5, tmp_path)
-
-    def boom(grid):
-        raise RuntimeError("no")
-
-    report = evaluate(tmp_path, {"543a7ed5": boom})
+    report = evaluate(tmp_path, {"543a7ed5": program})
     score = report.per_task["543a7ed5"]
     assert score.pass_count == 0
     assert score.total_count == 3
     assert not score.passed
+
+
+def test_evaluate_lets_keyboard_interrupt_through(tmp_path):
+    emit_dataset(["543a7ed5"], 2, 5, tmp_path)
+    with pytest.raises(KeyboardInterrupt):
+        evaluate(tmp_path, {"543a7ed5": lambda grid: _raise(KeyboardInterrupt)})
 
 
 def test_evaluate_checks_list_results(tmp_path):

@@ -130,7 +130,10 @@ def save_task_file(path, task_set: TaskSet) -> None:
 def load_task_file(path) -> TaskSet:
     """Read and strictly validate an ARC JSON task file."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: {err}") from None
     task_set = _decode_canonical(text)
     if task_set is not None:
         return task_set
@@ -138,6 +141,10 @@ def load_task_file(path) -> TaskSet:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise FormatError(f"{path}: line {err.lineno}: {err.msg}") from None
+    except (RecursionError, ValueError) as err:
+        # Nesting deeper than the recursion limit, or an integer longer
+        # than the int conversion limit.
+        raise FormatError(f"{path}: {err}") from None
     if not isinstance(payload, dict) or set(payload) != {"train", "test"}:
         raise FormatError(
             f"{path}: top level must be an object with exactly 'train' and 'test'"

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from gridbench import task_ids
 from gridbench.cli import run
 
 
@@ -22,15 +23,9 @@ def test_generate_defaults_emit_all_tasks(tmp_path, capsys):
     out = tmp_path / "d"
     assert run(["generate", "--out", str(out), "--seed", "7"]) == 0
     names = sorted(p.name for p in out.iterdir())
-    assert names == [
-        "05269061.json",
-        "1e0a9b12.json",
-        "543a7ed5.json",
-        "67a423a3.json",
-        "manifest.json",
-    ]
+    assert names == [f"{task_id}.json" for task_id in task_ids()] + ["manifest.json"]
     stdout = capsys.readouterr().out
-    assert stdout.count("3 train + 1 test") == 4
+    assert stdout.count("3 train + 1 test") == len(task_ids())
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["master_seed"] == 7
 
@@ -291,6 +286,16 @@ def test_evaluate_corrupted_file_fails(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "Testing task 1e0a9b12 ... FAIL" in lines
     assert lines[-1] == "Examples pass for 3/4 tasks (75%)"
+
+
+def test_evaluate_deeply_nested_file_prints_one_error_line(tmp_path, capsys):
+    path = tmp_path / "543a7ed5.json"
+    path.write_text('{"train":' + "[" * 5000, encoding="utf-8")
+    assert run(["evaluate", "--examples", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {path}: ")
 
 
 @pytest.mark.parametrize("make", [None, "file"])

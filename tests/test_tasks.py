@@ -2,7 +2,7 @@
 
 import pytest
 
-from gridbench import Grid, VerifierDomainError, grids, lookup
+from gridbench import Grid, VerifierDomainError, grids
 from gridbench.rng import new_stream
 from gridbench.tasks import borders_and_holes, column_gravity, crossing_marker, diagonal_stripes
 
@@ -110,32 +110,6 @@ def test_borders_verifier_reports_first_failing_condition(pink, alien, message):
         g[alien[0]][alien[1]] = 0
     with pytest.raises(VerifierDomainError, match=message):
         borders_and_holes.verify(g)
-
-
-def test_borders_golden_fixture_shape():
-    ts = borders_and_holes.validate()
-    assert len(ts.train) == 2
-    assert len(ts.test) == 1
-    for ex in (*ts.train, *ts.test):
-        assert ex.input.height == ex.input.width == 15
-        assert ex.output.height == ex.output.width == 15
-
-
-def test_borders_golden_first_train_pink_count():
-    # Box areas 4*5 + 2*2 + 4*4 = 40 minus the 2x3 hole leaves 34 pink cells.
-    first = borders_and_holes.validate().train[0].input
-    assert sum(v == 6 for row in first for v in row) == 34
-
-
-def test_borders_golden_pairs_satisfy_verifier():
-    ts = borders_and_holes.validate()
-    for ex in (*ts.train, *ts.test):
-        assert borders_and_holes.verify(ex.input) == ex.output
-
-
-def test_borders_randomized_example_is_verifier_consistent():
-    ex = borders_and_holes.generate(rng=_stream("543a7ed5"))
-    assert borders_and_holes.verify(ex.input) == ex.output
 
 
 def test_borders_rejects_partial_layout():
@@ -268,16 +242,6 @@ def test_crossing_near_corner():
     assert crossing_marker.verify(ex.input) == ex.output
 
 
-def test_crossing_exactly_eight_cells_change():
-    ex = crossing_marker.generate(rng=_stream("67a423a3"))
-    diff = sum(
-        ex.input[r][c] != ex.output[r][c]
-        for r in range(ex.input.height)
-        for c in range(ex.input.width)
-    )
-    assert diff == 8
-
-
 def test_crossing_verifier_rejects_no_crossing():
     with pytest.raises(
         VerifierDomainError, match=r"^no cell has four nonzero orthogonal neighbors$"
@@ -366,49 +330,3 @@ def test_stripes_generator_matches_cell_by_cell_reference():
                 ]
                 ex = diagonal_stripes.generate(size=size, colors=colors, bands=bands, corner=corner)
                 assert (ex.input, ex.output) == (Grid(grid), Grid(out)), (size, bands, corner)
-
-
-@pytest.mark.parametrize("task_id", ["543a7ed5", "1e0a9b12", "67a423a3", "05269061"])
-def test_verifier_result_owns_its_rows(task_id):
-    gen = lookup(task_id)
-    for index in range(5):
-        grid = gen.generate(rng=_stream(task_id, index)).input
-        before = grid.to_lists()
-        out = gen.verifier(grid)
-        assert not {id(row) for row in out} & {id(row) for row in grid}
-        assert len({id(row) for row in out}) == out.height
-        for row in out:
-            row[:] = [9] * len(row)
-        assert grid.to_lists() == before
-
-
-def test_registered_verifiers_match_module_functions():
-    assert lookup("543a7ed5").verifier is borders_and_holes.verify
-    assert lookup("1e0a9b12").verifier is column_gravity.verify
-    assert lookup("67a423a3").verifier is crossing_marker.verify
-    assert lookup("05269061").verifier is diagonal_stripes.verify
-
-
-@pytest.mark.parametrize(
-    "task_id, overrides",
-    [
-        ("543a7ed5", {}),
-        ("1e0a9b12", {}),
-        ("67a423a3", {}),
-        ("05269061", {}),
-        ("543a7ed5", {"size": 30, "boxes": 1}),
-        ("1e0a9b12", {"size": 10}),
-        ("67a423a3", {"size": 30}),
-        ("05269061", {"size": 30}),
-    ],
-)
-def test_generated_grids_meet_the_grid_contract(task_id, overrides):
-    # Generators wrap their rows unchecked, so the checked constructor must
-    # accept every grid they make, and no two grids may share a row.
-    gen = lookup(task_id)
-    for index in range(40):
-        ex = gen.generate(rng=_stream(task_id, index), **overrides)
-        for grid in (ex.input, ex.output):
-            assert Grid(grid.to_lists()) == grid
-        rows = [*ex.input, *ex.output]
-        assert len({id(row) for row in rows}) == len(rows)

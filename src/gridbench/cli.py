@@ -44,7 +44,10 @@ def _parse_scalar(raw: str) -> object:
     try:
         return int(token)
     except ValueError:
-        raise ValueError(f"cannot parse override value {token!r}") from None
+        # A long token, such as an integer past Python's conversion limit,
+        # is shown by its start and length, so the error line stays short.
+        shown = repr(token) if len(token) <= 40 else f"{token[:20]!r}... ({len(token)} characters)"
+        raise ValueError(f"cannot parse override value {shown}") from None
 
 
 def _cmd_generate(args) -> int:

@@ -35,10 +35,12 @@ def check_int(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> 
     return value
 
 
-def check_list(name: str, value, items: str) -> None:
-    """Reject a parameter value that is not a sequence; ``items`` names its entries."""
-    if not isinstance(value, Sequence):
-        raise ValueError(f"{name} must be a list of {items}, got {value!r}")
+def check_ints(name: str, values, lo: int, hi: int) -> list[int]:
+    """``values`` as a list if it is a sequence whose every entry passes
+    :func:`check_int`, entry ``i`` named ``name[i]``."""
+    if not isinstance(values, Sequence):
+        raise ValueError(f"{name} must be a list of integers, got {values!r}")
+    return [check_int(f"{name}[{i}]", value, lo, hi) for i, value in enumerate(values)]
 
 
 def overlaps(

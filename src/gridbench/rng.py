@@ -137,7 +137,10 @@ def new_stream(master_seed: int, task_id: str, example_index: int) -> RngStream:
         raise ValueError("task_id must be a non-empty string")
     if isinstance(example_index, bool) or not isinstance(example_index, int) or example_index < 0:
         raise ValueError("example_index must be a non-negative integer")
+    # Indexes are keyed as 64-bit words; a wider one would alias a smaller one.
+    if example_index > _MASK64:
+        raise ValueError("example_index must be at most 2**64 - 1")
     state = _scramble((master_seed + _GOLDEN) & _MASK64)
     state = _scramble(state ^ _fnv1a(task_id))
-    state = _scramble((state ^ example_index) & _MASK64)
+    state = _scramble(state ^ example_index)
     return RngStream(state, master_seed, task_id, example_index)

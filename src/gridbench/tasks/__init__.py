@@ -1,18 +1,17 @@
 """Bundled task implementations.
 
-Importing this package registers every bundled task with the framework
-registry.
+Every module here whose name does not start with ``_`` is one task;
+importing the package registers each with the framework registry.
 """
 
-from ..framework import register
-from . import borders_and_holes, column_gravity, crossing_marker, diagonal_stripes
+import os
+from importlib import import_module, resources
 
-ALL_GENERATORS = (
-    borders_and_holes.GENERATOR,
-    column_gravity.GENERATOR,
-    crossing_marker.GENERATOR,
-    diagonal_stripes.GENERATOR,
-)
+from ..framework import TaskGenerator, register
 
-for _gen in ALL_GENERATORS:
-    register(_gen)
+_files = [entry.name for entry in resources.files(__name__).iterdir()]
+for _name, _ext in sorted(map(os.path.splitext, _files)):
+    if _ext == ".py" and _name.isidentifier() and not _name.startswith("_"):
+        _task = import_module(f"{__name__}.{_name}")
+        _validate = getattr(_task, "validate", None)
+        register(TaskGenerator.from_callables(_task.TASK_ID, _task.generate, _task.verify, _validate))

@@ -17,8 +17,8 @@ from __future__ import annotations
 import re
 
 from ..errors import GenerationError, VerifierDomainError
-from ..framework import MAX_ATTEMPTS, TaskGenerator, check_int, check_list, overlaps
-from ..grid import CYAN, GREEN, MAX_SIDE, PINK, YELLOW, Example, Grid, TaskSet, _check_color, grids
+from ..framework import MAX_ATTEMPTS, check_int, check_ints, overlaps
+from ..grid import CYAN, GREEN, MAX_SIDE, PINK, YELLOW, Example, Grid, TaskSet, grids
 
 TASK_ID = "543a7ed5"
 
@@ -58,16 +58,12 @@ def generate(
     check_int("boxes", boxes, 1, MAX_SIDE * MAX_SIDE)
     check_int("size", size, 1, MAX_SIDE)
     if colors is not None:
-        check_list("colors", colors, "color codes")
-        colors = list(colors)
-        _check_colors(colors)
+        colors = check_ints("colors", colors, 0, 9)
     for name, values, lo in (
         ("rows", rows, 0), ("cols", cols, 0), ("widths", widths, 1), ("heights", heights, 1)
     ):
         if values is not None:
-            check_list(name, values, "integers")
-            for i, value in enumerate(values):
-                check_int(f"{name}[{i}]", value, lo, MAX_SIDE)
+            check_ints(name, values, lo, MAX_SIDE)
     if [rows, cols, widths, heights].count(None) not in (0, 4):
         raise ValueError("rows, cols, widths and heights must be supplied together")
     if rows is None:
@@ -89,14 +85,6 @@ def generate(
                 grid[r][c] = color if is_box else CYAN
                 out[r][c] = color
     return Example(input=grid, output=out)
-
-
-def _check_colors(colors) -> None:
-    for i, color in enumerate(colors):
-        try:
-            _check_color(color)
-        except ValueError as err:
-            raise ValueError(f"color {i}: {err}") from None
 
 
 def _sample_layout(boxes, size, box_colors, rng):
@@ -354,6 +342,3 @@ def validate() -> TaskSet:
         )
     ]
     return TaskSet(train=train, test=test)
-
-
-GENERATOR = TaskGenerator.from_callables(TASK_ID, generate, verify, validate)

@@ -7,7 +7,7 @@ against the bottom edge, keeping their top-to-bottom order per column.
 from __future__ import annotations
 
 from ..errors import GenerationError
-from ..framework import MAX_ATTEMPTS, TaskGenerator, check_int
+from ..framework import MAX_ATTEMPTS, check_int
 from ..grid import Example, Grid
 
 TASK_ID = "1e0a9b12"
@@ -53,6 +53,3 @@ def verify(grid: Grid) -> Grid:
         stack = list(filter(None, column))
         columns.append([0] * (h - len(stack)) + stack)
     return Grid._of(list(map(list, zip(*columns))))
-
-
-GENERATOR = TaskGenerator.from_callables(TASK_ID, generate, verify)

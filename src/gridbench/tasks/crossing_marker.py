@@ -8,7 +8,7 @@ yellow while the crossing itself keeps its color.
 from __future__ import annotations
 
 from ..errors import VerifierDomainError
-from ..framework import TaskGenerator, check_int
+from ..framework import check_int
 from ..grid import YELLOW, Example, Grid
 
 TASK_ID = "67a423a3"
@@ -75,6 +75,3 @@ def verify(grid: Grid) -> Grid:
             if dr or dc:
                 out[r + dr][c + dc] = YELLOW
     return out
-
-
-GENERATOR = TaskGenerator.from_callables(TASK_ID, generate, verify)

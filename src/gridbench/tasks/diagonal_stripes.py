@@ -8,7 +8,7 @@ complete pattern.
 
 from __future__ import annotations
 
-from ..framework import TaskGenerator, check_int, check_list
+from ..framework import check_int, check_ints
 from ..grid import Example, Grid
 
 TASK_ID = "05269061"
@@ -29,11 +29,8 @@ def generate(size=None, colors=None, bands=None, corner=None, rng=None) -> Examp
             pool[i], pool[j] = pool[j], pool[i]
         colors = pool[:3]
     else:
-        check_list("colors", colors, "color codes")
-        colors = list(colors)
-        if len(colors) != 3 or len(set(colors)) != 3 or not all(
-            isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= 9 for v in colors
-        ):
+        colors = check_ints("colors", colors, 1, 9)
+        if len(colors) != 3 or len(set(colors)) != 3:
             raise ValueError("colors must be three distinct codes in [1, 9]")
     bands = rng.randint(1, 3) if bands is None else check_int("bands", bands, 1, 3)
     corner = rng.randint(0, 1) if corner is None else check_int("corner", corner, 0, 1)
@@ -100,6 +97,3 @@ def verify(grid: Grid) -> Grid:
             row[start::3] = cells
             carry[k] = last
     return Grid._of(rows)
-
-
-GENERATOR = TaskGenerator.from_callables(TASK_ID, generate, verify)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gridbench import task_ids
+from gridbench import format_percent, task_ids
 from gridbench.cli import run
 
 
@@ -96,14 +96,14 @@ def test_generate_rejects_bool_box_colors(tmp_path, capsys):
         ]
     ) == 1
     err = capsys.readouterr().err
-    assert err == "error: color 0: True is not a color code in [0, 9]\n"
+    assert err == "error: colors[0] must be an integer, got True\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "override, message",
     [
-        ("colors=pink", "colors must be a list of color codes, got 6"),
+        ("colors=pink", "colors must be a list of integers, got 6"),
         ("boxes=1,2", "boxes must be an integer, got [1, 2]"),
         ("size=true", "size must be an integer, got True"),
     ],
@@ -128,9 +128,9 @@ def test_generate_rejects_mistyped_layout_overrides(tmp_path, capsys, override, 
         ("67a423a3", ["row=true"], "row must be an integer, got True"),
         ("67a423a3", ["row_color=true"], "row_color must be an integer, got True"),
         ("05269061", ["size=1,2"], "size must be an integer, got [1, 2]"),
-        ("05269061", ["colors=3"], "colors must be a list of color codes, got 3"),
+        ("05269061", ["colors=3"], "colors must be a list of integers, got 3"),
         ("05269061", ["corner=true"], "corner must be an integer, got True"),
-        ("05269061", ["colors=true,2,3"], "colors must be three distinct codes in [1, 9]"),
+        ("05269061", ["colors=true,2,3"], "colors[0] must be an integer, got True"),
         ("1e0a9b12", ["size=1,2"], "size must be an integer, got [1, 2]"),
         (
             "543a7ed5",
@@ -159,6 +159,12 @@ def test_generate_rejects_mistyped_layout_overrides(tmp_path, capsys, override, 
         ),
         ("543a7ed5", ["boxes=0"], "boxes 0 outside [1, 900]"),
         ("543a7ed5", ["size=40"], "size 40 outside [1, 30]"),
+        # 5,000 digits exceed Python's integer conversion limit.
+        (
+            "1e0a9b12",
+            ["size=" + "9" * 5000],
+            f"cannot parse override value {'9' * 20!r}... (5000 characters)",
+        ),
     ],
 )
 def test_generate_rejects_mistyped_overrides(tmp_path, capsys, task, overrides, message):
@@ -197,10 +203,7 @@ def test_validate_with_golden_dir(tmp_path, capsys):
 def test_validate_with_empty_golden_dir_judges_nothing(tmp_path, capsys):
     assert run(["validate", "--golden-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "Skipping task 05269061 (no golden data)",
-        "Skipping task 1e0a9b12 (no golden data)",
-        "Skipping task 543a7ed5 (no golden data)",
-        "Skipping task 67a423a3 (no golden data)",
+        *(f"Skipping task {task_id} (no golden data)" for task_id in task_ids()),
         "Examples pass for 0/0 tasks (0%)",
     ]
 
@@ -271,7 +274,8 @@ def test_evaluate_freshly_emitted_dataset(tmp_path, capsys):
     capsys.readouterr()
     assert run(["evaluate", "--examples", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "Examples pass for 4/4 tasks (100%)"
+    n = len(task_ids())
+    assert lines[-1] == f"Examples pass for {n}/{n} tasks (100%)"
 
 
 def test_evaluate_corrupted_file_fails(tmp_path, capsys):
@@ -285,7 +289,9 @@ def test_evaluate_corrupted_file_fails(tmp_path, capsys):
     assert run(["evaluate", "--examples", str(out)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "Testing task 1e0a9b12 ... FAIL" in lines
-    assert lines[-1] == "Examples pass for 3/4 tasks (75%)"
+    n = len(task_ids())
+    percent = format_percent(100 * (n - 1) / n)
+    assert lines[-1] == f"Examples pass for {n - 1}/{n} tasks ({percent}%)"
 
 
 def test_evaluate_deeply_nested_file_prints_one_error_line(tmp_path, capsys):
@@ -367,6 +373,14 @@ def test_render_index_out_of_range(tmp_path, capsys):
     save_task_file(path, generate_task_set("05269061", 2, 1, 4))
     assert run(["render", "--file", str(path), "--index", "5"]) == 1
     assert "out of range" in capsys.readouterr().err
+
+
+def test_render_rejects_an_index_past_64_bits(capsys):
+    argv = ["render", "--task", "67a423a3", "--seed", "1", "--index", str(2**64 + 5)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: example_index must be at most 2**64 - 1\n"
 
 
 def test_render_needs_source(capsys):

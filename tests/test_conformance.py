@@ -1,8 +1,9 @@
 """The contract every registered task meets, checked from the registry alone.
 
-A task is one module in ``gridbench.tasks``. Every test here is
-parametrized over those modules or over ``task_ids()``, so a new task is
-checked by every rule without a line added to this file.
+A task is one module in ``gridbench.tasks`` whose name does not start
+with ``_``. Every test here is parametrized over those modules or over
+``task_ids()``, so a new task is checked by every rule without a line
+added to this file.
 """
 
 import importlib
@@ -21,6 +22,7 @@ SEED = 7
 MODULES = [
     importlib.import_module(f"gridbench.tasks.{info.name}")
     for info in pkgutil.iter_modules(gridbench.tasks.__path__)
+    if not info.name.startswith("_")
 ]
 
 PARAMS = [(task_id, name) for task_id in task_ids() for name in lookup(task_id).params]
@@ -29,19 +31,24 @@ PARAMS = [(task_id, name) for task_id in task_ids() for name in lookup(task_id).
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__.rpartition(".")[2])
 def test_module_registers_its_generator(module):
     gen = lookup(module.TASK_ID)
-    assert gen is module.GENERATOR
     assert gen.generate is module.generate
     assert gen.verifier is module.verify
+    assert gen.validate is getattr(module, "validate", None)
 
 
 def test_every_registered_task_is_a_module():
+    # The package finds its own modules; pkgutil is the reference here.
     assert sorted(module.TASK_ID for module in MODULES) == task_ids()
 
 
 @pytest.mark.parametrize("task_id, name", PARAMS)
 def test_declared_parameter_rejects_a_bool(task_id, name):
+    generate = lookup(task_id).generate
     with pytest.raises(ValueError, match=f"^{name} must be"):
-        lookup(task_id).generate(rng=new_stream(SEED, task_id, 0), **{name: True})
+        generate(rng=new_stream(SEED, task_id, 0), **{name: True})
+    # A scalar parameter rejects the list itself, a list parameter its entry.
+    with pytest.raises(ValueError, match=rf"^{name}(\[0\])? must be an integer, got"):
+        generate(rng=new_stream(SEED, task_id, 0), **{name: [True]})
 
 
 @pytest.mark.parametrize("task_id", task_ids())

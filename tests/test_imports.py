@@ -1,7 +1,11 @@
-"""The runtime depends on the Python standard library only."""
+"""The runtime depends on the Python standard library only, and imports
+from a directory or a zip archive alike."""
 
 import ast
+import os
+import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import gridbench
@@ -26,3 +30,23 @@ def test_runtime_imports_only_the_standard_library():
                 if top != "gridbench" and top not in sys.stdlib_module_names:
                     foreign.add(f"{path.relative_to(PACKAGE)}: {name}")
     assert not foreign
+
+
+def test_package_imported_from_a_zip_archive_registers_every_task(tmp_path):
+    # Task discovery goes through importlib.resources, which also reads archives.
+    archive = tmp_path / "gridbench.zip"
+    with zipfile.ZipFile(archive, "w") as bundle:
+        for path in PACKAGE.rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                bundle.write(path, path.relative_to(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", "import gridbench; print(gridbench.__file__, *gridbench.task_ids())"],
+        env={**os.environ, "PYTHONPATH": str(archive)},
+        cwd=tmp_path,
+        capture_output=True,
+        encoding="utf-8",
+        check=True,
+    )
+    source, *ids = result.stdout.split()
+    assert source.startswith(str(archive))
+    assert ids == gridbench.task_ids()

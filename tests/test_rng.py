@@ -59,6 +59,10 @@ def test_new_stream_argument_validation():
         new_stream(True, "x", 0)
     with pytest.raises(ValueError, match="^example_index must be a non-negative integer$"):
         new_stream(1, "x", False)
+    # Keyed by its low 64 bits, index 2**64 + 5 would repeat index 5.
+    new_stream(1, "x", 2**64 - 1)
+    with pytest.raises(ValueError, match=r"^example_index must be at most 2\*\*64 - 1$"):
+        new_stream(1, "x", 2**64 + 5)
 
 
 def test_binary_frequency_within_3_sigma():

@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import GridBenchError
+from .errors import GridBenchError, shown
 from .framework import apply_variation, lookup, task_ids
 from .grid import PALETTE, render_text
 from .harness import (
@@ -25,7 +25,7 @@ from .rng import new_stream
 def _parse_override(text: str) -> tuple[str, object]:
     key, sep, raw = text.partition("=")
     if not sep or not key:
-        raise ValueError(f"override {text!r} is not of the form key=value")
+        raise ValueError(f"override {shown(text)} is not of the form key=value")
     return key, _parse_value(raw)
 
 
@@ -44,10 +44,7 @@ def _parse_scalar(raw: str) -> object:
     try:
         return int(token)
     except ValueError:
-        # A long token, such as an integer past Python's conversion limit,
-        # is shown by its start and length, so the error line stays short.
-        shown = repr(token) if len(token) <= 40 else f"{token[:20]!r}... ({len(token)} characters)"
-        raise ValueError(f"cannot parse override value {shown}") from None
+        raise ValueError(f"cannot parse override value {shown(token)}") from None
 
 
 def _cmd_generate(args) -> int:
@@ -84,14 +81,10 @@ def _print_report(report: EvalReport, skip_reason: str) -> int:
 
 
 def _cmd_validate(args) -> int:
-    golden_dir = Path(args.golden_dir) if args.golden_dir else None
-    if golden_dir and not golden_dir.is_dir():
-        raise NotADirectoryError(f"{golden_dir} is not a directory")
     scores, skipped = {}, []
     for task_id in [args.task] if args.task else task_ids():
-        lookup(task_id)  # an unknown id is an error, whatever the golden directory holds
-        path = golden_dir / f"{task_id}.json" if golden_dir else None
-        result = golden_check(task_id, path) if path is None or path.is_file() else None
+        # An empty --golden-dir selects the bundled golden data.
+        result = golden_check(task_id, args.golden_dir or None)
         if result is None:
             skipped.append(task_id)
         else:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and the argument checks shared across the package."""
+
+import math
+from collections.abc import Sequence
 
 
 class GridBenchError(Exception):
@@ -19,3 +22,31 @@ class VerifierDomainError(GridBenchError):
 
 class FormatError(GridBenchError, ValueError):
     """A task file does not conform to the on-disk JSON schema."""
+
+
+def shown(value) -> str:
+    """``repr(value)``, or for a value longer than 40 characters (a string by
+    its own length) its first 20 characters and its length, which keeps an
+    error line that quotes user input short."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 40:
+        return repr(value)
+    head = repr(text[:20]) if isinstance(value, str) else text[:20]
+    return f"{head}... ({len(text)} characters)"
+
+
+def check_int(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """``value`` if it is an ``int`` in ``[lo, hi]``; ``bool`` is rejected too."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} {shown(value)} outside [{lo}, {hi}]")
+    return value
+
+
+def check_ints(name: str, values, lo: int, hi: int) -> list[int]:
+    """``values`` as a list if it is a sequence whose every entry passes
+    :func:`check_int`, entry ``i`` named ``name[i]``."""
+    if not isinstance(values, Sequence):
+        raise ValueError(f"{name} must be a list of integers, got {shown(values)}")
+    return [check_int(f"{name}[{i}]", value, lo, hi) for i, value in enumerate(values)]

@@ -11,11 +11,10 @@ generated example must satisfy ``verifier(input) == output`` exactly.
 from __future__ import annotations
 
 import inspect
-import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import VerificationError, VerifierDomainError
+from .errors import VerificationError, VerifierDomainError, check_int, shown
 from .grid import Example, Grid, TaskSet
 from .rng import new_stream
 
@@ -23,24 +22,6 @@ from .rng import new_stream
 # turns a pathological parameter combination into a diagnosable error
 # instead of a hang.
 MAX_ATTEMPTS = 10_000
-
-
-def check_int(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> int:
-    """``value`` if it is an ``int`` in ``[lo, hi]``, by default any ``int``;
-    ``bool`` is rejected too."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not lo <= value <= hi:
-        raise ValueError(f"{name} {value} outside [{lo}, {hi}]")
-    return value
-
-
-def check_ints(name: str, values, lo: int, hi: int) -> list[int]:
-    """``values`` as a list if it is a sequence whose every entry passes
-    :func:`check_int`, entry ``i`` named ``name[i]``."""
-    if not isinstance(values, Sequence):
-        raise ValueError(f"{name} must be a list of integers, got {values!r}")
-    return [check_int(f"{name}[{i}]", value, lo, hi) for i, value in enumerate(values)]
 
 
 def overlaps(
@@ -161,10 +142,8 @@ def generate_task_set(
     one outside the verifier's domain raises :class:`VerifierDomainError`.
     """
     gen = lookup(task_id)
-    check_int("train_count", train_count)
-    check_int("test_count", test_count)
-    if train_count < 1 or test_count < 1:
-        raise ValueError("train_count and test_count must be positive")
+    check_int("train_count", train_count, 1)
+    check_int("test_count", test_count, 1)
     task_set, domain_error = _generate(gen, {}, train_count, test_count, master_seed)
     if domain_error is not None:
         raise domain_error
@@ -199,8 +178,7 @@ def apply_variation(
     gen = lookup(task_id)
     unknown = sorted(set(overrides) - set(gen.params))
     if unknown:
-        raise ValueError(f"task {task_id}: unknown parameters {unknown}")
-    if check_int("count", count) < 1:
-        raise ValueError("count must be positive")
+        raise ValueError(f"task {task_id}: unknown parameters {shown(unknown)}")
+    check_int("count", count, 1)
     task_set, domain_error = _generate(gen, overrides, count, 1, master_seed)
     return VariationResult(task_set=task_set, verifier_checked=domain_error is None)

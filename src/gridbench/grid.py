@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
+from .errors import check_int
+
 MAX_SIDE = 30
 
 # Canonical palette: name -> color code, as used by ARC task files.
@@ -34,12 +36,6 @@ BLACK, BLUE, RED, GREEN, YELLOW, GREY, PINK, ORANGE, CYAN, MAROON = range(10)
 _ROW_TYPES = frozenset((list, tuple))
 _CELL_TYPES = frozenset((int,))
 _COLORS = frozenset(range(10))
-
-
-def _check_color(value: object) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 9:
-        raise ValueError(f"{value!r} is not a color code in [0, 9]")
-    return value
 
 
 def _check_cells(rows, width: int) -> None:
@@ -153,9 +149,9 @@ def grids(height: int, width: int, fill: int) -> tuple[Grid, Grid]:
     The pair shares no storage: mutating one never affects the other.
     The shape and ``fill`` are checked here, before the rows are built.
     """
-    if not 1 <= height <= MAX_SIDE or not 1 <= width <= MAX_SIDE:
-        raise ValueError(f"grid dimensions {height}x{width} outside [1, {MAX_SIDE}]")
-    _check_color(fill)
+    check_int("height", height, 1, MAX_SIDE)
+    check_int("width", width, 1, MAX_SIDE)
+    check_int("fill", fill, 0, 9)
     return (
         Grid._of([[fill] * width for _ in range(height)]),
         Grid._of([[fill] * width for _ in range(height)]),

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import FormatError
-from .framework import check_int, generate_task_set, lookup
+from .errors import FormatError, check_int
+from .framework import generate_task_set, lookup
 from .grid import MAX_SIDE, Example, Grid, TaskSet
 
 # The canonical layout around the grids; a grid's text is its rows
@@ -265,8 +265,7 @@ def emit_dataset(task_list, per_task_train: int, master_seed: int, out_dir) -> d
     directory contents. Returns the manifest, which is also written as
     ``manifest.json``.
     """
-    if check_int("per_task_train", per_task_train) < 1:
-        raise ValueError("per_task_train must be positive")
+    check_int("per_task_train", per_task_train, 1)
     return save_dataset(
         out_dir,
         master_seed,
@@ -383,29 +382,26 @@ def format_report(report: EvalReport, skip_reason: str = "no program") -> str:
     return "\n".join(lines)
 
 
-def _bundled_golden(task_id: str) -> TaskSet | None:
-    resource = resources.files("gridbench").joinpath(f"golden/{task_id}.json")
+def golden_check(task_id: str, golden_dir=None) -> bool | None:
+    """Check a task against its golden file ``<task_id>.json`` in ``golden_dir``,
+    or in the ``golden`` directory bundled with the package when it is None.
+
+    For a task with a built-in fixture the fixture's output is compared
+    cell for cell against it. A task without a fixture is judged like a
+    program in ``evaluate``: its verifier runs over every golden example,
+    and an example fails when the verifier raises or gives another grid.
+    Returns None when the file does not exist; a ``golden_dir`` that is
+    not a directory raises ``NotADirectoryError``.
+    """
+    directory = resources.files("gridbench") / "golden" if golden_dir is None else Path(golden_dir)
+    if not directory.is_dir():  # reported before an unknown task id
+        raise NotADirectoryError(f"{directory} is not a directory")
+    gen = lookup(task_id)
+    resource = directory.joinpath(f"{task_id}.json")
     if not resource.is_file():
         return None
     with resources.as_file(resource) as path:
-        return load_task_file(path)
-
-
-def golden_check(task_id: str, golden_path=None) -> bool | None:
-    """Check a task against golden example data.
-
-    The golden task set is read from ``golden_path`` when one is given,
-    otherwise from the snapshot bundled with the package. For a task
-    with a built-in fixture the fixture's output is compared cell for
-    cell against it. A task without a fixture is judged like a program
-    in ``evaluate``: its verifier runs over every golden example, and an
-    example fails when the verifier raises or gives another grid.
-    Returns None when there is no golden data to check against.
-    """
-    gen = lookup(task_id)
-    golden = _bundled_golden(task_id) if golden_path is None else load_task_file(golden_path)
-    if golden is None:
-        return None
+        golden = load_task_file(path)
     if gen.validate is not None:
         return gen.validate() == golden
     passed, total = _judge(gen.verifier, golden)

@@ -27,6 +27,8 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 
+from .errors import check_int
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64 increment
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -126,20 +128,11 @@ class RngStream:
 
 def new_stream(master_seed: int, task_id: str, example_index: int) -> RngStream:
     """Stream whose output sequence is a pure function of the three keys."""
-    # bool is an int subclass; True would silently key the stream as 1.
-    if (
-        isinstance(master_seed, bool)
-        or not isinstance(master_seed, int)
-        or not 0 <= master_seed <= _MASK64
-    ):
-        raise ValueError("master_seed must be an unsigned 64-bit integer")
+    check_int("master_seed", master_seed, 0, _MASK64)
     if not isinstance(task_id, str) or not task_id:
         raise ValueError("task_id must be a non-empty string")
-    if isinstance(example_index, bool) or not isinstance(example_index, int) or example_index < 0:
-        raise ValueError("example_index must be a non-negative integer")
     # Indexes are keyed as 64-bit words; a wider one would alias a smaller one.
-    if example_index > _MASK64:
-        raise ValueError("example_index must be at most 2**64 - 1")
+    check_int("example_index", example_index, 0, _MASK64)
     state = _scramble((master_seed + _GOLDEN) & _MASK64)
     state = _scramble(state ^ _fnv1a(task_id))
     state = _scramble(state ^ example_index)

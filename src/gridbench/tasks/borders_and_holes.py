@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import re
 
-from ..errors import GenerationError, VerifierDomainError
-from ..framework import MAX_ATTEMPTS, check_int, check_ints, overlaps
+from ..errors import GenerationError, VerifierDomainError, check_int, check_ints
+from ..framework import MAX_ATTEMPTS, overlaps
 from ..grid import CYAN, GREEN, MAX_SIDE, PINK, YELLOW, Example, Grid, TaskSet, grids
 
 TASK_ID = "543a7ed5"

@@ -6,8 +6,8 @@ against the bottom edge, keeping their top-to-bottom order per column.
 
 from __future__ import annotations
 
-from ..errors import GenerationError
-from ..framework import MAX_ATTEMPTS, check_int
+from ..errors import GenerationError, check_int
+from ..framework import MAX_ATTEMPTS
 from ..grid import Example, Grid
 
 TASK_ID = "1e0a9b12"

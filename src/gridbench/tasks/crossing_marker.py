@@ -7,8 +7,7 @@ yellow while the crossing itself keeps its color.
 
 from __future__ import annotations
 
-from ..errors import VerifierDomainError
-from ..framework import check_int
+from ..errors import VerifierDomainError, check_int
 from ..grid import YELLOW, Example, Grid
 
 TASK_ID = "67a423a3"

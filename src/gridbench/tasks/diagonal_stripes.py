@@ -8,7 +8,7 @@ complete pattern.
 
 from __future__ import annotations
 
-from ..framework import check_int, check_ints
+from ..errors import check_int, check_ints
 from ..grid import Example, Grid
 
 TASK_ID = "05269061"

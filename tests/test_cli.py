@@ -46,7 +46,7 @@ def test_generate_unknown_task_fails_cleanly(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--seed", "-1"], "master_seed must be an unsigned 64-bit integer"),
+        (["--seed", "-1"], "master_seed -1 outside [0, 18446744073709551615]"),
         (["--task", "nope"], "unknown task 'nope'"),
     ],
 )
@@ -60,8 +60,10 @@ def test_generate_failing_before_its_first_file_leaves_no_directory(tmp_path, ca
 
 
 def test_generate_rejects_non_positive_count(tmp_path, capsys):
-    assert run(["generate", "--count", "0", "--out", str(tmp_path / "d")]) == 1
-    assert "positive" in capsys.readouterr().err
+    out = tmp_path / "d"
+    assert run(["generate", "--count", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: per_task_train 0 outside [1, inf]\n"
+    assert not out.exists()
 
 
 def test_generate_variation_override(tmp_path):
@@ -165,6 +167,22 @@ def test_generate_rejects_mistyped_layout_overrides(tmp_path, capsys, override, 
             ["size=" + "9" * 5000],
             f"cannot parse override value {'9' * 20!r}... (5000 characters)",
         ),
+        # Long user input is quoted by its start and length.
+        (
+            "1e0a9b12",
+            ["s" * 3000],
+            f"override {'s' * 20!r}... (3000 characters) is not of the form key=value",
+        ),
+        (
+            "1e0a9b12",
+            ["s" * 3000 + "=1"],
+            f"task 1e0a9b12: unknown parameters ['{'s' * 18}... (3004 characters)",
+        ),
+        (
+            "1e0a9b12",
+            ["size=" + ",".join(["1"] * 2000)],
+            "size must be an integer, got [1, 1, 1, 1, 1, 1, 1... (6000 characters)",
+        ),
     ],
 )
 def test_generate_rejects_mistyped_overrides(tmp_path, capsys, task, overrides, message):
@@ -242,15 +260,14 @@ def test_validate_fixtureless_verifier_that_raises_fails_its_task(tmp_path, caps
 
     fake = framework.TaskGenerator("ffffffff", generate=None, verifier=verifier)
     monkeypatch.setitem(framework._REGISTRY, "ffffffff", fake)
-    path = tmp_path / "ffffffff.json"
     save_task_file(
-        path,
+        tmp_path / "ffffffff.json",
         TaskSet(
             train=[Example(input=Grid([[1], [2]]), output=Grid([[1], [2]]))],
             test=[Example(input=Grid([[3]]), output=Grid([[3]]))],
         ),
     )
-    assert golden_check("ffffffff", path) is False
+    assert golden_check("ffffffff", tmp_path) is False
     assert run(["validate", "--golden-dir", str(tmp_path)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "Testing task ffffffff ... FAIL" in lines
@@ -266,6 +283,9 @@ def test_validate_golden_dir_that_is_not_a_directory_fails(tmp_path, capsys, mak
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path} is not a directory\n"
+    # A bad directory is reported before an unknown task id.
+    assert run(["validate", "--task", "nope", "--golden-dir", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path} is not a directory\n"
 
 
 def test_evaluate_freshly_emitted_dataset(tmp_path, capsys):
@@ -380,7 +400,7 @@ def test_render_rejects_an_index_past_64_bits(capsys):
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: example_index must be at most 2**64 - 1\n"
+    assert captured.err == "error: example_index 18446744073709551621 outside [0, 18446744073709551615]\n"
 
 
 def test_render_needs_source(capsys):

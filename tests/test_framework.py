@@ -103,9 +103,9 @@ def test_duplicate_registration_rejected():
 
 
 def test_generate_task_set_validates_counts():
-    with pytest.raises(ValueError, match="must be positive"):
+    with pytest.raises(ValueError, match=r"^train_count 0 outside \[1, inf\]$"):
         generate_task_set("543a7ed5", 0, 1, master_seed=0)
-    with pytest.raises(ValueError, match="must be positive"):
+    with pytest.raises(ValueError, match=r"^test_count 0 outside \[1, inf\]$"):
         generate_task_set("543a7ed5", 1, 0, master_seed=0)
     for count in (True, 2.5):
         with pytest.raises(ValueError, match=f"^train_count must be an integer, got {count}$"):
@@ -170,7 +170,7 @@ def test_variation_recolored_boxes_flagged_out_of_domain():
 def test_variation_unknown_parameter():
     with pytest.raises(ValueError):
         apply_variation("543a7ed5", {"bogus": 1}, 1, master_seed=0)
-    with pytest.raises(ValueError, match="^count must be positive$"):
+    with pytest.raises(ValueError, match=r"^count 0 outside \[1, inf\]$"):
         apply_variation("1e0a9b12", {}, 0, master_seed=5)
     for count in (True, 2.5):
         with pytest.raises(ValueError, match=f"^count must be an integer, got {count}$"):

@@ -30,7 +30,7 @@ def test_grids_are_independent():
     assert a != b
 
 
-@pytest.mark.parametrize("height,width", [(0, 5), (5, 0), (31, 5), (5, 31), (-1, 5)])
+@pytest.mark.parametrize("height,width", [(0, 5), (5, 0), (31, 5), (5, 31), (-1, 5), (2.5, 3)])
 def test_grids_rejects_bad_dimensions(height, width):
     with pytest.raises(ValueError):
         grids(height, width, 0)

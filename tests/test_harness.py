@@ -128,7 +128,7 @@ def test_emit_dataset_is_byte_deterministic(tmp_path):
 def test_emit_dataset_rejects_zero_train(tmp_path):
     out = tmp_path / "d"
     for count, message in [
-        (0, "per_task_train must be positive"),
+        (0, "per_task_train 0 outside [1, inf]"),
         (True, "per_task_train must be an integer, got True"),
         (2.5, "per_task_train must be an integer, got 2.5"),
     ]:
@@ -305,22 +305,24 @@ def test_golden_check_detects_one_flipped_cell(tmp_path):
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["train"][0]["output"][7][7] = (payload["train"][0]["output"][7][7] + 1) % 10
     path.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
-    assert golden_check("543a7ed5", path) is False
+    assert golden_check("543a7ed5", tmp_path) is False
 
 
-def test_golden_check_not_applicable_without_data():
+def test_golden_check_not_applicable_without_data(tmp_path):
     assert golden_check("1e0a9b12") is None
+    with pytest.raises(NotADirectoryError):
+        golden_check("1e0a9b12", tmp_path / "missing")
 
 
 def test_golden_check_runs_verifier_for_fixtureless_tasks(tmp_path):
     path = tmp_path / "1e0a9b12.json"
     ts = generate_task_set("1e0a9b12", 3, 1, master_seed=3)
     save_task_file(path, ts)
-    assert golden_check("1e0a9b12", path) is True
+    assert golden_check("1e0a9b12", tmp_path) is True
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["test"][0]["output"][0][0] = (payload["test"][0]["output"][0][0] + 1) % 10
     path.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
-    assert golden_check("1e0a9b12", path) is False
+    assert golden_check("1e0a9b12", tmp_path) is False
 
 
 def test_reduced_generator_is_caught_by_golden_comparison():

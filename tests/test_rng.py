@@ -55,13 +55,13 @@ def test_new_stream_argument_validation():
     with pytest.raises(ValueError):
         new_stream(2**64, "x", 0)
     # bool is an int subclass but not a seed or an index: True is not 1.
-    with pytest.raises(ValueError, match="^master_seed must be an unsigned 64-bit integer$"):
+    with pytest.raises(ValueError, match="^master_seed must be an integer, got True$"):
         new_stream(True, "x", 0)
-    with pytest.raises(ValueError, match="^example_index must be a non-negative integer$"):
+    with pytest.raises(ValueError, match="^example_index must be an integer, got False$"):
         new_stream(1, "x", False)
     # Keyed by its low 64 bits, index 2**64 + 5 would repeat index 5.
     new_stream(1, "x", 2**64 - 1)
-    with pytest.raises(ValueError, match=r"^example_index must be at most 2\*\*64 - 1$"):
+    with pytest.raises(ValueError, match=r"^example_index 18446744073709551621 outside \[0, 18446744073709551615\]$"):
         new_stream(1, "x", 2**64 + 5)
 
 

@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import GridBenchError, shown
+from .errors import GridBenchError, check_int, shown
 from .framework import apply_variation, lookup, task_ids
 from .grid import PALETTE, render_text
 from .harness import (
@@ -51,8 +51,7 @@ def _cmd_generate(args) -> int:
     out_dir = Path(args.out)
     if args.set:
         if args.task is None:
-            print("error: --set requires --task", file=sys.stderr)
-            return 2
+            raise argparse.ArgumentError(None, "--set requires --task")
         overrides = dict(_parse_override(item) for item in args.set)
         result = apply_variation(args.task, overrides, args.count, args.seed)
         if not result.verifier_checked:
@@ -98,24 +97,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    if args.file:
+    if args.file is not None:
         task_set = load_task_file(args.file)
         pool = task_set.train if args.split == "train" else task_set.test
-        if not 0 <= args.index < len(pool):
-            print(
-                f"error: {args.file}: {args.split} has {len(pool)} examples, "
-                f"index {args.index} is out of range",
-                file=sys.stderr,
-            )
-            return 1
-        example = pool[args.index]
-    elif args.task:
+        example = pool[check_int(f"{args.file}: {args.split} index", args.index, 0, len(pool) - 1)]
+    else:
         gen = lookup(args.task)
         rng = new_stream(args.seed, args.task, args.index)
         example = gen.generate(rng=rng)
-    else:
-        print("error: render needs --task or --file", file=sys.stderr)
-        return 2
     print("input:")
     print(render_text(example.input), end="")
     print("output:")
@@ -129,8 +118,13 @@ def _cmd_list(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # raise a usage error for run() to print
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridbench",
         description="Generate, validate and evaluate ARC-style grid task datasets.",
     )
@@ -160,8 +154,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=_cmd_evaluate)
 
     ren = sub.add_parser("render", help="print one example as digit rows")
-    ren.add_argument("--task", help="task id to generate from")
-    ren.add_argument("--file", help="task file to read instead of generating")
+    source = ren.add_mutually_exclusive_group(required=True)
+    source.add_argument("--task", help="task id to generate from")
+    source.add_argument("--file", help="task file to read instead of generating")
     ren.add_argument("--index", type=int, default=0, help="example index")
     ren.add_argument("--split", choices=("train", "test"), default="train")
     ren.add_argument("--seed", type=int, default=0, help="master seed (with --task)")
@@ -173,9 +168,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except argparse.ArgumentError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except (GridBenchError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

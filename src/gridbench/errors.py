@@ -27,10 +27,14 @@ class FormatError(GridBenchError, ValueError):
 def shown(value) -> str:
     """``repr(value)``, or for a value longer than 40 characters (a string by
     its own length) its first 20 characters and its length, which keeps an
-    error line that quotes user input short."""
-    text = value if isinstance(value, str) else repr(value)
+    error line that quotes user input short. Past ``repr``'s digit limit
+    an integer is shown in hex and a container by its type name."""
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except ValueError:
+        text = hex(value) if isinstance(value, int) else f"<{type(value).__name__}>"
     if len(text) <= 40:
-        return repr(value)
+        return repr(text) if isinstance(value, str) else text
     head = repr(text[:20]) if isinstance(value, str) else text[:20]
     return f"{head}... ({len(text)} characters)"
 

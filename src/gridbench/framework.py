@@ -137,13 +137,14 @@ def generate_task_set(
     """Deterministic task set with one stream per example.
 
     Train examples use example indexes 0..train_count-1 and the test
-    examples continue the range, so any example can be regenerated in
-    isolation. Every example is checked against the task's verifier, and
-    one outside the verifier's domain raises :class:`VerifierDomainError`.
+    examples continue the range, up to at most 2**64 - 1 (the largest
+    stream key), so any example can be regenerated in isolation. Every
+    example is checked against the task's verifier, and one outside the
+    verifier's domain raises :class:`VerifierDomainError`.
     """
     gen = lookup(task_id)
-    check_int("train_count", train_count, 1)
-    check_int("test_count", test_count, 1)
+    check_int("train_count", train_count, 1, 2**64 - 1)
+    check_int("test_count", test_count, 1, 2**64 - train_count)
     task_set, domain_error = _generate(gen, {}, train_count, test_count, master_seed)
     if domain_error is not None:
         raise domain_error
@@ -179,6 +180,6 @@ def apply_variation(
     unknown = sorted(set(overrides) - set(gen.params))
     if unknown:
         raise ValueError(f"task {task_id}: unknown parameters {shown(unknown)}")
-    check_int("count", count, 1)
+    check_int("count", count, 1, 2**64 - 1)
     task_set, domain_error = _generate(gen, overrides, count, 1, master_seed)
     return VariationResult(task_set=task_set, verifier_checked=domain_error is None)

@@ -265,7 +265,7 @@ def emit_dataset(task_list, per_task_train: int, master_seed: int, out_dir) -> d
     directory contents. Returns the manifest, which is also written as
     ``manifest.json``.
     """
-    check_int("per_task_train", per_task_train, 1)
+    check_int("per_task_train", per_task_train, 1, 2**64 - 1)
     return save_dataset(
         out_dir,
         master_seed,

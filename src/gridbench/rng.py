@@ -93,9 +93,7 @@ class RngStream:
         128-bit lane per word; each lane is masked back to 64 bits
         before every multiply, so no product carries into the next lane.
         """
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        ones, ramp, lanes = _lane_constants(n)
+        ones, ramp, lanes = _lane_constants(check_int("n", n, 0))
         z = (self.state * ones + ramp) & lanes
         z = ((z ^ (z >> 30)) & lanes) * _MIX1 & lanes
         z = ((z ^ (z >> 27)) & lanes) * _MIX2 & lanes
@@ -108,9 +106,7 @@ class RngStream:
 
     def skip(self, n: int) -> None:
         """Advance the stream by ``n`` words, as ``n`` draws would."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        self.state = (self.state + n * _GOLDEN) & _MASK64
+        self.state = (self.state + check_int("n", n, 0) * _GOLDEN) & _MASK64
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""

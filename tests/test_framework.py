@@ -103,10 +103,22 @@ def test_duplicate_registration_rejected():
 
 
 def test_generate_task_set_validates_counts():
-    with pytest.raises(ValueError, match=r"^train_count 0 outside \[1, inf\]$"):
+    with pytest.raises(ValueError, match=r"^train_count 0 outside \[1, 18446744073709551615\]$"):
         generate_task_set("543a7ed5", 0, 1, master_seed=0)
-    with pytest.raises(ValueError, match=r"^test_count 0 outside \[1, inf\]$"):
+    with pytest.raises(ValueError, match=r"^test_count 0 outside \[1, 18446744073709551615\]$"):
         generate_task_set("543a7ed5", 1, 0, master_seed=0)
+    # Every example index, train and test, must fit a 64-bit stream key.
+    with pytest.raises(ValueError, match=r"^test_count 2 outside \[1, 1\]$"):
+        generate_task_set("1e0a9b12", 2**64 - 1, 2, master_seed=0)
+    with pytest.raises(ValueError) as info:
+        generate_task_set("1e0a9b12", 10**5000, 1, master_seed=0)
+    message = str(info.value)
+    assert message.startswith("train_count ")
+    assert message.endswith("outside [1, 18446744073709551615]")
+    assert len(message) < 200
+    # A list holding such an integer has no repr, so it is named by its type.
+    with pytest.raises(ValueError, match="^train_count must be an integer, got <list>$"):
+        generate_task_set("1e0a9b12", [10**5000], 1, master_seed=0)
     for count in (True, 2.5):
         with pytest.raises(ValueError, match=f"^train_count must be an integer, got {count}$"):
             generate_task_set("1e0a9b12", count, 1, master_seed=5)
@@ -170,8 +182,10 @@ def test_variation_recolored_boxes_flagged_out_of_domain():
 def test_variation_unknown_parameter():
     with pytest.raises(ValueError):
         apply_variation("543a7ed5", {"bogus": 1}, 1, master_seed=0)
-    with pytest.raises(ValueError, match=r"^count 0 outside \[1, inf\]$"):
+    with pytest.raises(ValueError, match=r"^count 0 outside \[1, 18446744073709551615\]$"):
         apply_variation("1e0a9b12", {}, 0, master_seed=5)
+    with pytest.raises(ValueError, match=r"^count 18446744073709551616 outside \[1, 18446744073709551615\]$"):
+        apply_variation("1e0a9b12", {}, 2**64, master_seed=5)
     for count in (True, 2.5):
         with pytest.raises(ValueError, match=f"^count must be an integer, got {count}$"):
             apply_variation("1e0a9b12", {}, count, master_seed=5)

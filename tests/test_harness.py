@@ -128,7 +128,8 @@ def test_emit_dataset_is_byte_deterministic(tmp_path):
 def test_emit_dataset_rejects_zero_train(tmp_path):
     out = tmp_path / "d"
     for count, message in [
-        (0, "per_task_train 0 outside [1, inf]"),
+        (0, "per_task_train 0 outside [1, 18446744073709551615]"),
+        (2**64, "per_task_train 18446744073709551616 outside [1, 18446744073709551615]"),
         (True, "per_task_train must be an integer, got True"),
         (2.5, "per_task_train must be an integer, got 2.5"),
     ]:

@@ -63,6 +63,13 @@ def test_new_stream_argument_validation():
     new_stream(1, "x", 2**64 - 1)
     with pytest.raises(ValueError, match=r"^example_index 18446744073709551621 outside \[0, 18446744073709551615\]$"):
         new_stream(1, "x", 2**64 + 5)
+    # Past Python's integer-to-text digit limit the seed is shown shortened.
+    with pytest.raises(ValueError) as info:
+        new_stream(10**5000, "x", 0)
+    message = str(info.value)
+    assert message.startswith("master_seed ")
+    assert message.endswith("outside [0, 18446744073709551615]")
+    assert len(message) < 200
 
 
 def test_binary_frequency_within_3_sigma():
@@ -140,3 +147,9 @@ def test_peek_and_skip_reject_negative_counts():
         s.peek(-1)
     with pytest.raises(ValueError):
         s.skip(-1)
+    # A fraction is not a count, and True is not one word.
+    for n in (2.5, True):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n}$"):
+            s.peek(n)
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n}$"):
+            s.skip(n)

@@ -17,8 +17,6 @@ from .grid import (
     Example,
     Grid,
     TaskSet,
-    grids,
-    parse_text,
     render_text,
 )
 from .rng import RngStream, new_stream
@@ -29,7 +27,6 @@ from .framework import (
     apply_variation,
     generate_task_set,
     lookup,
-    overlaps,
     register,
     task_ids,
 )
@@ -69,12 +66,9 @@ __all__ = [
     "format_report",
     "generate_task_set",
     "golden_check",
-    "grids",
     "load_task_file",
     "lookup",
     "new_stream",
-    "overlaps",
-    "parse_text",
     "register",
     "render_text",
     "save_task_file",

@@ -1,4 +1,4 @@
-"""The task contract: generators, verifiers, geometry helpers, registry.
+"""The task contract: generators, verifiers, registry.
 
 A task couples a parameterized example generator with a reference
 verifier implementing the same transformation. Generators accept their
@@ -22,38 +22,6 @@ from .rng import new_stream
 # turns a pathological parameter combination into a diagnosable error
 # instead of a hang.
 MAX_ATTEMPTS = 10_000
-
-
-def overlaps(
-    rows: list[int],
-    cols: list[int],
-    widths: list[int],
-    heights: list[int],
-    spacing: int,
-) -> bool:
-    """True iff some pair of boxes comes closer than ``spacing`` on both axes.
-
-    Boxes are given as parallel lists of top-left coordinates and
-    extents. The distance between two boxes on one axis is the gap
-    between their nearest edges, zero when the intervals intersect; a
-    pair conflicts only when both its row gap and its column gap are
-    below ``spacing``.
-    """
-    n = len(rows)
-    if not (len(cols) == len(widths) == len(heights) == n):
-        raise ValueError("rows, cols, widths and heights must have equal lengths")
-    if spacing < 0:
-        raise ValueError("spacing must be non-negative")
-    for i in range(n):
-        if widths[i] < 1 or heights[i] < 1:
-            raise ValueError(f"box {i} has empty extent")
-    for i in range(n):
-        for j in range(i + 1, n):
-            row_gap = max(rows[i], rows[j]) - min(rows[i] + heights[i], rows[j] + heights[j])
-            col_gap = max(cols[i], cols[j]) - min(cols[i] + widths[i], cols[j] + widths[j])
-            if max(row_gap, 0) < spacing and max(col_gap, 0) < spacing:
-                return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -101,7 +69,7 @@ def lookup(task_id: str) -> TaskGenerator:
     try:
         return _REGISTRY[task_id]
     except KeyError:
-        raise KeyError(f"unknown task {task_id!r}") from None
+        raise KeyError(f"unknown task {shown(task_id)}") from None
 
 
 def task_ids() -> list[str]:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import check_int
-
 MAX_SIDE = 30
 
 # Canonical palette: name -> color code, as used by ARC task files.
@@ -69,9 +67,9 @@ class Grid:
     ``load_task_file`` (which calls it, except on a file whose canonical
     layout already proves every cell a digit and every grid
     rectangular) and a judge program's result that is not a ``Grid``
-    (which ``evaluate`` passes to it). ``copy()``, :func:`grids` and the
-    bundled generators and verifiers build from cells that were already
-    checked, so they wrap fresh row lists without checking them again.
+    (which ``evaluate`` passes to it). ``copy()`` and the bundled
+    generators and verifiers build from cells that were already checked,
+    so they wrap fresh row lists without checking them again.
     """
 
     __slots__ = ("_rows",)
@@ -143,35 +141,9 @@ class Grid:
         return [list(row) for row in self._rows]
 
 
-def grids(height: int, width: int, fill: int) -> tuple[Grid, Grid]:
-    """Two independent grids of one shape, every cell set to ``fill``.
-
-    The pair shares no storage: mutating one never affects the other.
-    The shape and ``fill`` are checked here, before the rows are built.
-    """
-    check_int("height", height, 1, MAX_SIDE)
-    check_int("width", width, 1, MAX_SIDE)
-    check_int("fill", fill, 0, 9)
-    return (
-        Grid._of([[fill] * width for _ in range(height)]),
-        Grid._of([[fill] * width for _ in range(height)]),
-    )
-
-
 def render_text(g: Grid) -> str:
     """One line of concatenated digits per row, newline-terminated."""
     return "".join("".join(str(v) for v in row) + "\n" for row in g)
-
-
-def parse_text(text: str) -> Grid:
-    """Inverse of :func:`render_text`."""
-    lines = text.splitlines()
-    rows = []
-    for line in lines:
-        if not line.isdigit():
-            raise ValueError(f"line {line!r} is not a run of digits")
-        rows.append([int(ch) for ch in line])
-    return Grid(rows)
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,13 @@ from __future__ import annotations
 import re
 
 from ..errors import GenerationError, VerifierDomainError, check_int, check_ints
-from ..framework import MAX_ATTEMPTS, overlaps
-from ..grid import CYAN, GREEN, MAX_SIDE, PINK, YELLOW, Example, Grid, TaskSet, grids
+from ..framework import MAX_ATTEMPTS
+from ..grid import CYAN, GREEN, MAX_SIDE, PINK, YELLOW, Example, Grid, TaskSet
 
 TASK_ID = "543a7ed5"
 
 # Minimum clearance between rectangles; keeps each green ring clear of
-# the next rectangle's pink cells.
+# the next rectangle's pink cells (see _crowded).
 _SPACING = 2
 
 # Largest block of stream words the layout sampler peeks at once (unless
@@ -71,7 +71,8 @@ def generate(
     else:
         colors = _checked_layout(rows, cols, widths, heights, colors, boxes, size)
 
-    grid, out = grids(size, size, CYAN)
+    grid = [[CYAN] * size for _ in range(size)]
+    out = [[CYAN] * size for _ in range(size)]
     for i, (row, col, width, height, color) in enumerate(
         zip(rows, cols, widths, heights, colors)
     ):
@@ -84,7 +85,7 @@ def generate(
                     continue
                 grid[r][c] = color if is_box else CYAN
                 out[r][c] = color
-    return Example(input=grid, output=out)
+    return Example(input=Grid._of(grid), output=Grid._of(out))
 
 
 def _sample_layout(boxes, size, box_colors, rng):
@@ -165,9 +166,8 @@ def _sample_layout(boxes, size, box_colors, rng):
 def _place_boxes(row_words, col_words, widths, heights, size):
     """Rows and cols drawn from the words, or None at the first conflict.
 
-    Gives the same accept/reject as ``overlaps(..., _SPACING)``, since any
-    conflicting pair rejects: a pair conflicts iff the two boxes, each
-    grown by ``_SPACING`` cells down and right, intersect.
+    Applies the rule of :func:`_crowded` box by box, so that a conflict
+    rejects before the later boxes are placed.
     """
     rows, cols, placed = [], [], []
     for x, y, width, height in zip(row_words, col_words, widths, heights):
@@ -181,6 +181,17 @@ def _place_boxes(row_words, col_words, widths, heights, size):
         rows.append(row)
         cols.append(col)
     return rows, cols
+
+
+def _crowded(boxes) -> bool:
+    """True iff two of the ``(row, col, height, width)`` boxes conflict:
+    each grown by ``_SPACING`` cells down and right, the two intersect."""
+    grown = [(r, c, r + h + _SPACING, c + w + _SPACING) for r, c, h, w in boxes]
+    return any(
+        r0 < r3 and r2 < r1 and c0 < c3 and c2 < c1
+        for i, (r0, c0, r1, c1) in enumerate(grown)
+        for r2, c2, r3, c3 in grown[i + 1 :]
+    )
 
 
 def _checked_layout(rows, cols, widths, heights, colors, boxes, size):
@@ -202,10 +213,11 @@ def _checked_layout(rows, cols, widths, heights, colors, boxes, size):
             or cols[i] + widths[i] > size - 1
         ):
             raise ValueError(f"box {i} leaves no ring margin on a {size}x{size} grid")
-    if overlaps(rows[:boxes], cols[:boxes], widths[:boxes], heights[:boxes], _SPACING):
+    if _crowded(zip(rows[:boxes], cols[:boxes], heights, widths)):
         raise ValueError(f"boxes come closer than spacing {_SPACING}")
-    # Holes sit strictly inside a rectangle, one cell clear of its edge.
-    hole_area = 0
+    # Holes sit strictly inside a rectangle, one cell clear of its edge;
+    # overlapping holes count their shared cells once.
+    hole_cells = set()
     for i in range(boxes, n):
         inside = any(
             rows[j] + 1 <= rows[i]
@@ -216,9 +228,13 @@ def _checked_layout(rows, cols, widths, heights, colors, boxes, size):
         )
         if not inside:
             raise ValueError(f"hole {i} is not strictly inside any box")
-        hole_area += widths[i] * heights[i]
-    if hole_area < 2 * boxes:
-        raise ValueError(f"total hole area {hole_area} below the minimum {2 * boxes}")
+        hole_cells.update(
+            (r, c)
+            for r in range(rows[i], rows[i] + heights[i])
+            for c in range(cols[i], cols[i] + widths[i])
+        )
+    if len(hole_cells) < 2 * boxes:
+        raise ValueError(f"total hole area {len(hole_cells)} below the minimum {2 * boxes}")
     return colors
 
 
@@ -226,8 +242,8 @@ def verify(grid: Grid) -> Grid:
     """Reference transformation: ring each pink rectangle, shade its holes.
 
     Accepts cyan/pink grids whose pink cells form axis-aligned rectangles
-    (possibly hollowed) that keep one cell clear of the grid edge and two
-    cells clear of each other; anything else raises VerifierDomainError.
+    (possibly hollowed) that keep one cell clear of the grid edge and are
+    not :func:`_crowded`; anything else raises VerifierDomainError.
     """
     rows = list(grid)
     h, w = len(rows), len(rows[0])
@@ -236,13 +252,7 @@ def verify(grid: Grid) -> Grid:
             c, value = next((c, v) for c, v in enumerate(row) if v not in _CYAN_PINK)
             raise VerifierDomainError(f"cell ({r}, {c}) holds {value}, expected cyan or pink")
     bounds = _pink_components(grid)
-    if overlaps(
-        [b[0] for b in bounds],
-        [b[1] for b in bounds],
-        [b[3] - b[1] + 1 for b in bounds],
-        [b[2] - b[0] + 1 for b in bounds],
-        _SPACING,
-    ):
+    if _crowded((r0, c0, r1 - r0 + 1, c1 - c0 + 1) for r0, c0, r1, c1 in bounds):
         raise VerifierDomainError(f"pink rectangles come closer than spacing {_SPACING}")
     out = grid.copy()
     out_rows = list(out)

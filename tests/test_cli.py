@@ -175,6 +175,7 @@ def test_generate_rejects_mistyped_layout_overrides(tmp_path, capsys, override, 
             f"cannot parse override value {'9' * 20!r}... (5000 characters)",
         ),
         # Long user input is quoted by its start and length.
+        ("a" * 5000, [], f"unknown task {'a' * 20!r}... (5000 characters)"),
         (
             "1e0a9b12",
             ["s" * 3000],
@@ -413,19 +414,29 @@ def test_render_needs_source(capsys):
 
 
 # argparse words its own messages differently across Python versions, so
-# only gridbench's messages are pinned in full.
+# only gridbench's messages are pinned in full: among them the integer
+# flags' type errors, behind argparse's "argument <flag>: " prefix.
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["frobnicate"], None),
         (["list", "--bogus"], None),
-        (["generate", "--count", "abc"], None),
+        (["generate", "--count", "abc"], "argument --count: invalid int value: 'abc'"),
         (["evaluate"], None),
         (["generate", "--set", "size=20"], "--set requires --task"),
         (["render"], None),
         (["render", "--task", "1e0a9b12", "--file", "t.json"], None),
+        # Long user input is quoted by its start and length.
+        (
+            ["generate", "--count", "9" * 5000],
+            f"argument --count: invalid int value: {'9' * 20!r}... (5000 characters)",
+        ),
+        (
+            ["render", "--task", "1e0a9b12", "--index", "9" * 5000],
+            f"argument --index: invalid int value: {'9' * 20!r}... (5000 characters)",
+        ),
     ],
-    ids=["command", "flag", "count", "examples", "set", "render", "render-both"],
+    ids=["command", "flag", "count", "examples", "set", "render", "render-both", "long-count", "long-index"],
 )
 def test_usage_error_is_one_error_line_and_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

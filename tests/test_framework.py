@@ -1,4 +1,4 @@
-"""Registry, geometry helpers, and task-set generation."""
+"""Registry and task-set generation."""
 
 import pytest
 
@@ -7,68 +7,17 @@ from gridbench import (
     GenerationError,
     Grid,
     TaskGenerator,
+    VerificationError,
     VerifierDomainError,
     apply_variation,
     generate_task_set,
     lookup,
-    overlaps,
     register,
     task_ids,
 )
 from gridbench.framework import _REGISTRY
 from gridbench.rng import new_stream
 from gridbench.tasks.borders_and_holes import _pink_components
-
-
-def test_overlaps_identical_boxes():
-    assert overlaps([2, 2], [3, 3], [4, 4], [3, 3], 1) is True
-    assert overlaps([2, 2], [3, 3], [4, 4], [3, 3], 2) is True
-
-
-def test_overlaps_golden_layout_is_clear():
-    # First golden layout: every pair is at least 2 apart on one axis.
-    assert overlaps([2, 4, 10], [8, 3, 5], [4, 2, 4], [5, 2, 4], 2) is False
-
-
-def test_overlaps_exact_gap_is_not_a_conflict():
-    # Column gap is exactly 2, so spacing 2 passes and spacing 3 fails.
-    assert overlaps([1, 3], [8, 2], [3, 4], [3, 4], 2) is False
-    assert overlaps([1, 3], [8, 2], [3, 4], [3, 4], 3) is True
-
-
-def test_overlaps_validates_arguments():
-    with pytest.raises(ValueError):
-        overlaps([1, 2], [1], [2, 2], [2, 2], 2)
-    with pytest.raises(ValueError):
-        overlaps([1], [1], [0], [2], 2)
-    with pytest.raises(ValueError):
-        overlaps([1], [1], [2], [2], -1)
-
-
-def test_overlaps_symmetric_and_monotone():
-    rng = new_stream(31, "overlap-props", 0)
-    for _ in range(200):
-        n = rng.randint(2, 5)
-        rows = [rng.randint(0, 12) for _ in range(n)]
-        cols = [rng.randint(0, 12) for _ in range(n)]
-        widths = [rng.randint(1, 5) for _ in range(n)]
-        heights = [rng.randint(1, 5) for _ in range(n)]
-        order = list(range(n))
-        for i in range(n):  # shuffle
-            j = rng.randint(i, n - 1)
-            order[i], order[j] = order[j], order[i]
-        permuted = overlaps(
-            [rows[i] for i in order],
-            [cols[i] for i in order],
-            [widths[i] for i in order],
-            [heights[i] for i in order],
-            2,
-        )
-        assert permuted == overlaps(rows, cols, widths, heights, 2)
-        # Monotone: a conflict at spacing k stays a conflict at k + 1.
-        for spacing in range(1, 5):
-            if overlaps(rows, cols, widths, heights, spacing):
-                assert overlaps(rows, cols, widths, heights, spacing + 1)
 
 
 def test_registry_lists_bundled_tasks_sorted():
@@ -150,7 +99,8 @@ def test_variation_larger_grid_and_more_boxes():
 
 
 def test_verifier_domain_error_raises_or_marks_the_variation_unchecked():
-    # An example whose cell is even falls outside the fake verifier's domain.
+    # An example whose cell is even falls outside the fake verifier's domain;
+    # a second fake verifier accepts every input but returns another grid.
     def fake_generate(size=1, rng=None):
         cell = rng.randint(0, 9)
         return Example(input=Grid([[cell] * size]), output=Grid([[cell] * size]))
@@ -160,7 +110,11 @@ def test_verifier_domain_error_raises_or_marks_the_variation_unchecked():
             raise VerifierDomainError("even cell")
         return grid
 
+    def wrong_verify(grid):
+        return Grid([[*grid[0], 0]])
+
     register(TaskGenerator.from_callables("fffffffe", fake_generate, fake_verify))
+    register(TaskGenerator.from_callables("fffffffd", fake_generate, wrong_verify))
     try:
         with pytest.raises(VerifierDomainError, match="even cell"):
             generate_task_set("fffffffe", 20, 1, master_seed=1)
@@ -168,8 +122,13 @@ def test_verifier_domain_error_raises_or_marks_the_variation_unchecked():
         assert result.verifier_checked is False
         assert len(result.task_set.train) == 20 and len(result.task_set.test) == 1
         assert all(ex.input.width == 2 for ex in result.task_set.train)
+        mismatch = r"^task fffffffd: example 0 does not satisfy its verifier$"
+        with pytest.raises(VerificationError, match=mismatch):
+            generate_task_set("fffffffd", 20, 1, master_seed=1)
+        with pytest.raises(VerificationError, match=mismatch):
+            apply_variation("fffffffd", {"size": 2}, 20, master_seed=1)
     finally:
-        del _REGISTRY["fffffffe"]
+        del _REGISTRY["fffffffe"], _REGISTRY["fffffffd"]
 
 
 def test_variation_recolored_boxes_flagged_out_of_domain():

@@ -4,41 +4,9 @@ from enum import IntEnum
 
 import pytest
 
-from gridbench import PALETTE, Example, Grid, TaskSet, grids, parse_text, render_text
+from gridbench import PALETTE, Example, Grid, TaskSet, render_text
 from gridbench.grid import _check_cells
 from gridbench.rng import new_stream
-
-
-def test_grids_shape_and_fill():
-    a, b = grids(15, 15, 8)
-    assert a.height == a.width == 15
-    assert all(v == 8 for row in a for v in row)
-    assert a == b
-    assert a is not b
-
-
-def test_grids_minimal():
-    a, b = grids(1, 1, 0)
-    assert a.to_lists() == [[0]]
-    assert b.to_lists() == [[0]]
-
-
-def test_grids_are_independent():
-    a, b = grids(2, 3, 4)
-    a[0][0] = 1
-    assert b[0][0] == 4
-    assert a != b
-
-
-@pytest.mark.parametrize("height,width", [(0, 5), (5, 0), (31, 5), (5, 31), (-1, 5), (2.5, 3)])
-def test_grids_rejects_bad_dimensions(height, width):
-    with pytest.raises(ValueError):
-        grids(height, width, 0)
-
-
-def test_grids_rejects_bad_fill():
-    with pytest.raises(ValueError):
-        grids(3, 3, 10)
 
 
 def test_palette_maps_the_ten_color_names():
@@ -167,18 +135,14 @@ def test_render_text_rows():
     assert render_text(Grid([[0, 1], [2, 3]])) == "01\n23\n"
 
 
-def test_render_parse_round_trip():
-    # 1000 random grids through render -> parse must come back identical.
+def test_render_text_round_trip():
+    # 1000 random grids: each rendered line reads back as the grid's row.
     rng = new_stream(99, "round-trip", 0)
     for _ in range(1000):
         h, w = rng.randint(1, 30), rng.randint(1, 30)
         g = Grid([[rng.randint(0, 9) for _ in range(w)] for _ in range(h)])
-        assert parse_text(render_text(g)) == g
-
-
-def test_parse_text_rejects_junk():
-    with pytest.raises(ValueError):
-        parse_text("12\nx3\n")
+        lines = render_text(g).splitlines()
+        assert Grid([[int(ch) for ch in line] for line in lines]) == g
 
 
 def test_task_set_requires_examples():

@@ -21,7 +21,6 @@ from gridbench import (
     format_report,
     generate_task_set,
     golden_check,
-    grids,
     load_task_file,
     render_text,
     save_task_file,
@@ -330,7 +329,8 @@ def test_reduced_generator_is_caught_by_golden_comparison():
     # Negative control: a generator that only draws closed boxes (no hole
     # logic) cannot reproduce the golden pairs, no matter its parameters.
     def reduced_generate(rows, cols, widths, heights, size=15):
-        grid, out = grids(size, size, 8)
+        grid = Grid([[8] * size for _ in range(size)])
+        out = Grid([[8] * size for _ in range(size)])
         for row, col, width, height in zip(rows, cols, widths, heights):
             for r in range(row - 1, row + height + 1):
                 for c in range(col - 1, col + width + 1):

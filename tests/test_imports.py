@@ -1,10 +1,11 @@
-"""The runtime depends on the Python standard library only, and imports
-from a directory or a zip archive alike."""
+"""The runtime depends on the Python standard library only, imports from
+a directory or a zip archive alike, and exports exactly its public names."""
 
 import ast
 import os
 import subprocess
 import sys
+import types
 import zipfile
 from pathlib import Path
 
@@ -50,3 +51,15 @@ def test_package_imported_from_a_zip_archive_registers_every_task(tmp_path):
     source, *ids = result.stdout.split()
     assert source.startswith(str(archive))
     assert ids == gridbench.task_ids()
+
+
+def test_all_lists_exactly_the_public_names():
+    # A name deleted from the package must leave __all__ too, or
+    # ``from gridbench import *`` fails on the stale entry.
+    public = {
+        name
+        for name, value in vars(gridbench).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(gridbench.__all__) == len(set(gridbench.__all__))
+    assert set(gridbench.__all__) == public

@@ -1,19 +1,76 @@
-"""The 543a7ed5 layout sampler against a draw-by-draw reference.
+"""The 543a7ed5 layout sampler and spacing rule against plain references.
 
 The sampler reads its attempts from peeked blocks of stream words. The
 reference below is the plain rejection loop it replaces, one ``randint``
 per draw. Both must give the same layout, or the same error, and leave
 the stream in the same state, so that every word consumed is the same.
+The task words its spacing rule as grown boxes (``_crowded``); the
+reference words it as gaps between nearest edges.
 """
 
 import pytest
 
 from gridbench import GenerationError, new_stream
-from gridbench.framework import MAX_ATTEMPTS, overlaps
+from gridbench.framework import MAX_ATTEMPTS
 from gridbench.grid import PINK, YELLOW
-from gridbench.tasks.borders_and_holes import TASK_ID, _SPACING, _sample_layout
+from gridbench.tasks.borders_and_holes import TASK_ID, _SPACING, _crowded, _sample_layout
 
 SEED = 5
+
+
+def overlaps(rows, cols, widths, heights, spacing):
+    """True iff some pair of boxes comes closer than ``spacing`` on both axes.
+
+    The distance between two boxes on one axis is the gap between their
+    nearest edges, zero when the intervals intersect.
+    """
+    n = len(rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            row_gap = max(rows[i], rows[j]) - min(rows[i] + heights[i], rows[j] + heights[j])
+            col_gap = max(cols[i], cols[j]) - min(cols[i] + widths[i], cols[j] + widths[j])
+            if max(row_gap, 0) < spacing and max(col_gap, 0) < spacing:
+                return True
+    return False
+
+
+def test_crowded_matches_gap_reference():
+    rng = new_stream(31, "crowded", 0)
+    for _ in range(2000):
+        n = rng.randint(0, 5)
+        boxes = [
+            (rng.randint(0, 12), rng.randint(0, 12), rng.randint(1, 5), rng.randint(1, 5))
+            for _ in range(n)
+        ]
+        rows, cols, heights, widths = ([box[k] for box in boxes] for k in range(4))
+        expected = overlaps(rows, cols, widths, heights, _SPACING)
+        assert _crowded(boxes) == expected, boxes
+        assert _crowded(boxes[::-1]) == expected, boxes
+
+
+@pytest.mark.parametrize(
+    "boxes, crowded",
+    [
+        # Identical boxes conflict.
+        ([(2, 3, 3, 4), (2, 3, 3, 4)], True),
+        # The first golden layout: every pair is at least 2 apart on one axis.
+        ([(2, 8, 5, 4), (4, 3, 2, 2), (10, 5, 4, 4)], False),
+        # Columns 8-10 and 2-5 leave a gap of 2, which is clear; 1 is not.
+        ([(1, 8, 3, 3), (3, 2, 4, 4)], False),
+        ([(1, 7, 3, 3), (3, 2, 4, 4)], True),
+        # The same on the row axis, the lower box listed first.
+        ([(6, 1, 3, 3), (2, 2, 2, 2)], False),
+        ([(5, 1, 3, 3), (2, 2, 2, 2)], True),
+        # Gap 1 on one axis is clear when the other axis has gap 2.
+        ([(1, 1, 2, 2), (4, 5, 2, 2)], False),
+        ([(1, 1, 2, 2), (4, 4, 2, 2)], True),
+        ([(1, 1, 2, 2)], False),
+    ],
+)
+def test_crowded_at_the_exact_gap(boxes, crowded):
+    rows, cols, heights, widths = ([box[k] for box in boxes] for k in range(4))
+    assert overlaps(rows, cols, widths, heights, _SPACING) is crowded
+    assert _crowded(boxes) is crowded
 
 
 def reference_layout(boxes, size, rng):

@@ -1,8 +1,10 @@
 """Per-task generators and verifiers against hand-computed expectations."""
 
+import re
+
 import pytest
 
-from gridbench import Grid, VerifierDomainError, grids
+from gridbench import Grid, VerifierDomainError
 from gridbench.rng import new_stream
 from gridbench.tasks import borders_and_holes, column_gravity, crossing_marker, diagonal_stripes
 
@@ -15,7 +17,7 @@ def _stream(task_id, index=0, seed=7):
 
 
 def test_borders_all_cyan_unchanged():
-    g, _ = grids(15, 15, 8)
+    g = Grid([[8] * 15 for _ in range(15)])
     assert borders_and_holes.verify(g) == g
 
 
@@ -55,14 +57,14 @@ def test_borders_hollow_frame_fills_yellow():
 
 
 def test_borders_verifier_rejects_edge_contact():
-    g, _ = grids(5, 5, 8)
+    g = Grid([[8] * 5 for _ in range(5)])
     g[0][2] = 6
     with pytest.raises(VerifierDomainError, match=r"^pink rectangle touches the grid edge$"):
         borders_and_holes.verify(g)
 
 
 def test_borders_verifier_rejects_non_rectangles():
-    g, _ = grids(6, 6, 8)
+    g = Grid([[8] * 6 for _ in range(6)])
     for r, c in ((1, 1), (2, 1), (2, 2)):  # L-shape
         g[r][c] = 6
     with pytest.raises(VerifierDomainError, match=r"^pink component is not rectangular$"):
@@ -70,7 +72,7 @@ def test_borders_verifier_rejects_non_rectangles():
 
 
 def test_borders_verifier_rejects_alien_colors():
-    g, _ = grids(5, 5, 8)
+    g = Grid([[8] * 5 for _ in range(5)])
     g[2][2] = 3
     g[2][4] = 0
     g[3][0] = 0
@@ -81,7 +83,7 @@ def test_borders_verifier_rejects_alien_colors():
 
 
 def test_borders_verifier_rejects_crowded_rectangles():
-    g, _ = grids(8, 8, 8)
+    g = Grid([[8] * 8 for _ in range(8)])
     for r, c in ((1, 1), (1, 2), (2, 1), (2, 2), (4, 4), (4, 5), (5, 4), (5, 5)):
         g[r][c] = 6  # diagonal neighbors at gap 1 on both axes
     with pytest.raises(
@@ -103,7 +105,7 @@ def test_borders_verifier_rejects_crowded_rectangles():
     ],
 )
 def test_borders_verifier_reports_first_failing_condition(pink, alien, message):
-    g, _ = grids(7, 7, 8)
+    g = Grid([[8] * 7 for _ in range(7)])
     for r, c in pink:
         g[r][c] = 6
     if alien:
@@ -140,6 +142,48 @@ def test_borders_rejects_undersized_holes():
             rows=[2, 3], cols=[2, 3], widths=[4, 1], heights=[4, 1],
             colors=[6, 4], boxes=1,
         )
+
+
+@pytest.mark.parametrize(
+    "layout, message",
+    [
+        ({"colors": [6, 6]}, "expected 3 box colors, got 2"),
+        (
+            {"rows": [2, 3], "cols": [2], "widths": [4, 1], "heights": [4, 1], "boxes": 1},
+            "layout lists must have equal lengths",
+        ),
+        (
+            {"rows": [2, 8], "cols": [2, 8], "widths": [2, 2], "heights": [2, 2]},
+            "layout provides 2 entries for 3 boxes",
+        ),
+        (
+            {"rows": [0], "cols": [2], "widths": [4], "heights": [4], "boxes": 1},
+            "box 0 leaves no ring margin on a 15x15 grid",
+        ),
+        # Two copies of one 1x1 hole cover one cell, not two.
+        (
+            {"rows": [2, 3, 3], "cols": [2, 3, 3], "widths": [4, 1, 1], "heights": [4, 1, 1], "boxes": 1},
+            "total hole area 1 below the minimum 2",
+        ),
+        # Without colors a supplied layout has pink boxes and yellow holes.
+        ({"rows": [2, 3], "cols": [2, 3], "widths": [4, 2], "heights": [4, 2], "boxes": 1}, None),
+    ],
+    ids=["box-colors", "lengths", "entries", "margin", "shared-hole-cells", "default-colors"],
+)
+def test_borders_layout_checks(layout, message):
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            borders_and_holes.generate(rng=_stream("543a7ed5"), **layout)
+        return
+    ex = borders_and_holes.generate(**layout)
+    box = {(r, c) for r in range(2, 6) for c in range(2, 6)}
+    hole = {(r, c) for r in range(3, 5) for c in range(3, 5)}
+    for r in range(15):
+        for c in range(15):
+            expected = 6 if (r, c) in box - hole else 8
+            assert ex.input[r][c] == expected, (r, c)
+    assert {(r, c) for r in range(15) for c in range(15) if ex.output[r][c] == 4} == hole
+    assert borders_and_holes.verify(ex.input) == ex.output
 
 
 def test_borders_rejects_color_length_mismatch():

@@ -25,6 +25,7 @@ from .framework import (
     TaskGenerator,
     VariationResult,
     apply_variation,
+    generate_examples,
     generate_task_set,
     lookup,
     register,
@@ -64,6 +65,7 @@ __all__ = [
     "evaluate",
     "format_percent",
     "format_report",
+    "generate_examples",
     "generate_task_set",
     "golden_check",
     "load_task_file",

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
 from .errors import GridBenchError, check_int, shown
-from .framework import apply_variation, lookup, task_ids
+from .framework import apply_variation  # noqa: F401  (bench/spans.py wraps cli.apply_variation)
+from .framework import generate_examples, lookup, task_ids
 from .grid import PALETTE, render_text
 from .harness import (
     EvalReport,
@@ -61,14 +63,14 @@ def _cmd_generate(args) -> int:
         if args.task is None:
             raise argparse.ArgumentError(None, "--set requires --task")
         overrides = dict(_parse_override(item) for item in args.set)
-        result = apply_variation(args.task, overrides, args.count, args.seed)
-        if not result.verifier_checked:
+        examples = generate_examples(args.task, args.count, args.seed, overrides)
+        manifest = save_dataset(out_dir, args.seed, args.count, [(args.task, examples)])
+        if examples.domain_error is not None:
             print(
                 f"warning: task {args.task}: variation is outside the verifier "
                 "domain; examples were not consistency-checked",
                 file=sys.stderr,
             )
-        manifest = save_dataset(out_dir, args.seed, [(args.task, result.task_set)])
     else:
         ids = [args.task] if args.task else task_ids()
         manifest = emit_dataset(ids, args.count, args.seed, out_dir)
@@ -128,6 +130,8 @@ def _cmd_list(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # raise a usage error for run() to print
+        # argparse repeats a bad value in full, quoted or not; shown shortens a long one.
+        message = re.sub(r"'([^']{41,})'|(\S{41,})", lambda m: shown(m[1] or m[2]), message)
         raise argparse.ArgumentError(None, message)
 
 
@@ -183,6 +187,9 @@ def run(argv) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (GridBenchError, ValueError, OSError) as err:
+        if isinstance(err, OSError) and err.filename is not None:  # str(err) quotes it in full
+            names = (shown(name) for name in (err.filename, err.filename2) if name is not None)
+            err = f"[Errno {err.errno}] {err.strerror}: {' -> '.join(names)}"
         print(f"error: {err}", file=sys.stderr)
         return 1
     except KeyError as err:

@@ -11,7 +11,7 @@ generated example must satisfy ``verifier(input) == output`` exactly.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import VerificationError, VerifierDomainError, check_int, shown
@@ -77,46 +77,53 @@ def task_ids() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def _generate(
-    gen: TaskGenerator, overrides: dict, train_count: int, test_count: int, master_seed: int
-) -> tuple[TaskSet, VerifierDomainError | None]:
-    """The loop behind both fronts: the task set, one stream per example,
-    and the first ``VerifierDomainError`` its verifier raised, if any."""
-    examples = []
-    domain_error = None
-    for index in range(train_count + test_count):
-        example = gen.generate(rng=new_stream(master_seed, gen.task_id, index), **overrides)
-        try:
-            expected = gen.verifier(example.input)
-        except VerifierDomainError as err:
-            domain_error = domain_error or err
-        else:
-            if expected != example.output:
-                raise VerificationError(
-                    f"task {gen.task_id}: example {index} does not satisfy its verifier"
-                )
-        examples.append(example)
-    return TaskSet(train=examples[:train_count], test=examples[train_count:]), domain_error
+class generate_examples:  # noqa: N801  (an iterator class, like enumerate)
+    """``count`` train examples, then one test example, as a lazy stream.
+
+    The arguments are checked at once. Iterating generates indexes 0 to
+    ``count`` (at most 2**64 - 1) one at a time and checks each against the
+    verifier: a wrong output raises :class:`VerificationError`, and the first
+    :class:`VerifierDomainError` is kept as ``domain_error`` instead."""
+
+    def __init__(self, task_id: str, count: int, master_seed: int, overrides=None) -> None:
+        self._gen = gen = lookup(task_id)
+        self._overrides = overrides = dict(overrides or {})
+        unknown = sorted(set(overrides) - set(gen.params))
+        if unknown:
+            raise ValueError(f"task {task_id}: unknown parameters {shown(unknown)}")
+        self._count = check_int("count", count, 1, 2**64 - 1)
+        self._seed = check_int("master_seed", master_seed, 0, 2**64 - 1)
+        self.domain_error: VerifierDomainError | None = None
+
+    def __iter__(self) -> Iterator[Example]:
+        gen, seed, overrides = self._gen, self._seed, self._overrides
+        for index in range(self._count + 1):
+            example = gen.generate(rng=new_stream(seed, gen.task_id, index), **overrides)
+            try:
+                expected = gen.verifier(example.input)
+            except VerifierDomainError as err:
+                self.domain_error = self.domain_error or err
+            else:
+                if expected != example.output:
+                    raise VerificationError(
+                        f"task {gen.task_id}: example {index} does not satisfy its verifier"
+                    )
+            yield example
+
+    def checked(self) -> Iterator[Example]:
+        """The same examples, then the ``domain_error``, if any, raised."""
+        yield from self
+        if self.domain_error is not None:
+            raise self.domain_error
 
 
-def generate_task_set(
-    task_id: str, train_count: int, test_count: int, master_seed: int
-) -> TaskSet:
-    """Deterministic task set with one stream per example.
-
-    Train examples use example indexes 0..train_count-1 and the test
-    examples continue the range, up to at most 2**64 - 1 (the largest
-    stream key), so any example can be regenerated in isolation. Every
-    example is checked against the task's verifier, and one outside the
-    verifier's domain raises :class:`VerifierDomainError`.
-    """
-    gen = lookup(task_id)
+def generate_task_set(task_id: str, train_count: int, test_count: int, master_seed: int) -> TaskSet:
+    """Indexes 0..train_count-1 of :func:`generate_examples` as train and the
+    next ``test_count`` as test; one outside the verifier's domain raises."""
     check_int("train_count", train_count, 1, 2**64 - 1)
     check_int("test_count", test_count, 1, 2**64 - train_count)
-    task_set, domain_error = _generate(gen, {}, train_count, test_count, master_seed)
-    if domain_error is not None:
-        raise domain_error
-    return task_set
+    examples = list(generate_examples(task_id, train_count + test_count - 1, master_seed).checked())
+    return TaskSet(train=examples[:train_count], test=examples[train_count:])
 
 
 @dataclass(frozen=True)
@@ -132,22 +139,11 @@ class VariationResult:
     verifier_checked: bool
 
 
-def apply_variation(
-    task_id: str, overrides: dict, count: int, master_seed: int
-) -> VariationResult:
-    """Generate ``count`` train examples plus one test with fixed overrides.
-
-    Overridden parameters are held fixed while the rest are randomized.
-    With empty overrides this is distribution-identical to
-    :func:`generate_task_set` with one test example. Examples that the
-    task's verifier rejects as outside its domain mark the whole result
-    unchecked; a verifier that accepts an input but disagrees with the
-    generated output raises :class:`VerificationError`.
-    """
-    gen = lookup(task_id)
-    unknown = sorted(set(overrides) - set(gen.params))
-    if unknown:
-        raise ValueError(f"task {task_id}: unknown parameters {shown(unknown)}")
-    check_int("count", count, 1, 2**64 - 1)
-    task_set, domain_error = _generate(gen, overrides, count, 1, master_seed)
-    return VariationResult(task_set=task_set, verifier_checked=domain_error is None)
+def apply_variation(task_id: str, overrides: dict, count: int, master_seed: int) -> VariationResult:
+    """:func:`generate_examples` with the overrides held fixed, as a task set;
+    with empty overrides it matches :func:`generate_task_set` with one test
+    example. One outside the verifier's domain marks the result unchecked."""
+    stream = generate_examples(task_id, count, master_seed, overrides)
+    examples = list(stream)
+    task_set = TaskSet(train=examples[:count], test=examples[count:])
+    return VariationResult(task_set=task_set, verifier_checked=stream.domain_error is None)

@@ -21,15 +21,17 @@ taking the rows from its even slots. Every other file goes through
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import FormatError, check_int
-from .framework import generate_task_set, lookup
+from .errors import FormatError, check_int, shown
+from .framework import generate_examples, lookup
+from .framework import generate_task_set  # noqa: F401  (bench/spans.py wraps it)
 from .grid import MAX_SIDE, Example, Grid, TaskSet
 
 # The canonical layout around the grids; a grid's text is its rows
@@ -92,30 +94,31 @@ def _grid_text(grid: Grid) -> str:
         raise
 
 
-def _task_text(task_set: TaskSet) -> str:
-    def examples(split) -> str:
-        return _NEXT.join(
-            _grid_text(ex.input) + _PAIR + _grid_text(ex.output) for ex in split
-        )
+def _task_text(examples: Iterable[Example], train_count: int) -> Iterator[str]:
+    """A task file's text, one chunk per example and then the tail; the first
+    ``train_count`` examples are train, the rest test."""
+    separator = _HEAD
+    for index, example in enumerate(examples, 1):
+        yield separator + _grid_text(example.input) + _PAIR + _grid_text(example.output)
+        separator = _SPLIT if index == train_count else _NEXT
+    yield _TAIL
 
-    return _HEAD + examples(task_set.train) + _SPLIT + examples(task_set.test) + _TAIL
 
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then move it into place.
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` as they arrive to a temporary file beside ``path``,
+    then move it into place.
 
     A reader sees the old file or the new one, never a partial write, even
-    if the writing process fails or is killed. The file is not synced to
-    disk, so this does not hold across a power loss or an operating-system
-    crash. The temporary name is unique and created exclusively, so writers
-    to one directory never share a temporary file; it does not match
-    ``*.json``, and it is removed if the write fails. The file gets the mode
-    ``open`` gives a new file under the umask in force when it is written.
-    """
+    if ``chunks`` raises or the process is killed; the file is not synced
+    to disk, so a power loss or an OS crash is not covered. The temporary
+    name is unique, created exclusively and does not match ``*.json``; the
+    file is removed if the write fails, and gets the mode ``open`` gives a
+    new file under the umask in force."""
     temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    temp.touch(exist_ok=False)
+    handle = open(temp, "x", encoding="utf-8")
     try:
-        temp.write_text(text, encoding="utf-8")
+        with handle:
+            handle.writelines(chunks)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -124,7 +127,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def save_task_file(path, task_set: TaskSet) -> None:
     """Write a task set as compact ARC JSON, atomically."""
-    _write_atomic(Path(path), _task_text(task_set))
+    _write_atomic(Path(path), _task_text((*task_set.train, *task_set.test), len(task_set.train)))
 
 
 def load_task_file(path) -> TaskSet:
@@ -228,52 +231,37 @@ def _read_examples(path: Path, payload: dict, split: str) -> list[Example]:
     return examples
 
 
-def save_dataset(out_dir, master_seed: int, task_sets: Iterable[tuple[str, TaskSet]]) -> dict:
-    """Write one ``<task_id>.json`` per ``(task_id, task_set)``, then the manifest.
-
-    ``task_sets`` is consumed lazily, so a generator keeps one task set
-    in memory at a time, and one that fails before its first task set
-    leaves no directory behind. Every file is written atomically and
-    ``manifest.json`` goes last, so it lists only files that were
-    written in full. Returns the manifest.
-    """
+def save_dataset(out_dir, master_seed: int, train_count: int, tasks) -> dict:
+    """Write one ``<task_id>.json`` per ``(task_id, examples)`` as the examples
+    arrive, so memory does not grow with the count, then the manifest, which
+    it returns. ``examples`` holds ``train_count`` train examples and then one
+    test example. The directory is made once the first example exists: a
+    failure before that leaves none, and one later in the first file leaves
+    it empty. Each file is written atomically, the manifest last."""
     directory = Path(out_dir)
     entries = []
-    for task_id, task_set in task_sets:
+    for task_id, examples in tasks:
+        chunks = _task_text(examples, train_count)
+        first = next(chunks)  # the first example, made before the directory
         directory.mkdir(parents=True, exist_ok=True)
-        file_name = f"{task_id}.json"
-        save_task_file(directory / file_name, task_set)
-        entries.append(
-            {
-                "id": task_id,
-                "train_count": len(task_set.train),
-                "test_count": len(task_set.test),
-                "file": file_name,
-            }
-        )
+        name = f"{task_id}.json"
+        _write_atomic(directory / name, itertools.chain((first,), chunks))
+        entries.append({"id": task_id, "train_count": train_count, "test_count": 1, "file": name})
     manifest = {"master_seed": master_seed, "tasks": entries}
     directory.mkdir(parents=True, exist_ok=True)
-    _write_atomic(directory / "manifest.json", json.dumps(manifest, separators=(",", ":")))
+    _write_atomic(directory / "manifest.json", [json.dumps(manifest, separators=(",", ":"))])
     return manifest
 
 
 def emit_dataset(task_list, per_task_train: int, master_seed: int, out_dir) -> dict:
-    """Write one ``<task_id>.json`` per task plus a manifest.
-
-    Each file holds ``per_task_train`` train examples and one test
-    example. Two runs with identical arguments produce byte-identical
-    directory contents. Returns the manifest, which is also written as
-    ``manifest.json``.
-    """
+    """Write ``generate_examples(task_id, per_task_train, master_seed)`` of each
+    task through :func:`save_dataset` and return the manifest; the bytes depend
+    on the arguments only. An example outside its verifier's domain raises
+    :class:`VerifierDomainError` before its file is moved into place."""
     check_int("per_task_train", per_task_train, 1, 2**64 - 1)
-    return save_dataset(
-        out_dir,
-        master_seed,
-        (
-            (task_id, generate_task_set(task_id, per_task_train, 1, master_seed))
-            for task_id in sorted(task_list)
-        ),
-    )
+    ids = sorted(task_list)
+    streams = (generate_examples(task_id, per_task_train, master_seed).checked() for task_id in ids)
+    return save_dataset(out_dir, master_seed, per_task_train, zip(ids, streams))
 
 
 @dataclass(frozen=True)
@@ -325,9 +313,7 @@ def evaluate(example_dir, programs: dict[str, Callable[[Grid], Grid]]) -> EvalRe
     in the report. A path that is not a directory raises
     ``NotADirectoryError``.
     """
-    directory = Path(example_dir)
-    if not directory.is_dir():
-        raise NotADirectoryError(f"{directory} is not a directory")
+    directory = _directory(Path(example_dir))
     scores: dict[str, tuple[int, int]] = {}
     skipped = []
     for path in sorted(directory.glob("*.json")):
@@ -339,6 +325,14 @@ def evaluate(example_dir, programs: dict[str, Callable[[Grid], Grid]]) -> EvalRe
             continue
         scores[task_id] = _judge(programs[task_id], load_task_file(path))
     return EvalReport.from_scores(scores, skipped)
+
+
+def _directory(path):
+    """``path`` if it is a directory; the error quotes a path over 255 characters by ``shown``."""
+    if not path.is_dir():
+        text = str(path)
+        raise NotADirectoryError(f"{text if len(text) <= 255 else shown(text)} is not a directory")
+    return path
 
 
 def _judge(program: Callable[[Grid], Grid], task_set: TaskSet) -> tuple[int, int]:
@@ -394,8 +388,7 @@ def golden_check(task_id: str, golden_dir=None) -> bool | None:
     not a directory raises ``NotADirectoryError``.
     """
     directory = resources.files("gridbench") / "golden" if golden_dir is None else Path(golden_dir)
-    if not directory.is_dir():  # reported before an unknown task id
-        raise NotADirectoryError(f"{directory} is not a directory")
+    _directory(directory)  # reported before an unknown task id
     gen = lookup(task_id)
     resource = directory.joinpath(f"{task_id}.json")
     if not resource.is_file():

@@ -1,10 +1,14 @@
 """Command-line behavior."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gridbench
 from gridbench import format_percent, task_ids
 from gridbench.cli import run
 
@@ -415,7 +419,8 @@ def test_render_needs_source(capsys):
 
 # argparse words its own messages differently across Python versions, so
 # only gridbench's messages are pinned in full: among them the integer
-# flags' type errors, behind argparse's "argument <flag>: " prefix.
+# flags' type errors, behind argparse's "argument <flag>: " prefix. Every
+# line stays under 300 bytes, however long the input it quotes.
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -435,8 +440,14 @@ def test_render_needs_source(capsys):
             ["render", "--task", "1e0a9b12", "--index", "9" * 5000],
             f"argument --index: invalid int value: {'9' * 20!r}... (5000 characters)",
         ),
+        (["b" * 3000], None),
+        (["render", "--task", "1e0a9b12", "--split", "c" * 3000], None),
+        (["list", "d" * 3000], None),
     ],
-    ids=["command", "flag", "count", "examples", "set", "render", "render-both", "long-count", "long-index"],
+    ids=[
+        "command", "flag", "count", "examples", "set", "render", "render-both", "long-count",
+        "long-index", "long-command", "long-split", "long-argument",
+    ],
 )
 def test_usage_error_is_one_error_line_and_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -445,9 +456,33 @@ def test_usage_error_is_one_error_line_and_exit_2(tmp_path, capsys, monkeypatch,
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
+    assert len(captured.err.encode()) < 300
     if message is not None:
         assert captured.err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "--file", "a" * 5000],
+        ["evaluate", "--examples", "a" * 5000],
+        ["generate", "--task", "67a423a3", "--count", "1", "--out", "a" * 5000],
+        ["evaluate", "--examples", f"{'d' * 200}/{'f' * 200}"],  # a file, not a directory
+    ],
+    ids=["render", "evaluate", "generate", "evaluate-file"],
+)
+def test_long_path_that_fails_is_one_short_error_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / ("d" * 200)).mkdir()
+    (tmp_path / ("d" * 200) / ("f" * 200)).write_text("", encoding="utf-8")
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert len(captured.err.encode()) < 200
+    assert "characters)" in captured.err
 
 
 def test_help_still_exits_0(capsys):
@@ -463,3 +498,32 @@ def test_generate_output_is_byte_deterministic(tmp_path):
     assert run(["generate", "--out", str(b), "--seed", "13"]) == 0
     for path in sorted(a.iterdir()):
         assert path.read_bytes() == (b / path.name).read_bytes()
+
+
+# Runs generate and prints its exit code and its peak RSS in KiB.
+PEAK_RSS = """
+import contextlib, io, resource, sys
+from gridbench.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, peak // 1024 if sys.platform == "darwin" else peak)
+"""
+
+
+def test_generate_memory_does_not_grow_with_count(tmp_path):
+    pytest.importorskip("resource", reason="ru_maxrss needs the POSIX resource module")
+    env = {**os.environ, "PYTHONPATH": str(Path(gridbench.__file__).parents[1])}
+    peaks = []
+    for count in (1_000, 10_000):
+        argv = ["generate", "--task", "67a423a3", "--seed", "1", "--count", str(count)]
+        argv += ["--out", str(tmp_path / str(count))]
+        result = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, *argv],
+            env=env, capture_output=True, encoding="utf-8", check=True,
+        )
+        code, peak_kib = map(int, result.stdout.split())
+        assert code == 0
+        peaks.append(peak_kib)
+    # Holding every example until its file is written grew by about 35 MB here.
+    assert peaks[1] - peaks[0] < 8 * 1024, peaks

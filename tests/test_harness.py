@@ -12,19 +12,28 @@ from gridbench import (
     EvalReport,
     Example,
     FormatError,
+    GenerationError,
     Grid,
+    TaskGenerator,
     TaskScore,
     TaskSet,
+    VerificationError,
+    VerifierDomainError,
     emit_dataset,
     evaluate,
     format_percent,
     format_report,
+    generate_examples,
     generate_task_set,
     golden_check,
     load_task_file,
+    register,
     render_text,
     save_task_file,
 )
+from gridbench import harness
+from gridbench.framework import _REGISTRY
+from gridbench.harness import save_dataset
 from gridbench.tasks import borders_and_holes
 
 MINIMAL = TaskSet(
@@ -165,20 +174,102 @@ def test_failed_write_keeps_the_previous_file_and_no_temp_file(tmp_path, monkeyp
     out = tmp_path / "d"
     emit_dataset(["1e0a9b12"], 2, 1, out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    write_text = Path.write_text
 
-    def disk_full(self, data, *args, **kwargs):
-        # Half the text reaches the disk, then the write fails.
-        if failing in self.name:
-            write_text(self, data[: len(data) // 2], *args, **kwargs)
+    class DiskFull:
+        """Every chunk but the last reaches the disk, then half of the last,
+        then the write fails."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def writelines(self, chunks):
+            *whole, last = chunks
+            self.handle.writelines(whole)
+            self.handle.write(last[: len(last) // 2])
+            self.handle.flush()
+            assert os.path.getsize(self.handle.name) > 0
             raise OSError(28, "No space left on device")
-        return write_text(self, data, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", disk_full)
+    def disk_full(file, *args, **kwargs):
+        handle = open(file, *args, **kwargs)
+        return DiskFull(handle) if failing in Path(file).name else handle
+
+    monkeypatch.setattr(harness, "open", disk_full, raising=False)
     with pytest.raises(OSError):
         emit_dataset(["1e0a9b12"], 3, 2, out)
     assert sorted(p.name for p in out.iterdir()) == sorted(before)
     assert (out / failing).read_bytes() == before[failing]
+
+
+@pytest.fixture
+def failing_tasks():
+    """Three tasks whose example 5 fails: the first's generator raises, the
+    second's verifier disagrees with the output and the third's verifier
+    rejects the input as outside its domain."""
+
+    def generate(rng=None):
+        if rng.example_index == 5 and rng.task_id == "f0000005":
+            raise GenerationError("no layout for example 5")
+        grid = Grid([[rng.example_index % 10]])
+        return Example(input=grid, output=grid)
+
+    def verify(grid):
+        return Grid([[0]]) if grid[0][0] == 5 else grid
+
+    def verify_domain(grid):
+        if grid[0][0] == 5:
+            raise VerifierDomainError("example 5 is outside the domain")
+        return grid
+
+    register(TaskGenerator.from_callables("f0000005", generate, lambda grid: grid))
+    register(TaskGenerator.from_callables("f1000005", generate, verify))
+    register(TaskGenerator.from_callables("f2000005", generate, verify_domain))
+    try:
+        yield {"f0000005": GenerationError, "f1000005": VerificationError}
+    finally:
+        del _REGISTRY["f0000005"], _REGISTRY["f1000005"], _REGISTRY["f2000005"]
+
+
+@pytest.mark.parametrize("task_id", ["f0000005", "f1000005"])
+@pytest.mark.parametrize("writer", ["emit_dataset", "save_dataset"])
+def test_failure_midway_through_a_stream_keeps_the_previous_files(tmp_path, failing_tasks, task_id, writer):
+    out = tmp_path / "d"
+    emit_dataset([task_id], 3, 1, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(failing_tasks[task_id]):
+        if writer == "emit_dataset":
+            emit_dataset([task_id], 9, 2, out)
+        else:  # the path of generate --set
+            save_dataset(out, 2, 9, [(task_id, generate_examples(task_id, 9, 2))])
+    # No temporary file is left, and the previous files are untouched.
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_domain_error_fails_emit_dataset_but_not_a_variation(tmp_path, failing_tasks):
+    out = tmp_path / "d"
+    emit_dataset(["f2000005"], 3, 1, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(VerifierDomainError, match="example 5"):
+        emit_dataset(["f2000005"], 9, 2, out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # generate --set writes the examples and only warns.
+    examples = generate_examples("f2000005", 9, 2)
+    save_dataset(out, 2, 9, [("f2000005", examples)])
+    assert str(examples.domain_error) == "example 5 is outside the domain"
+    assert len(load_task_file(out / "f2000005.json").train) == 9
+
+
+def test_failure_after_the_first_example_leaves_an_empty_directory(tmp_path, failing_tasks):
+    out = tmp_path / "d"
+    with pytest.raises(GenerationError):
+        emit_dataset(["f0000005"], 9, 1, out)
+    assert list(out.iterdir()) == []
 
 
 def test_evaluate_bundled_verifiers_pass(tmp_path):

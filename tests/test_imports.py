@@ -53,6 +53,16 @@ def test_package_imported_from_a_zip_archive_registers_every_task(tmp_path):
     assert ids == gridbench.task_ids()
 
 
+EXPECTED_PUBLIC = {
+    "PALETTE", "MAX_ATTEMPTS", "EvalReport", "Example", "FormatError", "GenerationError", "Grid",
+    "GridBenchError", "RngStream", "TaskGenerator", "TaskScore", "TaskSet", "VariationResult",
+    "VerificationError", "VerifierDomainError", "apply_variation", "emit_dataset", "evaluate",
+    "format_percent", "format_report", "generate_examples", "generate_task_set", "golden_check",
+    "load_task_file", "lookup", "new_stream", "register", "render_text", "save_task_file",
+    "task_ids",
+}
+
+
 def test_all_lists_exactly_the_public_names():
     # A name deleted from the package must leave __all__ too, or
     # ``from gridbench import *`` fails on the stale entry.
@@ -62,4 +72,4 @@ def test_all_lists_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert len(gridbench.__all__) == len(set(gridbench.__all__))
-    assert set(gridbench.__all__) == public
+    assert set(gridbench.__all__) == public == EXPECTED_PUBLIC

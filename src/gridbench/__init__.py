@@ -22,12 +22,12 @@ from .grid import (
 from .rng import RngStream, new_stream
 from .framework import (
     MAX_ATTEMPTS,
-    TaskGenerator,
     VariationResult,
     apply_variation,
     generate_examples,
     generate_task_set,
     lookup,
+    params,
     register,
     task_ids,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "Grid",
     "GridBenchError",
     "RngStream",
-    "TaskGenerator",
     "TaskScore",
     "TaskSet",
     "VariationResult",
@@ -71,6 +70,7 @@ __all__ = [
     "load_task_file",
     "lookup",
     "new_stream",
+    "params",
     "register",
     "render_text",
     "save_task_file",

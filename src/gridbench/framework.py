@@ -11,11 +11,12 @@ generated example must satisfy ``verifier(input) == output`` exactly.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
+from types import ModuleType
 
 from .errors import VerificationError, VerifierDomainError, check_int, shown
-from .grid import Example, Grid, TaskSet
+from .grid import Example, TaskSet
 from .rng import new_stream
 
 # Retry budget for constraint-satisfying layout sampling. Exhausting it
@@ -24,52 +25,34 @@ from .rng import new_stream
 MAX_ATTEMPTS = 10_000
 
 
-@dataclass(frozen=True)
-class TaskGenerator:
-    """One task: its generator, reference verifier, and optional golden fixture.
-
-    ``generate`` takes the declared parameters as keywords plus an
-    ``rng`` stream; ``validate``, when present, reproduces the task's
-    original train/test pairs from fixed parameters without randomness.
-    """
-
-    task_id: str
-    generate: Callable[..., Example]
-    verifier: Callable[[Grid], Grid]
-    validate: Callable[[], TaskSet] | None = None
-    params: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_callables(cls, task_id, generate, verifier, validate=None) -> "TaskGenerator":
-        declared = {
-            name: parameter.default
-            for name, parameter in inspect.signature(generate).parameters.items()
-            if name != "rng"
-        }
-        return cls(
-            task_id=task_id,
-            generate=generate,
-            verifier=verifier,
-            validate=validate,
-            params=declared,
-        )
+# Task id -> (task, the parameter names its ``generate`` declares), read once
+# at registration, so a wrapper installed over ``generate`` later keeps them.
+_REGISTRY: dict[str, tuple[ModuleType, tuple[str, ...]]] = {}
 
 
-_REGISTRY: dict[str, TaskGenerator] = {}
+def register(task: ModuleType) -> None:
+    """Add a task module, or any object with the same names; ids must be unique."""
+    if task.TASK_ID in _REGISTRY:
+        raise ValueError(f"task {task.TASK_ID!r} is already registered")
+    names = tuple(name for name in inspect.signature(task.generate).parameters if name != "rng")
+    _REGISTRY[task.TASK_ID] = (task, names)
 
 
-def register(gen: TaskGenerator) -> None:
-    """Add a task to the registry; ids must be unique."""
-    if gen.task_id in _REGISTRY:
-        raise ValueError(f"task {gen.task_id!r} is already registered")
-    _REGISTRY[gen.task_id] = gen
-
-
-def lookup(task_id: str) -> TaskGenerator:
+def _entry(task_id: str) -> tuple[ModuleType, tuple[str, ...]]:
     try:
         return _REGISTRY[task_id]
     except KeyError:
         raise KeyError(f"unknown task {shown(task_id)}") from None
+
+
+def lookup(task_id: str) -> ModuleType:
+    """The registered task: ``TASK_ID``, ``generate``, ``verifier`` and maybe ``validate``."""
+    return _entry(task_id)[0]
+
+
+def params(task_id: str) -> tuple[str, ...]:
+    """The names of the parameters the task's ``generate`` accepts, besides ``rng``."""
+    return _entry(task_id)[1]
 
 
 def task_ids() -> list[str]:
@@ -86,9 +69,9 @@ class generate_examples:  # noqa: N801  (an iterator class, like enumerate)
     :class:`VerifierDomainError` is kept as ``domain_error`` instead."""
 
     def __init__(self, task_id: str, count: int, master_seed: int, overrides=None) -> None:
-        self._gen = gen = lookup(task_id)
+        self._task, names = _entry(task_id)
         self._overrides = overrides = dict(overrides or {})
-        unknown = sorted(set(overrides) - set(gen.params))
+        unknown = sorted(set(overrides) - set(names))
         if unknown:
             raise ValueError(f"task {task_id}: unknown parameters {shown(unknown)}")
         self._count = check_int("count", count, 1, 2**64 - 1)
@@ -96,17 +79,17 @@ class generate_examples:  # noqa: N801  (an iterator class, like enumerate)
         self.domain_error: VerifierDomainError | None = None
 
     def __iter__(self) -> Iterator[Example]:
-        gen, seed, overrides = self._gen, self._seed, self._overrides
+        task, seed, overrides = self._task, self._seed, self._overrides
         for index in range(self._count + 1):
-            example = gen.generate(rng=new_stream(seed, gen.task_id, index), **overrides)
+            example = task.generate(rng=new_stream(seed, task.TASK_ID, index), **overrides)
             try:
-                expected = gen.verifier(example.input)
+                expected = task.verifier(example.input)
             except VerifierDomainError as err:
                 self.domain_error = self.domain_error or err
             else:
                 if expected != example.output:
                     raise VerificationError(
-                        f"task {gen.task_id}: example {index} does not satisfy its verifier"
+                        f"task {task.TASK_ID}: example {index} does not satisfy its verifier"
                     )
             yield example
 

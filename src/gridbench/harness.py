@@ -395,7 +395,7 @@ def golden_check(task_id: str, golden_dir=None) -> bool | None:
         return None
     with resources.as_file(resource) as path:
         golden = load_task_file(path)
-    if gen.validate is not None:
+    if getattr(gen, "validate", None) is not None:
         return gen.validate() == golden
     passed, total = _judge(gen.verifier, golden)
     return passed == total

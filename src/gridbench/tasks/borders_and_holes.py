@@ -238,7 +238,7 @@ def _checked_layout(rows, cols, widths, heights, colors, boxes, size):
     return colors
 
 
-def verify(grid: Grid) -> Grid:
+def verifier(grid: Grid) -> Grid:
     """Reference transformation: ring each pink rectangle, shade its holes.
 
     Accepts cyan/pink grids whose pink cells form axis-aligned rectangles

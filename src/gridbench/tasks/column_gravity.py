@@ -45,7 +45,7 @@ def _distinct_rows(rng, n: int, k: int) -> list[int]:
     return pool[:k]
 
 
-def verify(grid: Grid) -> Grid:
+def verifier(grid: Grid) -> Grid:
     """Reference transformation: per-column gravity, order preserved."""
     h = grid.height
     columns = []

@@ -46,7 +46,7 @@ def generate(size=None, row=None, col=None, row_color=None, col_color=None, rng=
     return Example(input=Grid._of(grid_rows), output=Grid._of(out_rows))
 
 
-def verify(grid: Grid) -> Grid:
+def verifier(grid: Grid) -> Grid:
     """Reference transformation: halo the crossing.
 
     Scans interior cells in row-major order and keeps the last one whose

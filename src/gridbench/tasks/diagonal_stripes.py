@@ -53,7 +53,7 @@ def generate(size=None, colors=None, bands=None, corner=None, rng=None) -> Examp
     return Example(input=Grid._of(grid_rows), output=Grid._of(out_rows))
 
 
-def verify(grid: Grid) -> Grid:
+def verifier(grid: Grid) -> Grid:
     """Reference transformation: fill each (row + col) mod 3 class.
 
     Take the cells of each residue class ``(r + c) % 3`` in row-major

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -265,8 +266,9 @@ def test_validate_fixtureless_verifier_that_raises_fails_its_task(tmp_path, caps
         grid[1]  # IndexError on a one-row grid
         return grid
 
-    fake = framework.TaskGenerator("ffffffff", generate=None, verifier=verifier)
-    monkeypatch.setitem(framework._REGISTRY, "ffffffff", fake)
+    monkeypatch.setattr(framework, "_REGISTRY", dict(framework._REGISTRY))
+    fake = SimpleNamespace(TASK_ID="ffffffff", generate=lambda rng=None: None, verifier=verifier)
+    framework.register(fake)
     save_task_file(
         tmp_path / "ffffffff.json",
         TaskSet(

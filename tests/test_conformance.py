@@ -7,37 +7,33 @@ added to this file.
 """
 
 import importlib
-import pkgutil
 import re
+from pathlib import Path
 
 import pytest
 
 import gridbench.tasks
-from gridbench import Grid, apply_variation, generate_task_set, golden_check, lookup, task_ids
+from gridbench import Grid, apply_variation, generate_task_set, golden_check, lookup, params, task_ids
 from gridbench.grid import MAX_SIDE
 from gridbench.rng import new_stream
 
 SEED = 7
 
 MODULES = [
-    importlib.import_module(f"gridbench.tasks.{info.name}")
-    for info in pkgutil.iter_modules(gridbench.tasks.__path__)
-    if not info.name.startswith("_")
+    importlib.import_module(f"gridbench.tasks.{path.stem}")
+    for path in sorted(Path(gridbench.tasks.__file__).parent.glob("[!_]*.py"))
 ]
 
-PARAMS = [(task_id, name) for task_id in task_ids() for name in lookup(task_id).params]
+PARAMS = [(task_id, name) for task_id in task_ids() for name in params(task_id)]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__.rpartition(".")[2])
-def test_module_registers_its_generator(module):
-    gen = lookup(module.TASK_ID)
-    assert gen.generate is module.generate
-    assert gen.verifier is module.verify
-    assert gen.validate is getattr(module, "validate", None)
+def test_module_is_its_registered_task(module):
+    assert lookup(module.TASK_ID) is module
 
 
 def test_every_registered_task_is_a_module():
-    # The package finds its own modules; pkgutil is the reference here.
+    # The package finds its own modules; the source files are the reference here.
     assert sorted(module.TASK_ID for module in MODULES) == task_ids()
 
 
@@ -66,7 +62,7 @@ def test_examples_regenerate_by_index(task_id):
 def _largest_size(gen):
     """The ``hi`` of the range that an oversized ``size`` is rejected with."""
     with pytest.raises(ValueError) as info:
-        gen.generate(rng=new_stream(SEED, gen.task_id, 0), size=MAX_SIDE + 1)
+        gen.generate(rng=new_stream(SEED, gen.TASK_ID, 0), size=MAX_SIDE + 1)
     found = re.fullmatch(rf"size {MAX_SIDE + 1} outside \[-?\d+, (\d+)\]", str(info.value))
     assert found, str(info.value)
     return int(found[1])
@@ -79,7 +75,7 @@ def test_examples_meet_the_grid_contract_and_own_their_rows(task_id):
     # share a row: a write through one must never show in another.
     gen = lookup(task_id)
     runs = [{}]
-    if "size" in gen.params:
+    if "size" in params(task_id):
         runs.append({"size": _largest_size(gen)})
     for overrides in runs:
         for index in range(40):
@@ -102,11 +98,12 @@ def test_examples_meet_the_grid_contract_and_own_their_rows(task_id):
 @pytest.mark.parametrize("task_id", task_ids())
 def test_golden_data_satisfies_the_task(task_id):
     gen = lookup(task_id)
-    if gen.validate is not None:
-        fixture = gen.validate()
+    validate = getattr(gen, "validate", None)
+    if validate is not None:
+        fixture = validate()
         for example in (*fixture.train, *fixture.test):
             assert gen.verifier(example.input) == example.output
     # A task's fixture ships as the golden snapshot it is compared with;
     # a task without one is judged on whatever golden data is bundled.
     result = golden_check(task_id)
-    assert result is True or (result is None and gen.validate is None)
+    assert result is True or (result is None and validate is None)

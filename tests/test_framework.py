@@ -1,17 +1,20 @@
 """Registry and task-set generation."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from gridbench import (
     Example,
     GenerationError,
     Grid,
-    TaskGenerator,
     VerificationError,
     VerifierDomainError,
     apply_variation,
+    generate_examples,
     generate_task_set,
     lookup,
+    params,
     register,
     task_ids,
 )
@@ -27,13 +30,34 @@ def test_registry_lists_bundled_tasks_sorted():
 def test_lookup_unknown_task():
     with pytest.raises(KeyError):
         lookup("00000000")
+    with pytest.raises(KeyError):
+        params("00000000")
 
 
 def test_lookup_returns_registered_generator():
     gen = lookup("543a7ed5")
-    assert gen.task_id == "543a7ed5"
+    assert gen.TASK_ID == "543a7ed5"
     assert gen.validate is not None
-    assert set(gen.params) == {"rows", "cols", "widths", "heights", "colors", "boxes", "size"}
+    assert params("543a7ed5") == ("rows", "cols", "widths", "heights", "colors", "boxes", "size")
+
+
+def test_overrides_are_checked_against_the_names_declared_at_registration(monkeypatch):
+    # A tracer may replace a task's generate with a wrapper whose signature
+    # names no parameters; overrides must still reach the original.
+    task = lookup("543a7ed5")
+    original = task.generate
+
+    def generate(*args, rng, **kwargs):
+        return original(*args, rng=rng, **kwargs)
+
+    monkeypatch.setattr(task, "generate", generate)
+    stream = generate_examples("543a7ed5", 1, 0, {"size": 30, "boxes": 1})
+    examples = list(stream)
+    assert len(examples) == 2 and stream.domain_error is None
+    assert all(ex.input.height == ex.input.width == 30 for ex in examples)
+    assert all(len(_pink_components(ex.input)) == 1 for ex in examples)
+    with pytest.raises(ValueError, match=r"^task 543a7ed5: unknown parameters \['bogus'\]$"):
+        generate_examples("543a7ed5", 1, 0, {"bogus": 1})
 
 
 def test_duplicate_registration_rejected():
@@ -42,7 +66,7 @@ def test_duplicate_registration_rejected():
     def fake_generate(rng=None):
         return Example(input=g, output=g)
 
-    fake = TaskGenerator.from_callables("ffffffff", fake_generate, lambda grid: grid)
+    fake = SimpleNamespace(TASK_ID="ffffffff", generate=fake_generate, verifier=lambda grid: grid)
     register(fake)
     try:
         with pytest.raises(ValueError):
@@ -105,16 +129,16 @@ def test_verifier_domain_error_raises_or_marks_the_variation_unchecked():
         cell = rng.randint(0, 9)
         return Example(input=Grid([[cell] * size]), output=Grid([[cell] * size]))
 
-    def fake_verify(grid):
+    def fake_verifier(grid):
         if grid[0][0] % 2 == 0:
             raise VerifierDomainError("even cell")
         return grid
 
-    def wrong_verify(grid):
+    def wrong_verifier(grid):
         return Grid([[*grid[0], 0]])
 
-    register(TaskGenerator.from_callables("fffffffe", fake_generate, fake_verify))
-    register(TaskGenerator.from_callables("fffffffd", fake_generate, wrong_verify))
+    register(SimpleNamespace(TASK_ID="fffffffe", generate=fake_generate, verifier=fake_verifier))
+    register(SimpleNamespace(TASK_ID="fffffffd", generate=fake_generate, verifier=wrong_verifier))
     try:
         with pytest.raises(VerifierDomainError, match="even cell"):
             generate_task_set("fffffffe", 20, 1, master_seed=1)

@@ -5,6 +5,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,6 @@ from gridbench import (
     FormatError,
     GenerationError,
     Grid,
-    TaskGenerator,
     TaskScore,
     TaskSet,
     VerificationError,
@@ -219,17 +219,17 @@ def failing_tasks():
         grid = Grid([[rng.example_index % 10]])
         return Example(input=grid, output=grid)
 
-    def verify(grid):
+    def verifier(grid):
         return Grid([[0]]) if grid[0][0] == 5 else grid
 
-    def verify_domain(grid):
+    def verifier_domain(grid):
         if grid[0][0] == 5:
             raise VerifierDomainError("example 5 is outside the domain")
         return grid
 
-    register(TaskGenerator.from_callables("f0000005", generate, lambda grid: grid))
-    register(TaskGenerator.from_callables("f1000005", generate, verify))
-    register(TaskGenerator.from_callables("f2000005", generate, verify_domain))
+    register(SimpleNamespace(TASK_ID="f0000005", generate=generate, verifier=lambda grid: grid))
+    register(SimpleNamespace(TASK_ID="f1000005", generate=generate, verifier=verifier))
+    register(SimpleNamespace(TASK_ID="f2000005", generate=generate, verifier=verifier_domain))
     try:
         yield {"f0000005": GenerationError, "f1000005": VerificationError}
     finally:

@@ -34,7 +34,7 @@ def test_runtime_imports_only_the_standard_library():
 
 
 def test_package_imported_from_a_zip_archive_registers_every_task(tmp_path):
-    # Task discovery goes through importlib.resources, which also reads archives.
+    # Task discovery goes through pkgutil, which also reads archives.
     archive = tmp_path / "gridbench.zip"
     with zipfile.ZipFile(archive, "w") as bundle:
         for path in PACKAGE.rglob("*"):
@@ -53,13 +53,26 @@ def test_package_imported_from_a_zip_archive_registers_every_task(tmp_path):
     assert ids == gridbench.task_ids()
 
 
+def test_import_without_site_loads_no_zipfile():
+    # Listing the task modules through importlib.resources would import
+    # zipfile and its dependencies; without site nothing else loads them.
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, gridbench; print('zipfile' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        encoding="utf-8",
+        check=True,
+    )
+    assert result.stdout == "False\n"
+
+
 EXPECTED_PUBLIC = {
     "PALETTE", "MAX_ATTEMPTS", "EvalReport", "Example", "FormatError", "GenerationError", "Grid",
-    "GridBenchError", "RngStream", "TaskGenerator", "TaskScore", "TaskSet", "VariationResult",
+    "GridBenchError", "RngStream", "TaskScore", "TaskSet", "VariationResult",
     "VerificationError", "VerifierDomainError", "apply_variation", "emit_dataset", "evaluate",
     "format_percent", "format_report", "generate_examples", "generate_task_set", "golden_check",
-    "load_task_file", "lookup", "new_stream", "register", "render_text", "save_task_file",
-    "task_ids",
+    "load_task_file", "lookup", "new_stream", "params", "register", "render_text",
+    "save_task_file", "task_ids",
 }
 
 

@@ -18,7 +18,7 @@ def _stream(task_id, index=0, seed=7):
 
 def test_borders_all_cyan_unchanged():
     g = Grid([[8] * 15 for _ in range(15)])
-    assert borders_and_holes.verify(g) == g
+    assert borders_and_holes.verifier(g) == g
 
 
 def test_borders_solid_box_ring():
@@ -35,7 +35,7 @@ def test_borders_solid_box_ring():
             [8, 8, 8, 8, 8],
         ]
     )
-    assert borders_and_holes.verify(g) == expected
+    assert borders_and_holes.verifier(g) == expected
 
 
 def test_borders_hollow_frame_fills_yellow():
@@ -53,14 +53,14 @@ def test_borders_hollow_frame_fills_yellow():
             [3, 3, 3, 3, 3, 3, 3],
         ]
     )
-    assert borders_and_holes.verify(Grid(rows)) == expected
+    assert borders_and_holes.verifier(Grid(rows)) == expected
 
 
 def test_borders_verifier_rejects_edge_contact():
     g = Grid([[8] * 5 for _ in range(5)])
     g[0][2] = 6
     with pytest.raises(VerifierDomainError, match=r"^pink rectangle touches the grid edge$"):
-        borders_and_holes.verify(g)
+        borders_and_holes.verifier(g)
 
 
 def test_borders_verifier_rejects_non_rectangles():
@@ -68,7 +68,7 @@ def test_borders_verifier_rejects_non_rectangles():
     for r, c in ((1, 1), (2, 1), (2, 2)):  # L-shape
         g[r][c] = 6
     with pytest.raises(VerifierDomainError, match=r"^pink component is not rectangular$"):
-        borders_and_holes.verify(g)
+        borders_and_holes.verifier(g)
 
 
 def test_borders_verifier_rejects_alien_colors():
@@ -79,7 +79,7 @@ def test_borders_verifier_rejects_alien_colors():
     with pytest.raises(
         VerifierDomainError, match=r"^cell \(2, 2\) holds 3, expected cyan or pink$"
     ):
-        borders_and_holes.verify(g)
+        borders_and_holes.verifier(g)
 
 
 def test_borders_verifier_rejects_crowded_rectangles():
@@ -89,7 +89,7 @@ def test_borders_verifier_rejects_crowded_rectangles():
     with pytest.raises(
         VerifierDomainError, match=r"^pink rectangles come closer than spacing 2$"
     ):
-        borders_and_holes.verify(g)
+        borders_and_holes.verifier(g)
 
 
 @pytest.mark.parametrize(
@@ -111,7 +111,7 @@ def test_borders_verifier_reports_first_failing_condition(pink, alien, message):
     if alien:
         g[alien[0]][alien[1]] = 0
     with pytest.raises(VerifierDomainError, match=message):
-        borders_and_holes.verify(g)
+        borders_and_holes.verifier(g)
 
 
 def test_borders_rejects_partial_layout():
@@ -183,7 +183,7 @@ def test_borders_layout_checks(layout, message):
             expected = 6 if (r, c) in box - hole else 8
             assert ex.input[r][c] == expected, (r, c)
     assert {(r, c) for r in range(15) for c in range(15) if ex.output[r][c] == 4} == hole
-    assert borders_and_holes.verify(ex.input) == ex.output
+    assert borders_and_holes.verifier(ex.input) == ex.output
 
 
 def test_borders_rejects_color_length_mismatch():
@@ -203,23 +203,23 @@ def test_borders_layout_randomization_needs_rng():
 
 
 def test_gravity_single_column():
-    assert column_gravity.verify(Grid([[5], [0], [2]])) == Grid([[0], [5], [2]])
+    assert column_gravity.verifier(Grid([[5], [0], [2]])) == Grid([[0], [5], [2]])
 
 
 def test_gravity_all_zero_unchanged():
     g = Grid([[0] * 3 for _ in range(3)])
-    assert column_gravity.verify(g) == g
+    assert column_gravity.verifier(g) == g
 
 
 def test_gravity_multi_column():
     g = Grid([[1, 0], [2, 0], [0, 3]])
-    assert column_gravity.verify(g) == Grid([[0, 0], [1, 0], [2, 3]])
+    assert column_gravity.verifier(g) == Grid([[0, 0], [1, 0], [2, 3]])
 
 
 def test_gravity_is_idempotent():
     ex = column_gravity.generate(rng=_stream("1e0a9b12"))
-    packed = column_gravity.verify(ex.input)
-    assert column_gravity.verify(packed) == packed
+    packed = column_gravity.verifier(ex.input)
+    assert column_gravity.verifier(packed) == packed
 
 
 def test_gravity_generator_distribution():
@@ -269,7 +269,7 @@ CROSS_OUTPUT = Grid(
 
 
 def test_crossing_center_case():
-    assert crossing_marker.verify(CROSS_INPUT) == CROSS_OUTPUT
+    assert crossing_marker.verifier(CROSS_INPUT) == CROSS_OUTPUT
 
 
 def test_crossing_generate_fully_specified():
@@ -283,14 +283,14 @@ def test_crossing_near_corner():
     ex = crossing_marker.generate(size=4, row=1, col=1, row_color=2, col_color=3)
     assert ex.input == Grid([[0, 3, 0, 0], [2, 3, 2, 2], [0, 3, 0, 0], [0, 3, 0, 0]])
     assert ex.output == Grid([[4, 4, 4, 0], [4, 3, 4, 2], [4, 4, 4, 0], [0, 3, 0, 0]])
-    assert crossing_marker.verify(ex.input) == ex.output
+    assert crossing_marker.verifier(ex.input) == ex.output
 
 
 def test_crossing_verifier_rejects_no_crossing():
     with pytest.raises(
         VerifierDomainError, match=r"^no cell has four nonzero orthogonal neighbors$"
     ):
-        crossing_marker.verify(Grid([[0] * 4 for _ in range(4)]))
+        crossing_marker.verifier(Grid([[0] * 4 for _ in range(4)]))
 
 
 def test_crossing_parameter_validation():
@@ -308,17 +308,17 @@ def test_crossing_parameter_validation():
 
 def test_stripes_completes_top_row_seed():
     g = Grid([[2, 8, 3], [0, 0, 0], [0, 0, 0]])
-    assert diagonal_stripes.verify(g) == Grid([[2, 8, 3], [8, 3, 2], [3, 2, 8]])
+    assert diagonal_stripes.verifier(g) == Grid([[2, 8, 3], [8, 3, 2], [3, 2, 8]])
 
 
 def test_stripes_full_pattern_is_fixed_point():
     full = Grid([[2, 8, 3], [8, 3, 2], [3, 2, 8]])
-    assert diagonal_stripes.verify(full) == full
+    assert diagonal_stripes.verifier(full) == full
 
 
 def test_stripes_tolerates_empty_grid():
     g = Grid([[0] * 4 for _ in range(4)])
-    assert diagonal_stripes.verify(g) == g
+    assert diagonal_stripes.verifier(g) == g
 
 
 def test_stripes_generator_band_structure():
@@ -338,7 +338,7 @@ def test_stripes_generator_band_structure():
                 assert ex.output[r][c] == colors[(r + c) % 3]
                 if ex.input[r][c]:
                     assert ex.input[r][c] == ex.output[r][c]
-        assert diagonal_stripes.verify(ex.input) == ex.output
+        assert diagonal_stripes.verifier(ex.input) == ex.output
 
 
 def test_stripes_parameter_validation():

@@ -1,6 +1,6 @@
 """The 05269061 and 543a7ed5 verifiers against cell-by-cell references.
 
-``diagonal_stripes.verify`` fills each residue class in closed form on
+``diagonal_stripes.verifier`` fills each residue class in closed form on
 row slices, and ``borders_and_holes._pink_components`` labels runs of
 pink cells. The references below are the loops they replace: three
 row-major carry passes over every cell, and a flood fill from every
@@ -115,12 +115,12 @@ def test_pink_components_and_borders_verify_match_references(monkeypatch):
         for params in ({}, {"size": 30, "boxes": 1}, {"size": 30, "boxes": 6})
     ]
     actual = [
-        (borders_and_holes._pink_components(g), _outcome(borders_and_holes.verify, g))
+        (borders_and_holes._pink_components(g), _outcome(borders_and_holes.verifier, g))
         for g in cases
     ]
     monkeypatch.setattr(borders_and_holes, "_pink_components", reference_pink_components)
     expected = [
-        (reference_pink_components(g), _outcome(borders_and_holes.verify, g)) for g in cases
+        (reference_pink_components(g), _outcome(borders_and_holes.verifier, g)) for g in cases
     ]
     for grid, got, want in zip(cases, actual, expected):
         assert got == want, grid
@@ -139,4 +139,4 @@ def test_stripes_verify_matches_three_pass_reference():
         for params in ({}, {"size": 30})
     ]
     for grid in cases:
-        assert _outcome(diagonal_stripes.verify, grid) == _outcome(reference_stripes, grid), grid
+        assert _outcome(diagonal_stripes.verifier, grid) == _outcome(reference_stripes, grid), grid

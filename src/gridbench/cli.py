@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -135,6 +136,7 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@functools.cache  # built on the first run, not at import; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gridbench",

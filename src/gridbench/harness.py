@@ -161,28 +161,38 @@ def load_task_file(path) -> TaskSet:
 def _decode_canonical(text: str) -> TaskSet | None:
     """The task set of a file in the canonical layout; None for any other text.
 
-    The layout proves the grids valid: every cell is one ASCII digit,
-    rows have one length and both sides are at most 30. So they are
-    wrapped without a second check.
+    One forward walk: a grid's text never holds "]]", so the next "]]"
+    ends each grid, and the separator the layout puts there must follow
+    it: ``_PAIR`` after an input; after an output ``_NEXT``, ``_SPLIT``
+    (once) or the tail. The layout proves the grids valid: every cell is
+    one ASCII digit, rows have one length and both sides are at most 30.
+    So they are wrapped without a second check.
     """
     if not (text.isascii() and text.startswith(_HEAD) and text.endswith(_TAIL)):
         return None
-    train, split, test = text[len(_HEAD) : -len(_TAIL)].partition(_SPLIT)
-    if not split:
-        return None
-    splits = []
-    for part in (train, test):
-        examples = []
-        for item in part.split(_NEXT):
-            pair = item.split(_PAIR)
-            if len(pair) != 2:
-                return None
-            grid_in, grid_out = _decode_grid(pair[0]), _decode_grid(pair[1])
-            if grid_in is None or grid_out is None:
-                return None
-            examples.append(Example(input=grid_in, output=grid_out))
-        splits.append(examples)
-    return TaskSet(train=splits[0], test=splits[1])
+    end = len(text) - len(_TAIL)  # the tail's "]]" ends the last grid
+    train: list[Example] = []
+    test: list[Example] = []
+    examples, pos = train, len(_HEAD)
+    while True:
+        stop = text.find("]]", pos)
+        if not text.startswith(_PAIR, stop):
+            return None
+        grid_in = _decode_grid(text[pos:stop])
+        pos = stop + len(_PAIR)
+        stop = text.find("]]", pos)
+        grid_out = _decode_grid(text[pos:stop])
+        if grid_in is None or grid_out is None:
+            return None
+        examples.append(Example(input=grid_in, output=grid_out))
+        if stop == end:
+            return TaskSet(train=train, test=test) if test else None
+        if text.startswith(_NEXT, stop):
+            pos = stop + len(_NEXT)
+        elif examples is train and text.startswith(_SPLIT, stop):
+            examples, pos = test, stop + len(_SPLIT)
+        else:
+            return None
 
 
 def _decode_grid(text: str) -> Grid | None:
@@ -336,15 +346,20 @@ def _directory(path):
 
 
 def _judge(program: Callable[[Grid], Grid], task_set: TaskSet) -> tuple[int, int]:
-    """``(passed, total)`` of a program over every train and test example; it
-    gets a fresh copy of each input, and an example fails when it raises
-    (``SystemExit`` too, but not ``KeyboardInterrupt``) or returns a result
-    that is not a valid grid."""
+    """``(passed, total)`` of a program over every train and test example; an
+    example fails when it raises (``SystemExit`` too, but not
+    ``KeyboardInterrupt``) or returns a result that is not a valid grid.
+
+    The program gets each input ``Grid`` as decoded and may modify it:
+    both callers pass a task set they have just loaded and drop
+    afterwards, so nothing else holds it, and each expected output is a
+    ``Grid`` of its own.
+    """
     examples = (*task_set.train, *task_set.test)
     passed = 0
     for example in examples:
         try:
-            result = program(example.input.copy())
+            result = program(example.input)
             if not isinstance(result, Grid):
                 result = Grid(result)
         except (Exception, SystemExit):

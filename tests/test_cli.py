@@ -502,6 +502,34 @@ def test_generate_output_is_byte_deterministic(tmp_path):
         assert path.read_bytes() == (b / path.name).read_bytes()
 
 
+def test_parser_carries_no_state_between_runs(tmp_path, capsys):
+    # One process reuses one parser; a run must not see the one before.
+    override = ["generate", "--task", "543a7ed5", "--count", "2", "--seed", "4"]
+    assert run([*override, "--set", "size=20", "--out", str(tmp_path / "set")]) == 0
+    assert run([*override, "--out", str(tmp_path / "after")]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(gridbench.__file__).parents[1])}
+    subprocess.run(
+        [sys.executable, "-m", "gridbench.cli", *override, "--out", str(tmp_path / "fresh")],
+        env=env, capture_output=True, check=True,
+    )
+    for name in ("543a7ed5.json", "manifest.json"):
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert (tmp_path / "set" / "543a7ed5.json").read_bytes() != (
+        tmp_path / "fresh" / "543a7ed5.json"
+    ).read_bytes()
+    capsys.readouterr()
+
+    path = tmp_path / "after" / "543a7ed5.json"
+    assert run(["render", "--file", str(path), "--split", "test"]) == 0
+    from_file = capsys.readouterr().out
+    assert run(["render", "--task", "543a7ed5", "--seed", "4", "--index", "2"]) == 0
+    assert capsys.readouterr().out == from_file
+
+    assert run(["render"]) == 2
+    assert run(["list"]) == 0
+    assert capsys.readouterr().out.split() == task_ids()
+
+
 # Runs generate and prints its exit code and its peak RSS in KiB.
 PEAK_RSS = """
 import contextlib, io, resource, sys

@@ -212,6 +212,15 @@ NAMED = {
     "extra key": CANONICAL[:-1] + ',"extra":1}',
     "truncated": CANONICAL[:-3],
     "not json": "{not json",
+    # Layouts whose separators sit where the forward walk looks for them.
+    "second test split": CANONICAL[:-1] + ',"test":[{"input":[[6]],"output":[[7]]}]}',
+    "no split": '{"train":[{"input":[[0,1],[2,3]],"output":[[1,0],[3,2]]},'
+    '{"input":[[4,5]],"output":[[5,4]]}]}',
+    "next where pair belongs": '{"train":[{"input":[[0,1],[2,3]]},{"input":[[1,0],[3,2]]}],'
+    '"test":[{"input":[[4,5]],"output":[[5,4]]}]}',
+    "tail text in the middle": CANONICAL + CANONICAL,
+    "input followed by ]]]": _with_input("[[1]]]"),
+    "last output followed by ]]]": CANONICAL[: -len(harness._TAIL)] + "]" + harness._TAIL,
 }
 
 

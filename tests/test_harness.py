@@ -343,6 +343,34 @@ def test_evaluate_checks_list_results(tmp_path):
         assert score.pass_count == 0 and score.total_count == 3
 
 
+def test_evaluate_programs_may_modify_their_input(tmp_path):
+    from gridbench import lookup, task_ids
+
+    emit_dataset(task_ids(), 3, 5, tmp_path)
+    verifiers = {tid: lookup(tid).verifier for tid in task_ids()}
+
+    def answer_then_overwrite(verify):
+        def program(grid):
+            answer = verify(grid)
+            for row in grid:
+                row[:] = [9 - cell for cell in row]
+            return answer
+
+        return program
+
+    def zeroed(grid):
+        for row in grid:
+            row[:] = [0] * len(row)
+        return grid
+
+    report = evaluate(tmp_path, {tid: answer_then_overwrite(v) for tid, v in verifiers.items()})
+    assert report.percent == 100.0
+    report = evaluate(tmp_path, {tid: zeroed for tid in task_ids()})
+    assert all(score.pass_count == 0 for score in report.per_task.values())
+    # Each evaluate decodes the files again: what a program did to its input stays with it.
+    assert evaluate(tmp_path, verifiers).percent == 100.0
+
+
 def test_evaluate_rejects_a_path_that_is_not_a_directory(tmp_path):
     with pytest.raises(NotADirectoryError, match="missing is not a directory"):
         evaluate(tmp_path / "missing", {})

@@ -9,6 +9,7 @@ while a grid is being built; once a grid has been handed out inside an
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -67,9 +68,10 @@ class Grid:
     ``load_task_file`` (which calls it, except on a file whose canonical
     layout already proves every cell a digit and every grid
     rectangular) and a judge program's result that is not a ``Grid``
-    (which ``evaluate`` passes to it). ``copy()`` and the bundled
-    generators and verifiers build from cells that were already checked,
-    so they wrap fresh row lists without checking them again.
+    (which ``evaluate`` passes to it). ``copy()``, the examples of a
+    canonical file and the bundled generators and verifiers build from
+    cells that were already checked, so they wrap fresh row lists
+    without checking them again.
     """
 
     __slots__ = ("_rows",)
@@ -156,13 +158,69 @@ class Example:
 
 @dataclass(frozen=True)
 class TaskSet:
-    """Ordered train and test examples for one task."""
+    """Ordered train and test examples for one task.
 
-    train: tuple[Example, ...]
-    test: tuple[Example, ...]
+    Each split is a tuple of examples, except that a task file read in
+    its canonical layout gives :class:`LazyExamples`, which compares,
+    indexes and iterates as that tuple would.
+    """
+
+    train: Sequence[Example]
+    test: Sequence[Example]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "train", tuple(self.train))
-        object.__setattr__(self, "test", tuple(self.test))
+        if not isinstance(self.train, LazyExamples):
+            object.__setattr__(self, "train", tuple(self.train))
+        if not isinstance(self.test, LazyExamples):
+            object.__setattr__(self, "test", tuple(self.test))
         if not self.train or not self.test:
             raise ValueError("train and test must both be non-empty")
+
+
+# A grid's checked cells: height, width and one byte per cell, row by row,
+# each a color code.
+Cells = tuple[int, int, bytes]
+
+
+def _example(pair: tuple[Cells, Cells]) -> Example:
+    """The example of checked input and output cells; rows come from one C call each."""
+    (h_in, w_in, data_in), (h_out, w_out, data_out) = pair
+    return Example(
+        input=Grid._of(memoryview(data_in).cast("B", (h_in, w_in)).tolist()),
+        output=Grid._of(memoryview(data_out).cast("B", (h_out, w_out)).tolist()),
+    )
+
+
+class LazyExamples(Sequence):
+    """Read-only examples held as the checked cells of their grids.
+
+    Each ``Example`` is built when it is read, so only the examples in
+    use hold row lists, and reading one twice gives two equal examples.
+    It equals the tuple of its examples.
+    """
+
+    __slots__ = ("_pairs",)
+
+    def __init__(self, pairs: list[tuple[Cells, Cells]]) -> None:
+        self._pairs = pairs
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return LazyExamples(self._pairs[index])
+        return _example(self._pairs[index])
+
+    def __iter__(self) -> Iterator[Example]:
+        return map(_example, self._pairs)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LazyExamples):
+            return self._pairs == other._pairs
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))

@@ -14,7 +14,10 @@ byte frame per grid shape, whose even slots hold the cells and the
 commas between rows and whose odd slots hold fixed separators: a grid
 is written by copying its cells into the frame, and read, without
 building a JSON object tree, by checking the text against the frame and
-taking the rows from its even slots. Every other file goes through
+keeping the cells of its even slots as bytes. The whole file is checked
+before any example is built; an example's row lists are built from its
+cells each time it is read, so ``evaluate`` holds a file's cells and
+the row lists of one example at a time. Every other file goes through
 ``json.loads`` and is validated element by element.
 """
 
@@ -32,7 +35,7 @@ from pathlib import Path
 from .errors import FormatError, check_int, shown
 from .framework import generate_examples, lookup
 from .framework import generate_task_set  # noqa: F401  (bench/spans.py wraps it)
-from .grid import MAX_SIDE, Example, Grid, TaskSet
+from .grid import MAX_SIDE, Cells, Example, Grid, LazyExamples, TaskSet
 
 # The canonical layout around the grids; a grid's text is its rows
 # without the outermost brackets, e.g. "1,2],[3,4" for [[1,2],[3,4]].
@@ -131,7 +134,14 @@ def save_task_file(path, task_set: TaskSet) -> None:
 
 
 def load_task_file(path) -> TaskSet:
-    """Read and strictly validate an ARC JSON task file."""
+    """Read and strictly validate an ARC JSON task file.
+
+    The whole file is checked before this returns, so a malformed one
+    raises ``FormatError`` before any example is used. The splits of a
+    canonical file hold each grid as checked cells and build an
+    ``Example`` each time one is read; those of any other file are
+    tuples of examples built here.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -161,46 +171,55 @@ def load_task_file(path) -> TaskSet:
 def _decode_canonical(text: str) -> TaskSet | None:
     """The task set of a file in the canonical layout; None for any other text.
 
-    One forward walk: a grid's text never holds "]]", so the next "]]"
-    ends each grid, and the separator the layout puts there must follow
-    it: ``_PAIR`` after an input; after an output ``_NEXT``, ``_SPLIT``
-    (once) or the tail. The layout proves the grids valid: every cell is
-    one ASCII digit, rows have one length and both sides are at most 30.
-    So they are wrapped without a second check.
+    One forward walk over the whole text, so a text that breaks the
+    layout anywhere returns None before any example is built: a grid's
+    text never holds "]]", so the next "]]" ends each grid, and the
+    separator the layout puts there must follow it: ``_PAIR`` after an
+    input; after an output ``_NEXT``, ``_SPLIT`` (once) or the tail. The
+    layout proves the grids valid: every cell is one ASCII digit, rows
+    have one length and both sides are at most 30. So each grid is kept
+    as its checked cells, and the splits build an example from them,
+    without a second check, each time one is read. The cells are
+    ``bytes``, which the cyclic garbage collector never scans, and hold
+    no reference to ``text``.
     """
     if not (text.isascii() and text.startswith(_HEAD) and text.endswith(_TAIL)):
         return None
     end = len(text) - len(_TAIL)  # the tail's "]]" ends the last grid
-    train: list[Example] = []
-    test: list[Example] = []
-    examples, pos = train, len(_HEAD)
+    pairs = []
+    train_count, pos = 0, len(_HEAD)
     while True:
         stop = text.find("]]", pos)
         if not text.startswith(_PAIR, stop):
             return None
-        grid_in = _decode_grid(text[pos:stop])
+        cells_in = _decode_grid(text[pos:stop])
         pos = stop + len(_PAIR)
         stop = text.find("]]", pos)
-        grid_out = _decode_grid(text[pos:stop])
-        if grid_in is None or grid_out is None:
+        cells_out = _decode_grid(text[pos:stop])
+        if cells_in is None or cells_out is None:
             return None
-        examples.append(Example(input=grid_in, output=grid_out))
-        if stop == end:
-            return TaskSet(train=train, test=test) if test else None
+        pairs.append((cells_in, cells_out))
+        if stop == end:  # the test split holds at least the last pair
+            if not train_count:
+                return None
+            return TaskSet(
+                train=LazyExamples(pairs[:train_count]), test=LazyExamples(pairs[train_count:])
+            )
         if text.startswith(_NEXT, stop):
             pos = stop + len(_NEXT)
-        elif examples is train and text.startswith(_SPLIT, stop):
-            examples, pos = test, stop + len(_SPLIT)
+        elif not train_count and text.startswith(_SPLIT, stop):
+            train_count, pos = len(pairs), stop + len(_SPLIT)
         else:
             return None
 
 
-def _decode_grid(text: str) -> Grid | None:
-    """The grid whose canonical ASCII text is ``text``; None for any other text.
+def _decode_grid(text: str) -> Cells | None:
+    """The checked cells of the grid whose canonical ASCII text is ``text``;
+    None for any other text.
 
     The shape is read off the first row, the odd slots must match its
     frame, and the even slots must hold digits except for one comma at
-    each pad slot. The rows come from one C call on the digits.
+    each pad slot.
     """
     data = text.encode("ascii")
     end = data.find(b"]")
@@ -218,8 +237,7 @@ def _decode_grid(text: str) -> Grid | None:
         and digits.isdigit()
     ):
         return None
-    rows = memoryview(digits.translate(_FROM_DIGIT)).cast("B", (height, width)).tolist()
-    return Grid._of(rows)
+    return height, width, digits.translate(_FROM_DIGIT)
 
 
 def _read_examples(path: Path, payload: dict, split: str) -> list[Example]:
@@ -350,14 +368,15 @@ def _judge(program: Callable[[Grid], Grid], task_set: TaskSet) -> tuple[int, int
     example fails when it raises (``SystemExit`` too, but not
     ``KeyboardInterrupt``) or returns a result that is not a valid grid.
 
-    The program gets each input ``Grid`` as decoded and may modify it:
-    both callers pass a task set they have just loaded and drop
-    afterwards, so nothing else holds it, and each expected output is a
-    ``Grid`` of its own.
+    The examples are read one at a time, so those of a canonical file
+    are built from its cells just before each call and freed before the
+    next is built. The program gets each input ``Grid`` as read and may
+    modify it: both callers pass a task set they have just loaded and
+    drop afterwards, so nothing else holds it, and each expected output
+    is a ``Grid`` of its own.
     """
-    examples = (*task_set.train, *task_set.test)
     passed = 0
-    for example in examples:
+    for example in itertools.chain(task_set.train, task_set.test):
         try:
             result = program(example.input)
             if not isinstance(result, Grid):
@@ -366,7 +385,7 @@ def _judge(program: Callable[[Grid], Grid], task_set: TaskSet) -> tuple[int, int
             continue
         if result == example.output:
             passed += 1
-    return passed, len(examples)
+    return passed, len(task_set.train) + len(task_set.test)
 
 
 def format_percent(value: float) -> str:

@@ -386,13 +386,21 @@ def test_render_generated_example(capsys):
     assert all(line.isdigit() for line in body)
 
 
-def test_render_from_file(tmp_path, capsys):
+def test_render_from_file(tmp_path, capsys, monkeypatch):
     from gridbench import generate_task_set, save_task_file
 
     path = tmp_path / "t.json"
     save_task_file(path, generate_task_set("05269061", 2, 1, 4))
+    built = []
+    example = gridbench.grid._example
+    monkeypatch.setattr(gridbench.grid, "_example", lambda pair: built.append(pair) or example(pair))
     assert run(["render", "--file", str(path), "--split", "test", "--index", "0"]) == 0
-    assert "output:" in capsys.readouterr().out
+    from_file = capsys.readouterr().out
+    assert "output:" in from_file
+    assert len(built) == 1  # only the printed example is built from the file's cells
+    # The test example is example index 2 of that stream.
+    assert run(["render", "--task", "05269061", "--seed", "4", "--index", "2"]) == 0
+    assert capsys.readouterr().out == from_file
 
 
 def test_render_index_out_of_range(tmp_path, capsys):

@@ -56,6 +56,21 @@ def test_load_round_trip(tmp_path):
     assert load_task_file(path) == MINIMAL
 
 
+def test_a_canonical_file_reads_as_its_tuples_of_examples(tmp_path):
+    path = tmp_path / "t.json"
+    task_set = generate_task_set("1e0a9b12", 3, 1, 2)
+    save_task_file(path, task_set)
+    loaded = load_task_file(path)
+    assert loaded == task_set and task_set == loaded
+    assert loaded == load_task_file(path) and loaded != generate_task_set("1e0a9b12", 3, 1, 3)
+    assert loaded.train[1:] == task_set.train[1:] and loaded.train[-1] == task_set.train[-1]
+    assert list(loaded.test) == list(task_set.test) and repr(loaded) == repr(task_set)
+    # Each read builds a fresh example, so changing one leaves the task set as loaded.
+    first = loaded.train[0].input
+    first[0][0] = (first[0][0] + 1) % 10
+    assert loaded.train[0] == task_set.train[0]
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -369,6 +384,38 @@ def test_evaluate_programs_may_modify_their_input(tmp_path):
     assert all(score.pass_count == 0 for score in report.per_task.values())
     # Each evaluate decodes the files again: what a program did to its input stays with it.
     assert evaluate(tmp_path, verifiers).percent == 100.0
+
+
+def test_evaluate_judges_each_example_once_after_checking_the_whole_file(tmp_path):
+    from gridbench import lookup
+
+    emit_dataset(["67a423a3"], 20, 5, tmp_path)
+    path = tmp_path / "67a423a3.json"
+    canonical = path.read_text(encoding="utf-8")
+    body = canonical[: -len(harness._TAIL)]
+    verify = lookup("67a423a3").verifier
+    calls = []
+
+    def program(grid):
+        calls.append(grid)
+        return verify(grid)
+
+    def judged():
+        calls.clear()
+        return evaluate(tmp_path, {"67a423a3": program}).per_task["67a423a3"]
+
+    assert judged() == TaskScore(21, 21) and len(calls) == 21
+    # The last output cell is not a digit: the file fails before any example is judged.
+    path.write_text(body[:-1] + "a" + harness._TAIL, encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        judged()
+    assert calls == []
+    # ARC spacing in the last grid alone: the JSON path judges each example once.
+    head, sep, last = body.rpartition('"output":[[')
+    spaced = head + sep + last.replace(",", ", ") + harness._TAIL
+    assert spaced != canonical
+    path.write_text(spaced, encoding="utf-8")
+    assert judged() == TaskScore(21, 21) and len(calls) == 21
 
 
 def test_evaluate_rejects_a_path_that_is_not_a_directory(tmp_path):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .errors import GridBenchError, check_int, shown
 from .framework import apply_variation  # noqa: F401  (bench/spans.py wraps cli.apply_variation)
-from .framework import generate_examples, lookup, task_ids
+from .framework import lookup, task_ids
 from .grid import PALETTE, render_text
 from .harness import (
     EvalReport,
@@ -19,7 +19,6 @@ from .harness import (
     format_report,
     golden_check,
     load_task_file,
-    save_dataset,
     save_task_file,  # noqa: F401  (bench/spans.py wraps cli.save_task_file)
 )
 from .rng import new_stream
@@ -59,27 +58,19 @@ def _int(text: str) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.set and args.task is None:
+        raise argparse.ArgumentError(None, "--set requires --task")
+    overrides = dict(_parse_override(item) for item in args.set)
+    ids = [args.task] if args.task else task_ids()
     out_dir = Path(args.out)
-    if args.set:
-        if args.task is None:
-            raise argparse.ArgumentError(None, "--set requires --task")
-        overrides = dict(_parse_override(item) for item in args.set)
-        examples = generate_examples(args.task, args.count, args.seed, overrides)
-        manifest = save_dataset(out_dir, args.seed, args.count, [(args.task, examples)])
-        if examples.domain_error is not None:
-            print(
-                f"warning: task {args.task}: variation is outside the verifier "
-                "domain; examples were not consistency-checked",
-                file=sys.stderr,
-            )
-    else:
-        ids = [args.task] if args.task else task_ids()
-        manifest = emit_dataset(ids, args.count, args.seed, out_dir)
-    for entry in manifest["tasks"]:
+    for task_id in emit_dataset(ids, args.count, args.seed, out_dir, overrides):
         print(
-            f"wrote {out_dir / entry['file']} "
-            f"({entry['train_count']} train + {entry['test_count']} test)"
+            f"warning: task {task_id}: variation is outside the verifier "
+            "domain; examples were not consistency-checked",
+            file=sys.stderr,
         )
+    for task_id in ids:
+        print(f"wrote {out_dir / f'{task_id}.json'} ({args.count} train + 1 test)")
     print(f"wrote {out_dir / 'manifest.json'}")
     return 0
 
@@ -189,8 +180,9 @@ def run(argv) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (GridBenchError, ValueError, OSError) as err:
-        if isinstance(err, OSError) and err.filename is not None:  # str(err) quotes it in full
-            names = (shown(name) for name in (err.filename, err.filename2) if name is not None)
+        if isinstance(err, OSError) and err.filename is not None:  # str(err) quotes any length
+            names = [name for name in (err.filename, err.filename2) if name is not None]
+            names = (repr(name) if len(str(name)) <= 255 else shown(name) for name in names)
             err = f"[Errno {err.errno}] {err.strerror}: {' -> '.join(names)}"
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import FormatError, check_int, shown
+from .errors import FormatError, shown
 from .framework import generate_examples, lookup
 from .framework import generate_task_set  # noqa: F401  (bench/spans.py wraps it)
 from .grid import MAX_SIDE, Cells, Example, Grid, LazyExamples, TaskSet
@@ -259,37 +259,32 @@ def _read_examples(path: Path, payload: dict, split: str) -> list[Example]:
     return examples
 
 
-def save_dataset(out_dir, master_seed: int, train_count: int, tasks) -> dict:
-    """Write one ``<task_id>.json`` per ``(task_id, examples)`` as the examples
-    arrive, so memory does not grow with the count, then the manifest, which
-    it returns. ``examples`` holds ``train_count`` train examples and then one
-    test example. The directory is made once the first example exists: a
-    failure before that leaves none, and one later in the first file leaves
-    it empty. Each file is written atomically, the manifest last."""
+def emit_dataset(task_list, count: int, master_seed: int, out_dir, overrides=None) -> list[str]:
+    """Write ``generate_examples(task_id, count, master_seed, overrides)`` of
+    each task to ``<task_id>.json`` as the examples arrive, so memory does not
+    grow with the count, then the manifest; the bytes depend on the arguments
+    only. Without overrides an example outside its verifier's domain raises
+    :class:`VerifierDomainError` before its file is moved into place; with
+    overrides it is written unchecked, and the ids of such tasks are returned.
+    The directory is made once the first example exists: a failure before
+    that leaves none, and one later in the first file leaves it empty. Each
+    file is written atomically, the manifest last."""
     directory = Path(out_dir)
-    entries = []
-    for task_id, examples in tasks:
-        chunks = _task_text(examples, train_count)
+    entries, unchecked = [], []
+    for task_id in sorted(task_list):
+        stream = generate_examples(task_id, count, master_seed, overrides)
+        chunks = _task_text(stream if overrides else stream.checked(), count)
         first = next(chunks)  # the first example, made before the directory
         directory.mkdir(parents=True, exist_ok=True)
         name = f"{task_id}.json"
         _write_atomic(directory / name, itertools.chain((first,), chunks))
-        entries.append({"id": task_id, "train_count": train_count, "test_count": 1, "file": name})
+        entries.append({"id": task_id, "train_count": count, "test_count": 1, "file": name})
+        if stream.domain_error is not None:
+            unchecked.append(task_id)
     manifest = {"master_seed": master_seed, "tasks": entries}
     directory.mkdir(parents=True, exist_ok=True)
     _write_atomic(directory / "manifest.json", [json.dumps(manifest, separators=(",", ":"))])
-    return manifest
-
-
-def emit_dataset(task_list, per_task_train: int, master_seed: int, out_dir) -> dict:
-    """Write ``generate_examples(task_id, per_task_train, master_seed)`` of each
-    task through :func:`save_dataset` and return the manifest; the bytes depend
-    on the arguments only. An example outside its verifier's domain raises
-    :class:`VerifierDomainError` before its file is moved into place."""
-    check_int("per_task_train", per_task_train, 1, 2**64 - 1)
-    ids = sorted(task_list)
-    streams = (generate_examples(task_id, per_task_train, master_seed).checked() for task_id in ids)
-    return save_dataset(out_dir, master_seed, per_task_train, zip(ids, streams))
+    return unchecked
 
 
 @dataclass(frozen=True)

@@ -67,11 +67,11 @@ def test_generate_failing_before_its_first_file_leaves_no_directory(tmp_path, ca
 def test_generate_rejects_non_positive_count(tmp_path, capsys):
     out = tmp_path / "d"
     assert run(["generate", "--count", "0", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: per_task_train 0 outside [1, 18446744073709551615]\n"
+    assert capsys.readouterr().err == "error: count 0 outside [1, 18446744073709551615]\n"
     assert not out.exists()
     # A count past the 64-bit example index space fails before generating.
     assert run(["generate", "--count", str(2**64), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: per_task_train {2**64} outside [1, {2**64 - 1}]\n"
+    assert capsys.readouterr().err == f"error: count {2**64} outside [1, {2**64 - 1}]\n"
     argv = ["generate", "--task", "543a7ed5", "--set", "size=20", "--count", str(2**64), "--out", str(out)]
     assert run(argv) == 1
     assert capsys.readouterr().err == f"error: count {2**64} outside [1, {2**64 - 1}]\n"
@@ -493,6 +493,12 @@ def test_long_path_that_fails_is_one_short_error_line(tmp_path, capsys, monkeypa
     assert len(captured.err.splitlines()) == 1
     assert len(captured.err.encode()) < 200
     assert "characters)" in captured.err
+
+
+def test_missing_file_error_names_the_whole_path(tmp_path, capsys):
+    path = tmp_path / f"{'m' * 60}.json"
+    assert run(["render", "--file", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
 
 
 def test_help_still_exits_0(capsys):

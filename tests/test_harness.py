@@ -23,7 +23,6 @@ from gridbench import (
     evaluate,
     format_percent,
     format_report,
-    generate_examples,
     generate_task_set,
     golden_check,
     load_task_file,
@@ -33,7 +32,6 @@ from gridbench import (
 )
 from gridbench import harness
 from gridbench.framework import _REGISTRY
-from gridbench.harness import save_dataset
 from gridbench.tasks import borders_and_holes
 
 MINIMAL = TaskSet(
@@ -123,17 +121,16 @@ def test_load_error_names_the_first_bad_cell(tmp_path):
 
 def test_emit_dataset_writes_files_and_manifest(tmp_path):
     out = tmp_path / "d"
-    manifest = emit_dataset(["543a7ed5", "1e0a9b12"], 3, 9, out)
+    assert emit_dataset(["543a7ed5", "1e0a9b12"], 3, 9, out) == []
     assert sorted(p.name for p in out.iterdir()) == [
         "1e0a9b12.json",
         "543a7ed5.json",
         "manifest.json",
     ]
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["master_seed"] == 9
     assert [t["id"] for t in manifest["tasks"]] == ["1e0a9b12", "543a7ed5"]
     assert all(t["train_count"] == 3 and t["test_count"] == 1 for t in manifest["tasks"])
-    on_disk = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert on_disk == manifest
     for entry in manifest["tasks"]:
         ts = load_task_file(out / entry["file"])
         assert len(ts.train) == 3
@@ -151,10 +148,10 @@ def test_emit_dataset_is_byte_deterministic(tmp_path):
 def test_emit_dataset_rejects_zero_train(tmp_path):
     out = tmp_path / "d"
     for count, message in [
-        (0, "per_task_train 0 outside [1, 18446744073709551615]"),
-        (2**64, "per_task_train 18446744073709551616 outside [1, 18446744073709551615]"),
-        (True, "per_task_train must be an integer, got True"),
-        (2.5, "per_task_train must be an integer, got 2.5"),
+        (0, "count 0 outside [1, 18446744073709551615]"),
+        (2**64, "count 18446744073709551616 outside [1, 18446744073709551615]"),
+        (True, "count must be an integer, got True"),
+        (2.5, "count must be an integer, got 2.5"),
     ]:
         with pytest.raises(ValueError) as info:
             emit_dataset(["543a7ed5"], count, 0, out)
@@ -228,7 +225,7 @@ def failing_tasks():
     second's verifier disagrees with the output and the third's verifier
     rejects the input as outside its domain."""
 
-    def generate(rng=None):
+    def generate(rng=None, level=0):  # level only lets a test pass an override
         if rng.example_index == 5 and rng.task_id == "f0000005":
             raise GenerationError("no layout for example 5")
         grid = Grid([[rng.example_index % 10]])
@@ -252,16 +249,13 @@ def failing_tasks():
 
 
 @pytest.mark.parametrize("task_id", ["f0000005", "f1000005"])
-@pytest.mark.parametrize("writer", ["emit_dataset", "save_dataset"])
-def test_failure_midway_through_a_stream_keeps_the_previous_files(tmp_path, failing_tasks, task_id, writer):
+@pytest.mark.parametrize("overrides", [None, {"level": 1}], ids=["checked", "overrides"])
+def test_failure_midway_through_a_stream_keeps_the_previous_files(tmp_path, failing_tasks, task_id, overrides):
     out = tmp_path / "d"
     emit_dataset([task_id], 3, 1, out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     with pytest.raises(failing_tasks[task_id]):
-        if writer == "emit_dataset":
-            emit_dataset([task_id], 9, 2, out)
-        else:  # the path of generate --set
-            save_dataset(out, 2, 9, [(task_id, generate_examples(task_id, 9, 2))])
+        emit_dataset([task_id], 9, 2, out, overrides)
     # No temporary file is left, and the previous files are untouched.
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
@@ -273,10 +267,9 @@ def test_domain_error_fails_emit_dataset_but_not_a_variation(tmp_path, failing_t
     with pytest.raises(VerifierDomainError, match="example 5"):
         emit_dataset(["f2000005"], 9, 2, out)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-    # generate --set writes the examples and only warns.
-    examples = generate_examples("f2000005", 9, 2)
-    save_dataset(out, 2, 9, [("f2000005", examples)])
-    assert str(examples.domain_error) == "example 5 is outside the domain"
+    # With overrides, as under generate --set, the examples are written
+    # unchecked and the task is named.
+    assert emit_dataset(["f2000005"], 9, 2, out, {"level": 1}) == ["f2000005"]
     assert len(load_task_file(out / "f2000005.json").train) == 9
 
 

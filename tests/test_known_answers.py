@@ -29,6 +29,7 @@ from gridbench import (
     save_task_file,
     task_ids,
 )
+from gridbench.cli import run
 
 FIXTURE = Path(__file__).with_name("known_answers.json")
 
@@ -100,6 +101,16 @@ def variation_digest(overrides: dict) -> dict:
         return {"sha256": _sha256(path), "verifier_checked": result.verifier_checked}
 
 
+def cli_digest(overrides: dict) -> str:
+    """The SHA-256 of the task file ``gridbench generate --set`` writes with
+    the variation's task, count and seed."""
+    sets = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
+    task, count, seed = VARIATION["task"], str(VARIATION["count"]), str(VARIATION["seed"])
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run(["generate", "--task", task, *sets, "--count", count, "--seed", seed, "--out", tmp]) == 0
+        return _sha256(Path(tmp) / f"{task}.json")
+
+
 def layout_digests() -> list[dict]:
     return [{"overrides": o, **variation_digest(o)} for o in LAYOUT_OVERRIDES]
 
@@ -146,6 +157,12 @@ def test_variation_digest(known):
 
 def test_layout_digests(known):
     assert layout_digests() == known["layouts"]
+
+
+def test_cli_set_digests(known):
+    # The CLI's writer gives the bytes that apply_variation + save_task_file give.
+    expected = [known["variation"]["sha256"], *(entry["sha256"] for entry in known["layouts"])]
+    assert [cli_digest(o) for o in [VARIATION["overrides"], *LAYOUT_OVERRIDES]] == expected
 
 
 def test_failed_search_states(known):

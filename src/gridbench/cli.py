@@ -49,14 +49,6 @@ def _parse_scalar(raw: str) -> object:
         raise ValueError(f"cannot parse override value {shown(token)}") from None
 
 
-def _int(text: str) -> int:
-    """argparse ``type=`` for the integer flags; quotes a bad value through ``shown``."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
-
-
 def _cmd_generate(args) -> int:
     if args.set and args.task is None:
         raise argparse.ArgumentError(None, "--set requires --task")
@@ -122,8 +114,10 @@ def _cmd_list(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # raise a usage error for run() to print
-        # argparse repeats a bad value in full, quoted or not; shown shortens a long one.
-        message = re.sub(r"'([^']{41,})'|(\S{41,})", lambda m: shown(m[1] or m[2]), message)
+        # argparse repeats a bad value in full, quoted by repr or not; shown shortens a long one.
+        message = re.sub(
+            r"""'([^']{41,})'|"([^"]{41,})"|(\S{41,})""", lambda m: shown(m[m.lastindex]), message
+        )
         raise argparse.ArgumentError(None, message)
 
 
@@ -137,8 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="emit task files and a manifest")
     gen.add_argument("--task", help="generate only this task id")
-    gen.add_argument("--count", type=_int, default=3, help="train examples per task")
-    gen.add_argument("--seed", type=_int, default=0, help="master seed")
+    gen.add_argument("--count", type=int, default=3, help="train examples per task")
+    gen.add_argument("--seed", type=int, default=0, help="master seed")
     gen.add_argument("--out", default="dataset", help="output directory")
     gen.add_argument(
         "--set",
@@ -162,9 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
     source = ren.add_mutually_exclusive_group(required=True)
     source.add_argument("--task", help="task id to generate from")
     source.add_argument("--file", help="task file to read instead of generating")
-    ren.add_argument("--index", type=_int, default=0, help="example index")
+    ren.add_argument("--index", type=int, default=0, help="example index")
     ren.add_argument("--split", choices=("train", "test"), default="train")
-    ren.add_argument("--seed", type=_int, default=0, help="master seed (with --task)")
+    ren.add_argument("--seed", type=int, default=0, help="master seed (with --task)")
     ren.set_defaults(func=_cmd_render)
 
     lst = sub.add_parser("list", help="print registered task ids")

@@ -65,8 +65,9 @@ class generate_examples:  # noqa: N801  (an iterator class, like enumerate)
 
     The arguments are checked at once. Iterating generates indexes 0 to
     ``count`` (at most 2**64 - 1) one at a time and checks each against the
-    verifier: a wrong output raises :class:`VerificationError`, and the first
-    :class:`VerifierDomainError` is kept as ``domain_error`` instead."""
+    verifier: a wrong output raises :class:`VerificationError`, and an input
+    outside its domain raises :class:`VerifierDomainError` unless there are
+    overrides, which yield it unchecked and keep the first as ``domain_error``."""
 
     def __init__(self, task_id: str, count: int, master_seed: int, overrides=None) -> None:
         self._task, names = _entry(task_id)
@@ -85,6 +86,8 @@ class generate_examples:  # noqa: N801  (an iterator class, like enumerate)
             try:
                 expected = task.verifier(example.input)
             except VerifierDomainError as err:
+                if not overrides:
+                    raise
                 self.domain_error = self.domain_error or err
             else:
                 if expected != example.output:
@@ -93,19 +96,13 @@ class generate_examples:  # noqa: N801  (an iterator class, like enumerate)
                     )
             yield example
 
-    def checked(self) -> Iterator[Example]:
-        """The same examples, then the ``domain_error``, if any, raised."""
-        yield from self
-        if self.domain_error is not None:
-            raise self.domain_error
-
 
 def generate_task_set(task_id: str, train_count: int, test_count: int, master_seed: int) -> TaskSet:
     """Indexes 0..train_count-1 of :func:`generate_examples` as train and the
     next ``test_count`` as test; one outside the verifier's domain raises."""
     check_int("train_count", train_count, 1, 2**64 - 1)
     check_int("test_count", test_count, 1, 2**64 - train_count)
-    examples = list(generate_examples(task_id, train_count + test_count - 1, master_seed).checked())
+    examples = list(generate_examples(task_id, train_count + test_count - 1, master_seed))
     return TaskSet(train=examples[:train_count], test=examples[train_count:])
 
 
@@ -123,9 +120,9 @@ class VariationResult:
 
 
 def apply_variation(task_id: str, overrides: dict, count: int, master_seed: int) -> VariationResult:
-    """:func:`generate_examples` with the overrides held fixed, as a task set;
-    with empty overrides it matches :func:`generate_task_set` with one test
-    example. One outside the verifier's domain marks the result unchecked."""
+    """:func:`generate_examples` with the overrides held fixed, as a task set, and
+    without them :func:`generate_task_set` with one test example; with overrides,
+    an example outside the verifier's domain marks the result unchecked."""
     stream = generate_examples(task_id, count, master_seed, overrides)
     examples = list(stream)
     task_set = TaskSet(train=examples[:count], test=examples[count:])

@@ -273,7 +273,7 @@ def emit_dataset(task_list, count: int, master_seed: int, out_dir, overrides=Non
     entries, unchecked = [], []
     for task_id in sorted(task_list):
         stream = generate_examples(task_id, count, master_seed, overrides)
-        chunks = _task_text(stream if overrides else stream.checked(), count)
+        chunks = _task_text(stream, count)
         first = next(chunks)  # the first example, made before the directory
         directory.mkdir(parents=True, exist_ok=True)
         name = f"{task_id}.json"

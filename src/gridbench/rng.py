@@ -115,6 +115,17 @@ class RngStream:
         span = hi - lo + 1
         return lo + ((self._next() * span) >> 64)
 
+    def sample(self, population, k: int) -> list:
+        """``k`` distinct entries of ``population``, by a partial Fisher-Yates
+        shuffle of a copy: draw ``i`` is ``randint(i, n - 1)``, whose entry
+        swaps into place ``i``, so exactly ``k`` words are taken."""
+        pool = list(population)
+        n = len(pool)
+        for i in range(check_int("k", k, 0, n)):
+            j = self.randint(i, n - 1)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+
     def __repr__(self) -> str:
         return (
             f"RngStream(master_seed={self.master_seed}, "

@@ -73,18 +73,13 @@ def generate(
 
     grid = [[CYAN] * size for _ in range(size)]
     out = [[CYAN] * size for _ in range(size)]
-    for i, (row, col, width, height, color) in enumerate(
-        zip(rows, cols, widths, heights, colors)
-    ):
-        is_box = i < boxes
-        for r in range(row - 1, row + height + 1):
-            for c in range(col - 1, col + width + 1):
-                if is_box:
-                    out[r][c] = GREEN
-                if r < row or r >= row + height or c < col or c >= col + width:
-                    continue
-                grid[r][c] = color if is_box else CYAN
-                out[r][c] = color
+    for i, (row, col, width, height, color) in enumerate(zip(rows, cols, widths, heights, colors)):
+        if i < boxes:  # the green ring, whose middle the rectangle then covers
+            for r in range(row - 1, row + height + 1):
+                out[r][col - 1 : col + width + 1] = [GREEN] * (width + 2)
+        for r in range(row, row + height):
+            grid[r][col : col + width] = [color if i < boxes else CYAN] * width
+            out[r][col : col + width] = [color] * width
     return Example(input=Grid._of(grid), output=Grid._of(out))
 
 

@@ -22,7 +22,7 @@ def generate(size=None, rng=None) -> Example:
         moved = False
         for c in range(size):
             count = rng.randint(1, min(3, size - 1))
-            cells = sorted(_distinct_rows(rng, size, count))
+            cells = sorted(rng.sample(range(size), count))
             colors = [rng.randint(1, 9) for _ in range(count)]
             for r, color in zip(cells, colors):
                 grid_rows[r][c] = color
@@ -34,15 +34,6 @@ def generate(size=None, rng=None) -> Example:
         if moved:
             return Example(input=Grid._of(grid_rows), output=Grid._of(out_rows))
     raise GenerationError(f"task {TASK_ID}: every sampled layout was already settled")
-
-
-def _distinct_rows(rng, n: int, k: int) -> list[int]:
-    # Partial Fisher-Yates: k distinct values from range(n).
-    pool = list(range(n))
-    for i in range(k):
-        j = rng.randint(i, n - 1)
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
 
 
 def verifier(grid: Grid) -> Grid:

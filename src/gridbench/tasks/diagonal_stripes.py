@@ -23,11 +23,7 @@ def generate(size=None, colors=None, bands=None, corner=None, rng=None) -> Examp
     """
     size = rng.randint(5, 9) if size is None else check_int("size", size, 3, 30)
     if colors is None:
-        pool = list(range(1, 10))
-        for i in range(3):
-            j = rng.randint(i, len(pool) - 1)
-            pool[i], pool[j] = pool[j], pool[i]
-        colors = pool[:3]
+        colors = rng.sample(range(1, 10), 3)
     else:
         colors = check_ints("colors", colors, 1, 9)
         if len(colors) != 3 or len(set(colors)) != 3:

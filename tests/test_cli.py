@@ -450,13 +450,23 @@ def test_render_needs_source(capsys):
             ["render", "--task", "1e0a9b12", "--index", "9" * 5000],
             f"argument --index: invalid int value: {'9' * 20!r}... (5000 characters)",
         ),
+        # repr quotes a value holding ' in ", and one holding " in '.
+        (
+            ["generate", "--count", "9'" * 25],
+            'argument --count: invalid int value: "' + "9'" * 10 + '"... (50 characters)',
+        ),
+        (
+            ["render", "--task", "1e0a9b12", "--index", '9"' * 25],
+            "argument --index: invalid int value: '" + '9"' * 10 + "'... (50 characters)",
+        ),
         (["b" * 3000], None),
         (["render", "--task", "1e0a9b12", "--split", "c" * 3000], None),
         (["list", "d" * 3000], None),
     ],
     ids=[
         "command", "flag", "count", "examples", "set", "render", "render-both", "long-count",
-        "long-index", "long-command", "long-split", "long-argument",
+        "long-index", "long-count-quote", "long-index-double-quote", "long-command", "long-split",
+        "long-argument",
     ],
 )
 def test_usage_error_is_one_error_line_and_exit_2(tmp_path, capsys, monkeypatch, argv, message):

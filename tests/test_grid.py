@@ -53,6 +53,7 @@ def test_grid_rejects_malformed_rows(rows):
         ([[0, 0, 0], [0, 0, 1.0]], "cell (1, 2) holds 1.0, not a color code in [0, 9]"),
         ([[0, 1], [2], [3, 4, 5]], "row 1 is not a list of 2 cells"),
         ([[0, 1], "01"], "row 1 is not a list of 2 cells"),
+        ([1, 2], "grid rows must be lists of color codes"),
         # Row-major order: a bad cell before a bad row is reported first.
         ([[0, 1], [1, -1], [2]], "cell (1, 1) holds -1, not a color code in [0, 9]"),
     ],

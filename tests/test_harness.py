@@ -19,6 +19,7 @@ from gridbench import (
     TaskSet,
     VerificationError,
     VerifierDomainError,
+    apply_variation,
     emit_dataset,
     evaluate,
     format_percent,
@@ -271,6 +272,37 @@ def test_domain_error_fails_emit_dataset_but_not_a_variation(tmp_path, failing_t
     # unchecked and the task is named.
     assert emit_dataset(["f2000005"], 9, 2, out, {"level": 1}) == ["f2000005"]
     assert len(load_task_file(out / "f2000005.json").train) == 9
+
+
+def test_domain_error_without_overrides_stops_at_its_example(tmp_path):
+    # Example 2 leaves the verifier's domain: generation stops there, not
+    # after all 51 examples, and an empty override dict changes nothing.
+    calls = []
+
+    def generate(rng=None):
+        calls.append(rng.example_index)
+        grid = Grid([[rng.example_index % 10]])
+        return Example(input=grid, output=grid)
+
+    def verifier(grid):
+        if grid[0][0] == 2:
+            raise VerifierDomainError("example 2 is outside the domain")
+        return grid
+
+    register(SimpleNamespace(TASK_ID="f3000002", generate=generate, verifier=verifier))
+    try:
+        for make in (
+            lambda: emit_dataset(["f3000002"], 50, 1, tmp_path / "d"),
+            lambda: generate_task_set("f3000002", 50, 1, 1),
+            lambda: apply_variation("f3000002", {}, 50, 1),
+        ):
+            calls.clear()
+            with pytest.raises(VerifierDomainError, match="^example 2 is outside the domain$"):
+                make()
+            assert calls == [0, 1, 2]
+    finally:
+        del _REGISTRY["f3000002"]
+    assert list((tmp_path / "d").iterdir()) == []
 
 
 def test_failure_after_the_first_example_leaves_an_empty_directory(tmp_path, failing_tasks):

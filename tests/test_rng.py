@@ -153,3 +153,28 @@ def test_peek_and_skip_reject_negative_counts():
             s.peek(n)
         with pytest.raises(ValueError, match=f"^n must be an integer, got {n}$"):
             s.skip(n)
+
+
+@pytest.mark.parametrize(
+    "population, k",
+    [(range(9), 0), (range(9), 9), (range(1, 10), 3), (["a", "b", "c", "d", "e"], 2), ([7], 1)],
+)
+def test_sample_takes_the_words_of_a_randint_and_swap_loop(population, k):
+    stream, reference = new_stream(3, "sample", 0), new_stream(3, "sample", 0)
+    pool = list(population)
+    for i in range(k):
+        j = reference.randint(i, len(pool) - 1)
+        pool[i], pool[j] = pool[j], pool[i]
+    before = list(population)
+    assert stream.sample(population, k) == pool[:k]
+    assert stream.state == reference.state
+    assert list(population) == before
+
+
+def test_sample_rejects_k_outside_the_population():
+    s = new_stream(1, "x", 0)
+    state = s.state
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match=rf"^k {k} outside \[0, 3\]$"):
+            s.sample(range(3), k)
+    assert s.state == state

@@ -114,10 +114,6 @@ def _cmd_list(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # raise a usage error for run() to print
-        # argparse repeats a bad value in full, quoted by repr or not; shown shortens a long one.
-        message = re.sub(
-            r"""'([^']{41,})'|"([^"]{41,})"|(\S{41,})""", lambda m: shown(m[m.lastindex]), message
-        )
         raise argparse.ArgumentError(None, message)
 
 
@@ -171,7 +167,11 @@ def run(argv) -> int:
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except argparse.ArgumentError as err:
-        print(f"error: {err}", file=sys.stderr)
+        # argparse repeats a bad value in full, quoted by repr or not; shown shortens a long one.
+        message = re.sub(
+            r"""'([^']{41,})'|"([^"]{41,})"|(\S{41,})""", lambda m: shown(m[m.lastindex]), str(err)
+        )
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except (GridBenchError, ValueError, OSError) as err:
         if isinstance(err, OSError) and err.filename is not None:  # str(err) quotes any length

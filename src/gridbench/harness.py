@@ -13,12 +13,12 @@ its layout. Both sides of the canonical layout go through one strided
 byte frame per grid shape, whose even slots hold the cells and the
 commas between rows and whose odd slots hold fixed separators: a grid
 is written by copying its cells into the frame, and read, without
-building a JSON object tree, by checking the text against the frame and
-keeping the cells of its even slots as bytes. The whole file is checked
+building a JSON object tree, by checking the file's bytes against the
+frame and keeping the cells of its even slots. The whole file is checked
 before any example is built; an example's row lists are built from its
 cells each time it is read, so ``evaluate`` holds a file's cells and
-the row lists of one example at a time. Every other file goes through
-``json.loads`` and is validated element by element.
+the row lists of one example at a time. Every other file is decoded as
+UTF-8, goes through ``json.loads`` and is validated element by element.
 """
 
 from __future__ import annotations
@@ -38,14 +38,14 @@ from .framework import generate_task_set  # noqa: F401  (bench/spans.py wraps it
 from .grid import MAX_SIDE, Cells, Example, Grid, LazyExamples, TaskSet
 
 # The canonical layout around the grids; a grid's text is its rows
-# without the outermost brackets, e.g. "1,2],[3,4" for [[1,2],[3,4]].
-_HEAD = '{"train":[{"input":[['
-_PAIR = ']],"output":[['
-_NEXT = ']]},{"input":[['
-_SPLIT = ']]}],"test":[{"input":[['
-_TAIL = ']]}]}'
+# without the outermost brackets, e.g. b"1,2],[3,4" for [[1,2],[3,4]].
+_HEAD = b'{"train":[{"input":[['
+_PAIR = b']],"output":[['
+_NEXT = b']]},{"input":[['
+_SPLIT = b']]}],"test":[{"input":[['
+_TAIL = b']]}]}'
 # Cell value -> ASCII digit; any byte that is not a color maps to 0x80,
-# which the ASCII decode rejects.
+# which is not ASCII.
 _TO_DIGIT = bytes(range(48, 58)).ljust(256, b"\x80")
 # ASCII digit -> cell value (only digits are ever translated).
 _FROM_DIGIT = bytes.maketrans(b"0123456789", bytes(range(10)))
@@ -63,10 +63,10 @@ def _frame(height: int, width: int) -> bytes:
     return b"],[".join([b"," * (2 * width - 1)] * height)
 
 
-def _grid_text(grid: Grid) -> str:
-    """A grid's rows as canonical JSON text, without the outer brackets.
+def _grid_text(grid: Grid) -> bytearray:
+    """A grid's rows as canonical JSON bytes, without the outer brackets.
 
-    The same text as ``json.dumps`` with compact separators for a grid
+    The bytes of ``json.dumps`` with compact separators for a grid
     that meets the ``Grid`` contract. The rows are joined into one byte
     string of cells (``bytes(row)``, by integer value) with the row
     breaks at the pad slots, which is written over the even slots of
@@ -91,14 +91,16 @@ def _grid_text(grid: Grid) -> str:
         cells[width :: width + 1] = b"," * (height - 1)
         frame = bytearray(_frame(height, width))
         frame[::2] = cells
-        return frame.decode("ascii")
+        if not frame.isascii():
+            raise ValueError("grid cell is not a color code")
+        return frame
     except (TypeError, ValueError):
         Grid(rows)  # names the first bad row or cell
         raise
 
 
-def _task_text(examples: Iterable[Example], train_count: int) -> Iterator[str]:
-    """A task file's text, one chunk per example and then the tail; the first
+def _task_text(examples: Iterable[Example], train_count: int) -> Iterator[bytes]:
+    """A task file's bytes, one chunk per example and then the tail; the first
     ``train_count`` examples are train, the rest test."""
     separator = _HEAD
     for index, example in enumerate(examples, 1):
@@ -107,7 +109,7 @@ def _task_text(examples: Iterable[Example], train_count: int) -> Iterator[str]:
     yield _TAIL
 
 
-def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
     """Write ``chunks`` as they arrive to a temporary file beside ``path``,
     then move it into place.
 
@@ -118,7 +120,7 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     file is removed if the write fails, and gets the mode ``open`` gives a
     new file under the umask in force."""
     temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    handle = open(temp, "x", encoding="utf-8")
+    handle = open(temp, "xb")
     try:
         with handle:
             handle.writelines(chunks)
@@ -143,20 +145,17 @@ def load_task_file(path) -> TaskSet:
     tuples of examples built here.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise FormatError(f"{path}: {err}") from None
-    task_set = _decode_canonical(text)
+    data = path.read_bytes()
+    task_set = _decode_canonical(data)
     if task_set is not None:
         return task_set
     try:
-        payload = json.loads(text)
+        payload = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as err:
         raise FormatError(f"{path}: line {err.lineno}: {err.msg}") from None
     except (RecursionError, ValueError) as err:
-        # Nesting deeper than the recursion limit, or an integer longer
-        # than the int conversion limit.
+        # Bytes that are not UTF-8, nesting deeper than the recursion
+        # limit, or an integer longer than the int conversion limit.
         raise FormatError(f"{path}: {err}") from None
     if not isinstance(payload, dict) or set(payload) != {"train", "test"}:
         raise FormatError(
@@ -168,11 +167,11 @@ def load_task_file(path) -> TaskSet:
     )
 
 
-def _decode_canonical(text: str) -> TaskSet | None:
-    """The task set of a file in the canonical layout; None for any other text.
+def _decode_canonical(data: bytes) -> TaskSet | None:
+    """The task set of a file in the canonical layout; None for any other bytes.
 
-    One forward walk over the whole text, so a text that breaks the
-    layout anywhere returns None before any example is built: a grid's
+    One forward walk over the whole file, so bytes that break the
+    layout anywhere return None before any example is built: a grid's
     text never holds "]]", so the next "]]" ends each grid, and the
     separator the layout puts there must follow it: ``_PAIR`` after an
     input; after an output ``_NEXT``, ``_SPLIT`` (once) or the tail. The
@@ -181,21 +180,23 @@ def _decode_canonical(text: str) -> TaskSet | None:
     as its checked cells, and the splits build an example from them,
     without a second check, each time one is read. The cells are
     ``bytes``, which the cyclic garbage collector never scans, and hold
-    no reference to ``text``.
+    no reference to ``data``. Every byte is checked: the separators
+    here, and each grid's frame and digits in ``_decode_grid``, so a
+    file that is not ASCII returns None.
     """
-    if not (text.isascii() and text.startswith(_HEAD) and text.endswith(_TAIL)):
+    if not (data.startswith(_HEAD) and data.endswith(_TAIL)):
         return None
-    end = len(text) - len(_TAIL)  # the tail's "]]" ends the last grid
+    end = len(data) - len(_TAIL)  # the tail's "]]" ends the last grid
     pairs = []
     train_count, pos = 0, len(_HEAD)
     while True:
-        stop = text.find("]]", pos)
-        if not text.startswith(_PAIR, stop):
+        stop = data.find(b"]]", pos)
+        if not data.startswith(_PAIR, stop):
             return None
-        cells_in = _decode_grid(text[pos:stop])
+        cells_in = _decode_grid(data[pos:stop])
         pos = stop + len(_PAIR)
-        stop = text.find("]]", pos)
-        cells_out = _decode_grid(text[pos:stop])
+        stop = data.find(b"]]", pos)
+        cells_out = _decode_grid(data[pos:stop])
         if cells_in is None or cells_out is None:
             return None
         pairs.append((cells_in, cells_out))
@@ -205,23 +206,22 @@ def _decode_canonical(text: str) -> TaskSet | None:
             return TaskSet(
                 train=LazyExamples(pairs[:train_count]), test=LazyExamples(pairs[train_count:])
             )
-        if text.startswith(_NEXT, stop):
+        if data.startswith(_NEXT, stop):
             pos = stop + len(_NEXT)
-        elif not train_count and text.startswith(_SPLIT, stop):
+        elif not train_count and data.startswith(_SPLIT, stop):
             train_count, pos = len(pairs), stop + len(_SPLIT)
         else:
             return None
 
 
-def _decode_grid(text: str) -> Cells | None:
-    """The checked cells of the grid whose canonical ASCII text is ``text``;
-    None for any other text.
+def _decode_grid(data: bytes) -> Cells | None:
+    """The checked cells of the grid whose canonical text is ``data``;
+    None for any other bytes.
 
     The shape is read off the first row, the odd slots must match its
-    frame, and the even slots must hold digits except for one comma at
-    each pad slot.
+    frame, and the even slots must hold ASCII digits except for one
+    comma at each pad slot.
     """
-    data = text.encode("ascii")
     end = data.find(b"]")
     width = (len(data) if end < 0 else end) // 2 + 1  # a row is 2 * width - 1 long
     height = (len(data) + 3) // (2 * width + 2)
@@ -261,17 +261,17 @@ def _read_examples(path: Path, payload: dict, split: str) -> list[Example]:
 
 def emit_dataset(task_list, count: int, master_seed: int, out_dir, overrides=None) -> list[str]:
     """Write ``generate_examples(task_id, count, master_seed, overrides)`` of
-    each task to ``<task_id>.json`` as the examples arrive, so memory does not
-    grow with the count, then the manifest; the bytes depend on the arguments
-    only. Without overrides an example outside its verifier's domain raises
-    :class:`VerifierDomainError` before its file is moved into place; with
+    each distinct task to ``<task_id>.json`` as the examples arrive, so memory
+    does not grow with the count, then the manifest; the bytes depend on the
+    arguments only. Without overrides an example outside its verifier's domain
+    raises :class:`VerifierDomainError` before its file is moved into place; with
     overrides it is written unchecked, and the ids of such tasks are returned.
     The directory is made once the first example exists: a failure before
     that leaves none, and one later in the first file leaves it empty. Each
     file is written atomically, the manifest last."""
     directory = Path(out_dir)
     entries, unchecked = [], []
-    for task_id in sorted(task_list):
+    for task_id in sorted(set(task_list)):
         stream = generate_examples(task_id, count, master_seed, overrides)
         chunks = _task_text(stream, count)
         first = next(chunks)  # the first example, made before the directory
@@ -281,9 +281,9 @@ def emit_dataset(task_list, count: int, master_seed: int, out_dir, overrides=Non
         entries.append({"id": task_id, "train_count": count, "test_count": 1, "file": name})
         if stream.domain_error is not None:
             unchecked.append(task_id)
-    manifest = {"master_seed": master_seed, "tasks": entries}
+    manifest = json.dumps({"master_seed": master_seed, "tasks": entries}, separators=(",", ":"))
     directory.mkdir(parents=True, exist_ok=True)
-    _write_atomic(directory / "manifest.json", [json.dumps(manifest, separators=(",", ":"))])
+    _write_atomic(directory / "manifest.json", [manifest.encode()])
     return unchecked
 
 

@@ -459,14 +459,19 @@ def test_render_needs_source(capsys):
             ["render", "--task", "1e0a9b12", "--index", '9"' * 25],
             "argument --index: invalid int value: '" + '9"' * 10 + "'... (50 characters)",
         ),
+        # The repr doubles each backslash; the shortened repr is not shortened again.
+        (
+            ["generate", "--count", "\\" * 50],
+            "argument --count: invalid int value: " + repr("\\" * 20) + "... (100 characters)",
+        ),
         (["b" * 3000], None),
         (["render", "--task", "1e0a9b12", "--split", "c" * 3000], None),
         (["list", "d" * 3000], None),
     ],
     ids=[
         "command", "flag", "count", "examples", "set", "render", "render-both", "long-count",
-        "long-index", "long-count-quote", "long-index-double-quote", "long-command", "long-split",
-        "long-argument",
+        "long-index", "long-count-quote", "long-index-double-quote", "long-count-backslash",
+        "long-command", "long-split", "long-argument",
     ],
 )
 def test_usage_error_is_one_error_line_and_exit_2(tmp_path, capsys, monkeypatch, argv, message):

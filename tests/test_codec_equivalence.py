@@ -185,6 +185,7 @@ NAMED = {
     "canonical": CANONICAL,
     "arc spacing": json.dumps(json.loads(CANONICAL)),
     "indented": json.dumps(json.loads(CANONICAL), indent=1),
+    "crlf line ends": json.dumps(json.loads(CANONICAL), indent=1).replace("\n", "\r\n"),
     "trailing newline": CANONICAL + "\n",
     "utf-8 bom": "\ufeff" + CANONICAL,
     "test before train": '{"test":[{"input":[[4,5]],"output":[[5,4]]}],'
@@ -220,7 +221,7 @@ NAMED = {
     '"test":[{"input":[[4,5]],"output":[[5,4]]}]}',
     "tail text in the middle": CANONICAL + CANONICAL,
     "input followed by ]]]": _with_input("[[1]]]"),
-    "last output followed by ]]]": CANONICAL[: -len(harness._TAIL)] + "]" + harness._TAIL,
+    "last output followed by ]]]": CANONICAL[: -len(harness._TAIL)] + "]" + harness._TAIL.decode(),
 }
 
 
@@ -229,6 +230,31 @@ def test_load_named_layouts_match_the_json_reference(tmp_path, name):
     path = tmp_path / "t.json"
     path.write_text(NAMED[name], encoding="utf-8")
     assert _outcome(load_task_file, path) == _outcome(reference_load, path)
+
+
+# The second train example's "{" sits on line 4, where a comma belongs.
+MISSING_COMMA = [
+    "{",
+    ' "train": [',
+    '  {"input": [[1]], "output": [[1]]}',
+    '  {"input": [[2]], "output": [[2]]}',
+    " ],",
+    ' "test": [{"input": [[3]], "output": [[3]]}]',
+    "}",
+]
+
+
+# The line is the one json.loads counts: CRLF ends a line as LF does, and
+# a bare CR ends none.
+@pytest.mark.parametrize(
+    "newline, line", [("\n", 4), ("\r\n", 4), ("\r", 1)], ids=["lf", "crlf", "cr"]
+)
+def test_malformed_file_names_the_line_json_counts(tmp_path, newline, line):
+    path = tmp_path / "t.json"
+    path.write_bytes(newline.join(MISSING_COMMA).encode())
+    with pytest.raises(FormatError) as info:
+        load_task_file(path)
+    assert str(info.value) == f"{path}: line {line}: Expecting ',' delimiter"
 
 
 def _random_text(rnd):
@@ -280,7 +306,7 @@ def test_fuzzed_texts_decode_as_the_json_reference(tmp_path):
     accepted = 0
     for _ in range(3000):
         text = _mutate(rnd, _random_text(rnd))
-        task_set = harness._decode_canonical(text)
+        task_set = harness._decode_canonical(text.encode())
         if task_set is not None:
             accepted += 1
             # The examples built from the checked cells, one by one.

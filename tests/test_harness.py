@@ -146,6 +146,15 @@ def test_emit_dataset_is_byte_deterministic(tmp_path):
         assert path.read_bytes() == (b / path.name).read_bytes()
 
 
+def test_emit_dataset_writes_a_repeated_task_once(tmp_path):
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    emit_dataset(["1e0a9b12"], 2, 5, once)
+    emit_dataset(["1e0a9b12", "1e0a9b12"], 2, 5, twice)
+    assert sorted(p.name for p in twice.iterdir()) == sorted(p.name for p in once.iterdir())
+    for path in once.iterdir():
+        assert (twice / path.name).read_bytes() == path.read_bytes()
+
+
 def test_emit_dataset_rejects_zero_train(tmp_path):
     out = tmp_path / "d"
     for count, message in [
@@ -431,13 +440,13 @@ def test_evaluate_judges_each_example_once_after_checking_the_whole_file(tmp_pat
 
     assert judged() == TaskScore(21, 21) and len(calls) == 21
     # The last output cell is not a digit: the file fails before any example is judged.
-    path.write_text(body[:-1] + "a" + harness._TAIL, encoding="utf-8")
+    path.write_text(body[:-1] + "a" + harness._TAIL.decode(), encoding="utf-8")
     with pytest.raises(FormatError, match=re.escape(str(path))):
         judged()
     assert calls == []
     # ARC spacing in the last grid alone: the JSON path judges each example once.
     head, sep, last = body.rpartition('"output":[[')
-    spaced = head + sep + last.replace(",", ", ") + harness._TAIL
+    spaced = head + sep + last.replace(",", ", ") + harness._TAIL.decode()
     assert spaced != canonical
     path.write_text(spaced, encoding="utf-8")
     assert judged() == TaskScore(21, 21) and len(calls) == 21

@@ -80,8 +80,14 @@ class generate_examples:  # noqa: N801  (an iterator class, like enumerate)
         self.domain_error: VerifierDomainError | None = None
 
     def __iter__(self) -> Iterator[Example]:
+        return self.block(0, self._count + 1)
+
+    def block(self, start: int, stop: int) -> Iterator[Example]:
+        """Indexes ``start`` to ``stop - 1``, none past ``count``, generated and
+        checked as iteration does; ``domain_error`` keeps the first one seen by
+        any block of this stream object."""
         task, seed, overrides = self._task, self._seed, self._overrides
-        for index in range(self._count + 1):
+        for index in range(start, min(stop, self._count + 1)):
             example = task.generate(rng=new_stream(seed, task.TASK_ID, index), **overrides)
             try:
                 expected = task.verifier(example.input)

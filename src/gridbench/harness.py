@@ -27,6 +27,7 @@ import functools
 import itertools
 import json
 import os
+import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from importlib import resources
@@ -99,14 +100,13 @@ def _grid_text(grid: Grid) -> bytearray:
         raise
 
 
-def _task_text(examples: Iterable[Example], train_count: int) -> Iterator[bytes]:
-    """A task file's bytes, one chunk per example and then the tail; the first
-    ``train_count`` examples are train, the rest test."""
-    separator = _HEAD
-    for index, example in enumerate(examples, 1):
+def _task_text(examples: Iterable[Example], train_count: int, start: int = 0) -> Iterator[bytes]:
+    """The bytes of a task file's examples from index ``start`` on, one chunk
+    per example, without the tail; the file's first ``train_count`` examples
+    are train, the rest test."""
+    for index, example in enumerate(examples, start):
+        separator = _HEAD if index == 0 else _SPLIT if index == train_count else _NEXT
         yield separator + _grid_text(example.input) + _PAIR + _grid_text(example.output)
-        separator = _SPLIT if index == train_count else _NEXT
-    yield _TAIL
 
 
 def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
@@ -132,7 +132,8 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
 
 def save_task_file(path, task_set: TaskSet) -> None:
     """Write a task set as compact ARC JSON, atomically."""
-    _write_atomic(Path(path), _task_text((*task_set.train, *task_set.test), len(task_set.train)))
+    examples = (*task_set.train, *task_set.test)
+    _write_atomic(Path(path), itertools.chain(_task_text(examples, len(task_set.train)), (_TAIL,)))
 
 
 def load_task_file(path) -> TaskSet:
@@ -259,28 +260,59 @@ def _read_examples(path: Path, payload: dict, split: str) -> list[Example]:
     return examples
 
 
+# Consecutive indexes per block. The caller's process makes the first block
+# of each task; the later blocks of a run may go to helper processes.
+_BLOCK = 8
+
+
 def emit_dataset(task_list, count: int, master_seed: int, out_dir, overrides=None) -> list[str]:
     """Write ``generate_examples(task_id, count, master_seed, overrides)`` of
-    each distinct task to ``<task_id>.json`` as the examples arrive, so memory
-    does not grow with the count, then the manifest; the bytes depend on the
-    arguments only. Without overrides an example outside its verifier's domain
-    raises :class:`VerifierDomainError` before its file is moved into place; with
-    overrides it is written unchecked, and the ids of such tasks are returned.
-    The directory is made once the first example exists: a failure before
-    that leaves none, and one later in the first file leaves it empty. Each
-    file is written atomically, the manifest last."""
+    each distinct task to ``<task_id>.json``, then the manifest; the bytes
+    depend on the arguments only. Without overrides an example outside its
+    verifier's domain raises :class:`VerifierDomainError` before its file is
+    moved into place; with overrides it is written unchecked, and the ids of
+    such tasks are returned. The directory is made once the first example
+    exists: a failure before that leaves none, and one later in the first file
+    leaves it empty. Each file is written atomically, the manifest last.
+
+    Each task's indexes are made in blocks of ``_BLOCK``. This process makes
+    every task's first block, so that a bad argument or an early failure
+    stops the run here; the later blocks may be spread over helper
+    processes (``parallel.Blocks``) and are written in index order as they
+    arrive, so memory does not grow with the count. A failure is raised
+    once the files of the tasks before its own are written, as in a run
+    that makes every index in turn."""
     directory = Path(out_dir)
-    entries, unchecked = [], []
+    heads, failure = [], None  # (task id, stream, chunks of the first block)
+    started = time.perf_counter()
     for task_id in sorted(set(task_list)):
-        stream = generate_examples(task_id, count, master_seed, overrides)
-        chunks = _task_text(stream, count)
-        first = next(chunks)  # the first example, made before the directory
-        directory.mkdir(parents=True, exist_ok=True)
-        name = f"{task_id}.json"
-        _write_atomic(directory / name, itertools.chain((first,), chunks))
-        entries.append({"id": task_id, "train_count": count, "test_count": 1, "file": name})
-        if stream.domain_error is not None:
-            unchecked.append(task_id)
+        try:
+            stream = generate_examples(task_id, count, master_seed, overrides)
+            chunks = _task_text(stream.block(0, _BLOCK), count)
+            first = [next(chunks)]  # the first example, made before the directory
+            directory.mkdir(parents=True, exist_ok=True)
+            first.extend(chunks)
+        except Exception as err:  # raised after the files of the tasks before it
+            failure = err
+            break
+        heads.append((task_id, stream, first))
+    from .parallel import Blocks  # here, so that importing the package does not load it
+
+    blocks = Blocks(heads, count, (time.perf_counter() - started) / max(len(heads), 1))
+    entries, unchecked = [], []
+    try:
+        for task_id, stream, first in heads:
+            starts = range(_BLOCK, count + 1, _BLOCK)
+            later = (blocks.text(task_id, stream, start) for start in starts)
+            name = f"{task_id}.json"
+            _write_atomic(directory / name, itertools.chain(first, later, (_TAIL,)))
+            entries.append({"id": task_id, "train_count": count, "test_count": 1, "file": name})
+            if stream.domain_error is not None or task_id in blocks.unchecked:
+                unchecked.append(task_id)
+    finally:
+        blocks.close()
+    if failure is not None:
+        raise failure
     manifest = json.dumps({"master_seed": master_seed, "tasks": entries}, separators=(",", ":"))
     directory.mkdir(parents=True, exist_ok=True)
     _write_atomic(directory / "manifest.json", [manifest.encode()])

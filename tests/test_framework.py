@@ -122,6 +122,13 @@ def test_variation_larger_grid_and_more_boxes():
         assert len(_pink_components(ex.input)) == 5
 
 
+def test_a_block_is_a_slice_of_the_stream():
+    whole = list(generate_examples("05269061", 9, 4))
+    assert list(generate_examples("05269061", 9, 4).block(3, 7)) == whole[3:7]
+    # No index past count: the stream's last index is its test example.
+    assert list(generate_examples("05269061", 9, 4).block(8, 20)) == whole[8:]
+
+
 def test_verifier_domain_error_raises_or_marks_the_variation_unchecked():
     # An example whose cell is even falls outside the fake verifier's domain;
     # a second fake verifier accepts every input but returns another grid.

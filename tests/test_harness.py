@@ -3,7 +3,11 @@
 import json
 import os
 import re
+import shutil
+import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,7 +35,8 @@ from gridbench import (
     render_text,
     save_task_file,
 )
-from gridbench import harness
+from gridbench import harness, parallel
+from gridbench.cli import run
 from gridbench.framework import _REGISTRY
 from gridbench.tasks import borders_and_holes
 
@@ -230,30 +235,36 @@ def test_failed_write_keeps_the_previous_file_and_no_temp_file(tmp_path, monkeyp
 
 
 @pytest.fixture
-def failing_tasks():
-    """Three tasks whose example 5 fails: the first's generator raises, the
-    second's verifier disagrees with the output and the third's verifier
-    rejects the input as outside its domain."""
+def failing_tasks(request):
+    """Three tasks whose example 5, or the index a test passes indirectly,
+    fails: the first's generator raises, the second's verifier disagrees with
+    the output and the third's verifier rejects the input as outside its
+    domain."""
+    bad = getattr(request, "param", 5)
 
     def generate(rng=None, level=0):  # level only lets a test pass an override
-        if rng.example_index == 5 and rng.task_id == "f0000005":
-            raise GenerationError("no layout for example 5")
-        grid = Grid([[rng.example_index % 10]])
+        if rng.example_index == bad and rng.task_id == "f0000005":
+            raise GenerationError(f"no layout for example {bad}")
+        grid = Grid([[int(rng.example_index == bad)]])
         return Example(input=grid, output=grid)
 
     def verifier(grid):
-        return Grid([[0]]) if grid[0][0] == 5 else grid
+        return Grid([[0]]) if grid[0][0] == 1 else grid
 
     def verifier_domain(grid):
-        if grid[0][0] == 5:
-            raise VerifierDomainError("example 5 is outside the domain")
+        if grid[0][0] == 1:
+            raise VerifierDomainError(f"example {bad} is outside the domain")
         return grid
 
     register(SimpleNamespace(TASK_ID="f0000005", generate=generate, verifier=lambda grid: grid))
     register(SimpleNamespace(TASK_ID="f1000005", generate=generate, verifier=verifier))
     register(SimpleNamespace(TASK_ID="f2000005", generate=generate, verifier=verifier_domain))
     try:
-        yield {"f0000005": GenerationError, "f1000005": VerificationError}
+        yield {
+            "f0000005": GenerationError,
+            "f1000005": VerificationError,
+            "f2000005": VerifierDomainError,
+        }
     finally:
         del _REGISTRY["f0000005"], _REGISTRY["f1000005"], _REGISTRY["f2000005"]
 
@@ -319,6 +330,183 @@ def test_failure_after_the_first_example_leaves_an_empty_directory(tmp_path, fai
     with pytest.raises(GenerationError):
         emit_dataset(["f0000005"], 9, 1, out)
     assert list(out.iterdir()) == []
+
+
+def _cpus(monkeypatch, cpus):
+    """Make ``emit_dataset`` run as on ``cpus`` usable CPUs, with a helper
+    process worth forking for any amount of work; returns the list that gets
+    the pid of each helper forked."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(parallel, "_HELPER_S", 1e-9)
+    forked = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        [],
+        ["--task", "543a7ed5", "--set", "size=30", "--set", "boxes=1"],
+        ["--task", "543a7ed5", "--set", "colors=2,2,2"],
+    ],
+    ids=["defaults", "543a7ed5-size-30", "543a7ed5-unchecked"],
+)
+def test_generate_writes_the_same_bytes_with_any_number_of_helpers(tmp_path, monkeypatch, capsys, options):
+    # The last block holds the test example alone; 8 helpers outnumber the
+    # blocks of one task.
+    count = str(3 * harness._BLOCK)
+    argv = ["generate", "--count", count, "--seed", "3", "--out", str(tmp_path / "d"), *options]
+    runs = []
+    for cpus in (1, 2, 8):
+        forked = _cpus(monkeypatch, cpus)
+        code = run(argv)
+        runs.append((code, *capsys.readouterr(), _files(tmp_path / "d")))
+        assert (len(forked) > 1) == (cpus > 1)
+        _no_child_left()
+        shutil.rmtree(tmp_path / "d")
+    assert runs[0] == runs[1] == runs[2]
+    code, _, err, _ = runs[0]
+    assert code == 0
+    warning = (
+        "warning: task 543a7ed5: variation is outside the verifier domain; "
+        "examples were not consistency-checked\n"
+    )
+    assert err == (warning if "colors=2,2,2" in options else "")
+
+
+@pytest.mark.parametrize("failing_tasks", [37], indirect=True)
+@pytest.mark.parametrize("task_id", ["f0000005", "f1000005", "f2000005"])
+def test_a_failure_in_a_helper_reaches_the_caller_unchanged(tmp_path, monkeypatch, failing_tasks, task_id):
+    out = tmp_path / "d"
+    emit_dataset([task_id], 3, 1, out)
+    before = _files(out)
+    raised = []
+    for cpus in (1, 2):
+        forked = _cpus(monkeypatch, cpus)
+        with pytest.raises(failing_tasks[task_id]) as info:
+            emit_dataset([task_id], 50, 2, out)
+        raised.append((type(info.value), str(info.value)))
+        assert len(forked) == (0 if cpus == 1 else 2)
+        # No temporary file is left, and the previous files are untouched.
+        assert _files(out) == before
+        _no_child_left()
+    assert raised[0] == raised[1]
+    if task_id == "f2000005":  # with overrides a helper's block is written unchecked
+        assert emit_dataset([task_id], 50, 2, out, {"level": 1}) == [task_id]
+        _no_child_left()
+
+
+def test_a_helper_that_dies_ends_in_one_error_line(tmp_path, monkeypatch, capsys):
+    # Example 37 ends its helper; the other helper then hangs on a later
+    # block until the caller kills it.
+    caller = os.getpid()
+
+    def generate(rng=None):
+        if rng.example_index >= 37:
+            assert os.getpid() != caller, "a helper's example was made by the caller"
+            if rng.example_index == 37:
+                os._exit(3)
+            if rng.example_index >= 40:
+                time.sleep(60)
+        grid = Grid([[0]])
+        return Example(input=grid, output=grid)
+
+    register(SimpleNamespace(TASK_ID="f4000037", generate=generate, verifier=lambda grid: grid))
+    forked = _cpus(monkeypatch, 2)
+    out = tmp_path / "d"
+    started = time.monotonic()
+    try:
+        code = run(["generate", "--task", "f4000037", "--count", "50", "--out", str(out)])
+    finally:
+        del _REGISTRY["f4000037"]
+    assert time.monotonic() - started < 30
+    start = 37 // harness._BLOCK * harness._BLOCK
+    assert code == 1 and len(forked) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: task f4000037: the helper process making examples {start} to "
+        f"{start + harness._BLOCK - 1} ended with status 3\n",
+    )
+    assert list(out.iterdir()) == []
+    _no_child_left()
+
+
+def test_a_failed_fork_makes_the_blocks_in_the_caller(tmp_path, monkeypatch):
+    emit_dataset(["67a423a3"], 40, 1, tmp_path / "serial")
+    forked = _cpus(monkeypatch, 2)
+    counted = os.fork
+
+    def second_fails():
+        if forked:
+            raise OSError(11, "Resource temporarily unavailable")
+        return counted()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    emit_dataset(["67a423a3"], 40, 1, tmp_path / "d")
+    assert len(forked) == 1
+    assert _files(tmp_path / "d") == _files(tmp_path / "serial")
+    _no_child_left()
+
+
+def test_no_helper_is_forked_while_another_thread_runs(tmp_path, monkeypatch):
+    forked = _cpus(monkeypatch, 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        emit_dataset(["67a423a3"], 40, 1, tmp_path / "d")
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forked == []
+
+
+def test_helpers_never_flush_the_callers_buffers(tmp_path):
+    # A helper that left through sys.exit would flush its copy of the
+    # caller's stdout buffer, printing "x" once more. Without os.kill the
+    # caller waits for each helper to leave by itself.
+    script = f"""
+import os, sys
+from gridbench import emit_dataset, parallel
+os.sched_getaffinity = lambda pid: {{0, 1}}
+os.kill = lambda pid, signal: None
+parallel._HELPER_S = 1e-9
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(fork()) or forks[-1]
+print("x", end="")
+emit_dataset(["67a423a3"], 40, 1, {str(tmp_path / "d")!r})
+print(len(forks), file=sys.stderr)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={
+            **{key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"},
+            "PYTHONPATH": str(Path(harness.__file__).parents[1]),
+        },
+        capture_output=True,
+        encoding="utf-8",
+        check=True,
+    )
+    assert (result.stdout, result.stderr) == ("x", "2\n")
 
 
 def test_evaluate_bundled_verifiers_pass(tmp_path):

@@ -66,6 +66,25 @@ def test_import_without_site_loads_no_zipfile():
     assert result.stdout == "False\n"
 
 
+def test_import_loads_nothing_that_only_forking_helpers_needs():
+    # emit_dataset imports gridbench.parallel once a run is past its first
+    # blocks, and that module imports the rest; pickle only when a helper's
+    # block fails.
+    code = (
+        "import sys; before = set(sys.modules); import gridbench; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        encoding="utf-8",
+        check=True,
+    )
+    loaded = set(ast.literal_eval(result.stdout))
+    assert not {"gc", "gridbench.parallel", "pickle", "select", "signal", "threading"} & loaded
+
+
 EXPECTED_PUBLIC = {
     "PALETTE", "MAX_ATTEMPTS", "EvalReport", "Example", "FormatError", "GenerationError", "Grid",
     "GridBenchError", "RngStream", "TaskScore", "TaskSet", "VariationResult",

@@ -234,17 +234,27 @@ def test_failed_write_keeps_the_previous_file_and_no_temp_file(tmp_path, monkeyp
     assert (out / failing).read_bytes() == before[failing]
 
 
+class OddExample(ValueError):
+    """An error that pickle cannot rebuild: its ``__init__`` takes two
+    arguments, but its ``args`` hold only the message."""
+
+    def __init__(self, task_id, index):
+        super().__init__(f"task {task_id}: example {index} is odd")
+
+
 @pytest.fixture
 def failing_tasks(request):
-    """Three tasks whose example 5, or the index a test passes indirectly,
+    """Four tasks whose example 5, or the index a test passes indirectly,
     fails: the first's generator raises, the second's verifier disagrees with
-    the output and the third's verifier rejects the input as outside its
-    domain."""
+    the output, the third's verifier rejects the input as outside its domain
+    and the fourth's generator raises an :class:`OddExample`."""
     bad = getattr(request, "param", 5)
 
     def generate(rng=None, level=0):  # level only lets a test pass an override
         if rng.example_index == bad and rng.task_id == "f0000005":
             raise GenerationError(f"no layout for example {bad}")
+        if rng.example_index == bad and rng.task_id == "f3000005":
+            raise OddExample(rng.task_id, bad)
         grid = Grid([[int(rng.example_index == bad)]])
         return Example(input=grid, output=grid)
 
@@ -259,14 +269,17 @@ def failing_tasks(request):
     register(SimpleNamespace(TASK_ID="f0000005", generate=generate, verifier=lambda grid: grid))
     register(SimpleNamespace(TASK_ID="f1000005", generate=generate, verifier=verifier))
     register(SimpleNamespace(TASK_ID="f2000005", generate=generate, verifier=verifier_domain))
+    register(SimpleNamespace(TASK_ID="f3000005", generate=generate, verifier=lambda grid: grid))
     try:
         yield {
             "f0000005": GenerationError,
             "f1000005": VerificationError,
             "f2000005": VerifierDomainError,
+            "f3000005": OddExample,
         }
     finally:
-        del _REGISTRY["f0000005"], _REGISTRY["f1000005"], _REGISTRY["f2000005"]
+        for task_id in ("f0000005", "f1000005", "f2000005", "f3000005"):
+            del _REGISTRY[task_id]
 
 
 @pytest.mark.parametrize("task_id", ["f0000005", "f1000005"])
@@ -393,7 +406,7 @@ def test_generate_writes_the_same_bytes_with_any_number_of_helpers(tmp_path, mon
 
 
 @pytest.mark.parametrize("failing_tasks", [37], indirect=True)
-@pytest.mark.parametrize("task_id", ["f0000005", "f1000005", "f2000005"])
+@pytest.mark.parametrize("task_id", ["f0000005", "f1000005", "f2000005", "f3000005"])
 def test_a_failure_in_a_helper_reaches_the_caller_unchanged(tmp_path, monkeypatch, failing_tasks, task_id):
     out = tmp_path / "d"
     emit_dataset([task_id], 3, 1, out)

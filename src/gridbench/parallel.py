@@ -2,12 +2,13 @@
 
 ``harness.emit_dataset`` makes the first block of each task itself and
 imports this module only then, so importing the package loads none of it,
-nor ``signal``.
+nor ``select`` or ``signal``.
 """
 
 from __future__ import annotations
 
 import os
+import select
 import signal
 from typing import BinaryIO, NoReturn
 
@@ -34,32 +35,42 @@ class Blocks:
 
     They are made by helper processes forked from this one when that pays
     (``_helper_count``); otherwise each block is made here when it is asked
-    for. With n helpers, helper i makes blocks i, i + n, i + 2n, ... of the
-    run in turn and writes each to its one pipe as a kind byte, an 8-byte
-    length and the block's bytes; it runs ahead of the caller only as far as
-    the pipe holds. A helper whose block raises sends the kind ``e`` with no
-    bytes and leaves, and that block and the rest of its share are made here,
-    so the block raises here exactly as in a run without helpers. A helper
-    leaves by ``os._exit``, without running this process's exit handlers or
-    flushing its buffers."""
+    for. One pipe holds a token, the 8-byte number of the run's next block.
+    A helper reads it, appends its 2-byte share number to the claims pipe
+    and writes the number + 1 back before it makes the block, so a free
+    helper claims the next block and the claims name each block's maker in
+    the run's order. It writes the block to its own pipe as a kind byte, an
+    8-byte length and the bytes, running ahead of the caller only as far as
+    that pipe holds. A helper whose block raises sends the kind ``e`` with
+    no bytes and leaves, and that block is made here, so it raises exactly
+    as in a run without helpers. A helper leaves by ``os._exit``, without
+    running this process's exit handlers or flushing its buffers."""
 
     def __init__(self, heads: list, count: int, block_seconds: float) -> None:
         self._heads, self._count = heads, count
         self._blocks = len(heads) * (count // _BLOCK)
-        self._taken = 0
         self.unchecked: set[str] = set()  # tasks a helper wrote outside the verifier's domain
-        helpers = _helper_count(self._blocks, block_seconds)
-        self._shares = max(helpers, 1)
-        # (pid, the pipe it writes blocks to) by share; a share that is not
-        # here is made in this process.
+        # (pid, the pipe it writes blocks to) by share, and the claims' read
+        # end; with no helper left the blocks are made here.
         self._helpers: dict[int, tuple[int, BinaryIO]] = {}
+        self._claims = -1
+        helpers = _helper_count(self._blocks, block_seconds)
+        ends: list[int] = []  # the token's pipe, then the claims' write end
         try:
+            if helpers:
+                ends.extend(os.pipe())
+                self._claims, claimed = os.pipe()
+                ends.append(claimed)
+                os.write(ends[1], bytes(8))  # block 0 is next
             for share in range(helpers):
-                self._fork(share)
+                self._fork(share, ends)
         except OSError:  # no process or pipe to spare: make the blocks here
             self.close()
+        finally:
+            for end in ends:
+                os.close(end)
 
-    def _fork(self, share: int) -> None:
+    def _fork(self, share: int, ends: list[int]) -> None:
         blocks_in, blocks_out = os.pipe()
         try:
             pid = os.fork()
@@ -68,20 +79,28 @@ class Blocks:
             os.close(blocks_out)
             raise
         if pid == 0:
-            self._serve(share, blocks_in, blocks_out)
+            self._serve(share, blocks_in, blocks_out, ends)
         os.close(blocks_out)
         self._helpers[share] = pid, os.fdopen(blocks_in, "rb")
 
-    def _serve(self, share: int, blocks_in: int, blocks_out: int) -> NoReturn:
+    def _serve(self, share: int, blocks_in: int, blocks_out: int, ends: list[int]) -> NoReturn:
         status = 1
+        token_in, token_out, claimed = ends
         try:
-            # A helper holds no end of a pipe but its own write end, so it
-            # stops writing once the parent is gone.
+            # Holding no read end but the token's, it stops once the parent is gone.
             os.close(blocks_in)
+            os.close(self._claims)
             for _, pipe in self._helpers.values():
                 pipe.close()
             with os.fdopen(blocks_out, "wb") as out:
-                for block in range(share, self._blocks, self._shares):
+                while True:
+                    block = int.from_bytes(os.read(token_in, 8), "little")
+                    try:
+                        os.write(claimed, share.to_bytes(2, "little"))  # never read past the end
+                    finally:  # even once the parent is gone, so that no helper waits forever
+                        os.write(token_out, (block + 1).to_bytes(8, "little"))
+                    if block >= self._blocks:
+                        break
                     (_, stream, _), start = self._locate(block)
                     try:
                         text = _block_text(stream, start, self._count)
@@ -106,10 +125,8 @@ class Blocks:
     def text(self, task_id: str, stream: generate_examples, start: int) -> bytes:
         """The bytes of the block of ``task_id`` from index ``start``; blocks are
         asked for in the run's order, and a block that failed raises its error."""
-        block = self._taken
-        self._taken += 1
-        share = block % self._shares
-        if share not in self._helpers:
+        share = self._owner() if self._helpers else None
+        if share is None:
             return _block_text(stream, start, self._count)
         pipe = self._helpers[share][1]
         head = pipe.read(9)
@@ -129,6 +146,23 @@ class Blocks:
             self.unchecked.add(task_id)
         return text
 
+    def _owner(self) -> int | None:
+        """The share of the helper that claimed the next block, or None once
+        no helper is left to claim it."""
+        shares = {pipe.fileno(): share for share, (_, pipe) in self._helpers.items()}
+        waiting = select.poll()
+        for fd in (self._claims, *shares):
+            waiting.register(fd, select.POLLIN)
+        ready = dict(waiting.poll())
+        if self._claims not in ready:  # a helper may have claimed a block since
+            ready = dict(waiting.poll(0))
+        if self._claims not in ready:
+            # Every claimed block has been read, so this helper's pipe is at
+            # its end: reading it reports the helper, which may have held the token.
+            return shares[min(ready)]
+        claim = os.read(self._claims, 2)
+        return int.from_bytes(claim, "little") if claim else None
+
     def _end(self, share: int) -> int:
         """Close the pipe of the helper making ``share`` and reap it; returns
         its exit status."""
@@ -137,10 +171,14 @@ class Blocks:
         return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
     def close(self) -> None:
-        """Kill and reap every helper left; calling it again does nothing."""
+        """Kill and reap every helper left and close the claims; calling it
+        again does nothing."""
         for share, (pid, _) in list(self._helpers.items()):
             os.kill(pid, signal.SIGKILL)
             self._end(share)
+        if self._claims >= 0:
+            os.close(self._claims)
+            self._claims = -1
 
 
 def _helper_count(blocks: int, block_seconds: float) -> int:

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -462,13 +463,128 @@ def test_a_helper_that_dies_ends_in_one_error_line(tmp_path, monkeypatch, capsys
     _no_child_left()
 
 
+def test_a_slow_block_holds_back_no_block_after_it(tmp_path, monkeypatch):
+    # A helper takes 1 s over the block of examples 16 to 23; the other
+    # helper claims and makes every later block meanwhile.
+    caller = os.getpid()
+    log = tmp_path / "made"
+
+    def generate(rng=None):
+        if rng.example_index == 16 and os.getpid() != caller:
+            time.sleep(1)
+        with open(log, "a", encoding="utf-8") as made:
+            made.write(f"{os.getpid()} {rng.example_index}\n")
+        grid = Grid([[rng.example_index % 10]])
+        return Example(input=grid, output=grid)
+
+    register(SimpleNamespace(TASK_ID="f5000016", generate=generate, verifier=lambda grid: grid))
+    try:
+        emit_dataset(["f5000016"], 80, 1, tmp_path / "serial")
+        forked = _cpus(monkeypatch, 2)
+        log.unlink()
+        emit_dataset(["f5000016"], 80, 1, tmp_path / "d")
+    finally:
+        del _REGISTRY["f5000016"]
+    makers = dict(reversed(line.split()) for line in log.read_text(encoding="utf-8").splitlines())
+    assert sorted(map(int, makers)) == list(range(81))
+    slow = makers["16"]
+    later = {makers[str(index)] for index in range(24, 81)}
+    assert len(forked) == 2 and later == {str(pid) for pid in forked} - {slow}
+    assert _files(tmp_path / "d") == _files(tmp_path / "serial")
+    _no_child_left()
+
+
+def test_a_helper_that_dies_holding_the_token_ends_in_one_error(tmp_path, monkeypatch):
+    # The helper that reads block 5 of the run as the next one ends before it
+    # claims it; the other helper waits for the token until it is killed.
+    caller = os.getpid()
+    read = os.read
+
+    def dies_on_token_5(fd, size):
+        data = read(fd, size)
+        if size == 8 and data == (5).to_bytes(8, "little") and os.getpid() != caller:
+            os._exit(9)
+        return data
+
+    forked = _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "read", dies_on_token_5)
+    started = time.monotonic()
+    with pytest.raises(GenerationError) as info:
+        emit_dataset(["67a423a3"], 80, 1, tmp_path / "d")
+    assert time.monotonic() - started < 5
+    assert len(forked) == 2
+    assert str(info.value) == (
+        "task 67a423a3: the helper process making examples 48 to 55 ended with status 9"
+    )
+    _no_child_left()
+
+
+def test_no_helper_outlives_a_killed_caller(tmp_path):
+    # The caller is killed while eight helpers share two CPUs, so some wait
+    # for the token. A helper that then takes the token cannot claim a block,
+    # and it passes the token on all the same: no helper is left waiting.
+    script = f"""
+import os, signal, sys
+from types import SimpleNamespace
+from gridbench import Example, Grid, emit_dataset, parallel, register
+os.sched_getaffinity = lambda pid: set(range(8))
+parallel._HELPER_S = 1e-9
+caller, fork = os.getpid(), os.fork
+
+def logged():
+    pid = fork()
+    if pid == 0:
+        with open({str(tmp_path / "helpers")!r}, "a", encoding="utf-8") as helpers:
+            helpers.write(f"{{os.getpid()}}\\n")
+    return pid
+
+def generate(rng=None):
+    if rng.example_index == 2000:
+        os.kill(caller, signal.SIGKILL)
+    grid = Grid([[0]])
+    return Example(input=grid, output=grid)
+
+os.fork = logged
+register(SimpleNamespace(TASK_ID="f6002000", generate=generate, verifier=lambda grid: grid))
+emit_dataset(["f6002000"], 4000, 1, sys.argv[1])
+"""
+
+    def running(pid):  # an orphan that has ended may stay a zombie
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return False
+        return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    for attempt in range(3):
+        (tmp_path / "helpers").unlink(missing_ok=True)
+        code = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / str(attempt))],
+            env=env,
+            stdout=subprocess.DEVNULL,  # a helper left running would hold a captured stream open
+            stderr=subprocess.DEVNULL,
+        ).returncode
+        assert code == -signal.SIGKILL
+        helpers = set((tmp_path / "helpers").read_text(encoding="utf-8").split())
+        assert len(helpers) > 1
+        deadline = time.monotonic() + 10
+        while any(map(running, helpers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in helpers if running(pid)]
+        for pid in left:
+            os.kill(int(pid), signal.SIGKILL)
+        assert left == []
+
+
 def test_a_failed_fork_makes_the_blocks_in_the_caller(tmp_path, monkeypatch):
     emit_dataset(["67a423a3"], 40, 1, tmp_path / "serial")
     forked = _cpus(monkeypatch, 2)
     counted = os.fork
 
     def second_fails():
-        if forked:
+        if forked:  # by now the first helper has claimed blocks; it is killed unread
+            time.sleep(0.2)
             raise OSError(11, "Resource temporarily unavailable")
         return counted()
 

@@ -68,8 +68,8 @@ def test_import_without_site_loads_no_zipfile():
 
 def test_import_loads_nothing_that_only_forking_helpers_needs():
     # emit_dataset imports gridbench.parallel once a run is past its first
-    # blocks, and that module imports signal; nothing imports gc, pickle,
-    # select or threading.
+    # blocks, and that module imports select and signal; nothing imports gc,
+    # pickle or threading.
     code = (
         "import sys; before = set(sys.modules); import gridbench; "
         "print(sorted(set(sys.modules) - before))"

@@ -17,9 +17,11 @@ unbounded integers.
 
 A stream's position is a counter: word k after state s is the scrambled
 value of s + k * increment (mod 2**64), independent of the words before
-it. ``peek`` uses this to compute a block of words in bulk and ``skip``
-to advance the stream by any number of words in constant time; both
-give exactly the words that one ``_next`` call per word would.
+it. ``peek_draws`` uses this to compute a block of words in bulk, with
+the multiply-shift draw over one span that each word makes, ``peek``
+reads the words alone, and ``skip`` advances the stream by any number of
+words in constant time; all give exactly the words that one ``_next``
+call per word would.
 """
 
 from __future__ import annotations
@@ -87,22 +89,31 @@ class RngStream:
         return _scramble(self.state)
 
     def peek(self, n: int) -> list[int]:
-        """The next ``n`` raw 64-bit words, without advancing the stream.
+        """The next ``n`` raw 64-bit words, without advancing the stream."""
+        return self.peek_draws(n, 1)[0]
+
+    def peek_draws(self, n: int, span: int) -> tuple[list[int], list[int]]:
+        """The next ``n`` words and their multiply-shift draws over ``span``,
+        ``(word * span) >> 64``, without advancing the stream.
 
         All ``n`` words are computed at once in one integer holding a
-        128-bit lane per word; each lane is masked back to 64 bits
-        before every multiply, so no product carries into the next lane.
+        128-bit lane per word, word k in the low half of lane k; each lane
+        is masked back to 64 bits before every multiply, so no product
+        carries into the next lane. For spans up to 2**64 the product
+        ``word * span`` fits its lane too, and its high half is the draw.
         """
+        check_int("span", span, 1, 1 << 64)
         ones, ramp, lanes = _lane_constants(check_int("n", n, 0))
         z = (self.state * ones + ramp) & lanes
         z = ((z ^ (z >> 30)) & lanes) * _MIX1 & lanes
         z = ((z ^ (z >> 27)) & lanes) * _MIX2 & lanes
-        z ^= z >> 31
-        # Bits a shift carries in from the next lane land above bit 64
-        # of each lane, so only the low halves are read.
+        z = (z ^ (z >> 31)) & lanes
+        z |= z * span & ~lanes
         if sys.byteorder == "little":
-            return memoryview(z.to_bytes(16 * n, "little")).cast("Q")[::2].tolist()
-        return memoryview(z.to_bytes(16 * n, "big")).cast("Q")[::-2].tolist()
+            q = memoryview(z.to_bytes(16 * n, "little")).cast("Q")
+            return q[::2].tolist(), q[1::2].tolist()
+        q = memoryview(z.to_bytes(16 * n, "big")).cast("Q")
+        return q[::-2].tolist(), q[-2::-2].tolist()
 
     def skip(self, n: int) -> None:
         """Advance the stream by ``n`` words, as ``n`` draws would."""

@@ -95,37 +95,66 @@ def _sample_layout(boxes, size, box_colors, rng):
     # The words come from peeked blocks, mapped by the same multiply-shift
     # as randint, and the stream is advanced by exactly the words those
     # draws would have consumed, so layouts and final state are unchanged.
+    # Box i's width, height, row and col are words p + i plus 0, 1, 2 and
+    # 3 boxes; its extents, randint(2, 7), are the block's draws over span
+    # 6 plus 2. An overlap consumes all 4 * boxes words wherever it is
+    # found, so boxes 0 and 1 are tested first, rows before cols.
     limit = size - 2  # largest extent that leaves a ring margin; extents reach 7
     need = 8 * boxes  # most words one attempt can consume
     cap = max(_BLOCK_CAP, need)
     block = need // 2  # the first refill peeks one attempt's worth
-    words = []
-    p = 0
+    words = draws = []
+    p, end = 0, -1  # refill once an attempt could run past the block
     for _ in range(MAX_ATTEMPTS):
-        if p + need > len(words):
+        if p > end:
             rng.skip(p)
             block = min(2 * block, cap)
-            words = rng.peek(block)
-            # Every word read as a box extent, randint(2, 7).
-            extents = [2 + ((x * 6) >> 64) for x in words]
-            p = 0
-        # Widths, heights, rows and cols take one word per box each.
-        h0 = p + boxes
-        r0 = h0 + boxes
-        c0 = r0 + boxes
-        widths, heights = extents[p:h0], extents[h0:r0]
+            words, draws = rng.peek_draws(block, 6)
+            p, end = 0, block - need
+        h, r, c, q = p + boxes, p + 2 * boxes, p + 3 * boxes, p + 4 * boxes
         if limit < 7:
-            if max(heights) > limit:
-                p = r0 + next(i for i, h in enumerate(heights) if h > limit)
+            # randint raises at the row of the first box too tall, or else
+            # at the col of the first box too wide.
+            late = [i + boxes for i in range(h, r) if draws[i] + 2 > limit]
+            late = late or [i + 3 * boxes for i in range(p, h) if draws[i] + 2 > limit]
+            if late:
+                p = late[0]
                 continue
-            if max(widths) > limit:
-                p = c0 + next(i for i, w in enumerate(widths) if w > limit)
+        width, height = draws[p] + 2, draws[h] + 2
+        row = 1 + ((words[r] * (size - height - 1)) >> 64)
+        col = 1 + ((words[c] * (size - width - 1)) >> 64)
+        if boxes == 1:
+            rows, cols, widths, heights = [row], [col], [width], [height]
+        else:
+            width1, height1 = draws[p + 1] + 2, draws[h + 1] + 2
+            row1 = 1 + ((words[r + 1] * (size - height1 - 1)) >> 64)
+            col1 = 1 + ((words[c + 1] * (size - width1 - 1)) >> 64)
+            if row < row1 + height1 + _SPACING and row1 < row + height + _SPACING:
+                if col < col1 + width1 + _SPACING and col1 < col + width + _SPACING:
+                    p = q
+                    continue
+            rows, cols, widths, heights = [row, row1], [col, col1], [width, width1], [height, height1]
+        # The later boxes by index, each against those before it by the
+        # grown-box rule of _crowded.
+        for i in range(2, boxes):
+            width, height = draws[p + i] + 2, draws[h + i] + 2
+            row = 1 + ((words[r + i] * (size - height - 1)) >> 64)
+            col = 1 + ((words[c + i] * (size - width - 1)) >> 64)
+            bottom, right = row + height + _SPACING, col + width + _SPACING
+            for j in range(i):
+                if row < rows[j] + heights[j] + _SPACING and rows[j] < bottom:
+                    if col < cols[j] + widths[j] + _SPACING and cols[j] < right:
+                        break
+            else:
+                rows.append(row)
+                cols.append(col)
+                widths.append(width)
+                heights.append(height)
                 continue
-        p = c0 + boxes
-        placed = _place_boxes(words[r0:c0], words[c0:p], widths, heights, size)
-        if placed is None:
+            break
+        p = q
+        if len(rows) < boxes:
             continue
-        rows, cols = placed
         hole_rows, hole_cols, hole_widths, hole_heights = [], [], [], []
         area = 0
         for row, col, width, height in zip(rows, cols, widths, heights):
@@ -156,26 +185,6 @@ def _sample_layout(boxes, size, box_colors, rng):
         f"task {TASK_ID}: no layout satisfied the constraints "
         f"after {MAX_ATTEMPTS} attempts (boxes={boxes}, size={size})"
     )
-
-
-def _place_boxes(row_words, col_words, widths, heights, size):
-    """Rows and cols drawn from the words, or None at the first conflict.
-
-    Applies the rule of :func:`_crowded` box by box, so that a conflict
-    rejects before the later boxes are placed.
-    """
-    rows, cols, placed = [], [], []
-    for x, y, width, height in zip(row_words, col_words, widths, heights):
-        row = 1 + ((x * (size - height - 1)) >> 64)
-        col = 1 + ((y * (size - width - 1)) >> 64)
-        bottom, right = row + height + _SPACING, col + width + _SPACING
-        for r0, c0, r1, c1 in placed:
-            if row < r1 and r0 < bottom and col < c1 and c0 < right:
-                return None
-        placed.append((row, col, bottom, right))
-        rows.append(row)
-        cols.append(col)
-    return rows, cols
 
 
 def _crowded(boxes) -> bool:

@@ -141,6 +141,25 @@ def test_peek_wraps_past_two_to_the_64(n):
     assert a.state == b.state
 
 
+@pytest.mark.parametrize("span", [1, 6, 2**64])
+@pytest.mark.parametrize("n", [0, 1, 24, 513])
+@pytest.mark.parametrize("key", PEEK_STREAMS)
+def test_peek_draws_are_the_multiply_shift_of_the_peeked_words(key, n, span):
+    s = new_stream(*key)
+    state = s.state
+    words, draws = s.peek_draws(n, span)
+    assert words == s.peek(n)
+    assert draws == [(w * span) >> 64 for w in words]
+    assert s.state == state
+
+
+def test_peek_draws_rejects_spans_outside_one_to_two_to_the_64():
+    s = new_stream(1, "x", 0)
+    for span in (0, 2**64 + 1):
+        with pytest.raises(ValueError, match=rf"^span {span} outside \[1, {2**64}\]$"):
+            s.peek_draws(8, span)
+
+
 def test_peek_and_skip_reject_negative_counts():
     s = new_stream(1, "x", 0)
     with pytest.raises(ValueError):

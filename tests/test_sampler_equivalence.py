@@ -1,11 +1,14 @@
 """The 543a7ed5 layout sampler and spacing rule against plain references.
 
-The sampler reads its attempts from peeked blocks of stream words. The
-reference below is the plain rejection loop it replaces, one ``randint``
-per draw. Both must give the same layout, or the same error, and leave
-the stream in the same state, so that every word consumed is the same.
-The task words its spacing rule as grown boxes (``_crowded``); the
-reference words it as gaps between nearest edges.
+The sampler reads its attempts from peeked blocks of stream words, with
+each word's draw over span 6 for the box extents, and rejects an attempt
+as soon as a pair of its boxes conflicts: boxes 0 and 1 first, then each
+later box against those before it. The reference below is the plain
+rejection loop it replaces, one ``randint`` per draw. Both must give the
+same layout, or the same error, and leave the stream in the same state,
+so that every word consumed is the same. The task words its spacing rule
+as grown boxes (``_crowded``); the reference words it as gaps between
+nearest edges.
 """
 
 import pytest
@@ -121,12 +124,20 @@ def _outcome(sample, boxes, size, index):
 # of indexes 0-24 fails after MAX_ATTEMPTS (most of these layouts cannot
 # exist), and a failed search is slow in the reference, so those cases
 # check one index or two. The rest cover accepted layouts, overlap and
-# hole-area rejections, boxes that cannot fit and block refills.
+# hole-area rejections, boxes that cannot fit and block refills. At size
+# 9 an extent reaches the largest that fits, so no box fails to fit and
+# only overlaps reject: (2, 9) tests the one pair, and (3, 9) fails its
+# searches with a third box that conflicts after boxes 0 and 1 clear, as
+# most rejections of (6, 25) do. (2, 30) is one pair on a large grid.
 CASES = {
-    (3, 15): range(25),
+    (3, 15): range(60),
     (1, 30): range(25),
+    (2, 30): range(25),
     (5, 20): range(10),
+    (6, 25): range(5),
     (4, 12): range(1),
+    (2, 9): range(12),
+    (3, 9): range(2),
     (2, 8): range(2),
     (1, 8): range(25),
     (3, 6): range(1),

@@ -96,8 +96,8 @@ def _sample_layout(boxes, size, box_colors, rng):
     # as randint, and the stream is advanced by exactly the words those
     # draws would have consumed, so layouts and final state are unchanged.
     # Box i's width, height, row and col are words p + i plus 0, 1, 2 and
-    # 3 boxes; its extents, randint(2, 7), are the block's draws over span
-    # 6 plus 2. An overlap consumes all 4 * boxes words wherever it is
+    # 3 times boxes; its extents, randint(2, 7), are the block's draws over
+    # span 6 plus 2. An overlap consumes all 4 * boxes words wherever it is
     # found, so boxes 0 and 1 are tested first, rows before cols.
     limit = size - 2  # largest extent that leaves a ring margin; extents reach 7
     need = 8 * boxes  # most words one attempt can consume

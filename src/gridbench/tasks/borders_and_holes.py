@@ -32,9 +32,16 @@ _SPACING = 2
 _BLOCK_CAP = 512
 
 _CYAN_PINK = frozenset((CYAN, PINK))
+_CYAN_PINK_BYTES = bytes((CYAN, PINK))
 
-# A run of pink cells in a row's bytes (cells are checked codes 0-9).
+# A run of pink cells in the verifier's bytes.
 _PINK_RUN = re.compile(bytes((PINK,)) + b"+")
+
+_SEP = b"\xff"  # joins the verifier's rows; no color, so never cyan, pink or ring
+_GREEN = bytes((GREEN,))
+_SHADE = bytes.maketrans(bytes((CYAN,)), bytes((YELLOW,)))
+_PINK_BIT = bytes(int(b == PINK) for b in range(256))  # pink to 1, any other byte to 0
+_ONE = re.compile(b"\x01")
 
 
 def generate(
@@ -248,18 +255,66 @@ def verifier(grid: Grid) -> Grid:
     Accepts cyan/pink grids whose pink cells form axis-aligned rectangles
     (possibly hollowed) that keep one cell clear of the grid edge and are
     not :func:`_crowded`; anything else raises VerifierDomainError.
+
+    A grid is confirmed in bulk on its bytes when every pink corner (a
+    pink cell with no pink above or left of it, as each component's first
+    cell is) starts an uncrowded, cyan-ringed rectangle with a pink
+    perimeter. Any other grid takes :func:`_reference`, the cell walk that
+    alone raises; ``tests/test_verifier_equivalence.py`` pins the two together.
     """
     rows = list(grid)
     h, w = len(rows), len(rows[0])
+    s = w + 1  # row stride: each row ends in _SEP, so no pink run wraps
+    try:
+        data = _SEP.join(map(bytes, rows)) + _SEP
+    except (TypeError, ValueError):  # a cell that is not a byte
+        return _reference(grid)
+    # Only cyan and pink besides h separators, all in column w.
+    seps = _SEP * h
+    if data.translate(None, _CYAN_PINK_BYTES) != seps or data[w::s] != seps:
+        return _reference(grid)
+    # One byte per cell in the mask, so a shift by 8 bits moves one cell.
+    pink = int.from_bytes(data.translate(_PINK_BIT), "little")
+    corners = (pink & ~(pink << 8 | pink << 8 * s)).to_bytes(len(data), "little")
+    bounds = []
+    for corner in _ONE.finditer(corners):
+        i = corner.start()
+        r0, c0 = divmod(i, s)
+        width = _PINK_RUN.match(data, i).end() - i
+        height = _PINK_RUN.match(data[i::s]).end()
+        j = i + (height - 1) * s  # the bottom-left cell
+        # Bottom row and right column pink, ring cyan (off the grid it reads short or _SEP).
+        if not (
+            r0 and c0
+            and data[j : j + width].count(PINK) == width
+            and data[i + width - 1 : j + width : s].count(PINK) == height
+            and data[i - s - 1 : i - s + width + 1].count(CYAN) == width + 2
+            and data[j + s - 1 : j + s + width + 1].count(CYAN) == width + 2
+            and data[i - 1 : j : s].count(CYAN) == height
+            and data[i + width : j + width + 1 : s].count(CYAN) == height
+        ):
+            return _reference(grid)
+        bounds.append((r0, c0, r0 + height - 1, c0 + width - 1))
+    # Also catches a corner inside an earlier rectangle (an island).
+    if _crowded((r0, c0, r1 - r0 + 1, c1 - c0 + 1) for r0, c0, r1, c1 in bounds):
+        return _reference(grid)
+    return _painted(data, h, w, bounds)
+
+
+def _reference(grid: Grid) -> Grid:
+    """:func:`verifier` cell by cell: the reference walk, which raises
+    VerifierDomainError for every grid outside the domain."""
+    rows = list(grid)
+    h, w = len(rows), len(rows[0])
     for r, row in enumerate(rows):
+        if len(row) != w:
+            raise VerifierDomainError(f"row {r} holds {len(row)} cells, expected {w}")
         if not _CYAN_PINK.issuperset(row):
             c, value = next((c, v) for c, v in enumerate(row) if v not in _CYAN_PINK)
             raise VerifierDomainError(f"cell ({r}, {c}) holds {value}, expected cyan or pink")
     bounds = _pink_components(grid)
     if _crowded((r0, c0, r1 - r0 + 1, c1 - c0 + 1) for r0, c0, r1, c1 in bounds):
         raise VerifierDomainError(f"pink rectangles come closer than spacing {_SPACING}")
-    out = grid.copy()
-    out_rows = list(out)
     for r0, c0, r1, c1 in bounds:
         if r0 < 1 or c0 < 1 or r1 > h - 2 or c1 > w - 2:
             raise VerifierDomainError("pink rectangle touches the grid edge")
@@ -270,62 +325,50 @@ def verifier(grid: Grid) -> Grid:
             or any(rows[r][c0] != PINK or rows[r][c1] != PINK for r in range(r0, r1 + 1))
         ):
             raise VerifierDomainError("pink component is not rectangular")
-        # The perimeter is all pink, so only interior cells can be holes.
+    # Cells equal to cyan or pink (8.0, say) are painted as their codes.
+    data = b"".join(bytes(PINK if v == PINK else CYAN for v in row) + _SEP for row in rows)
+    return _painted(data, h, w, bounds)
+
+
+def _painted(data: bytes, h: int, w: int, bounds) -> Grid:
+    """The ``h`` rows of ``data``, each ending in _SEP, with each box of
+    ``bounds`` ringed green and the cyan cells inside its perimeter yellow."""
+    s = w + 1
+    out = bytearray(data)
+    for r0, c0, r1, c1 in bounds:
+        span = c1 - c0 + 3  # the ring's width
+        top, bottom = (r0 - 1) * s + c0 - 1, (r1 + 1) * s + c0 - 1
+        out[top : top + span] = out[bottom : bottom + span] = _GREEN * span
+        sides = _GREEN * (r1 - r0 + 1)
+        out[top + s : bottom : s] = out[top + s + span - 1 : bottom + span - 1 : s] = sides
         for r in range(r0 + 1, r1):
-            row, out_row = rows[r], out_rows[r]
-            for c in range(c0 + 1, c1):
-                if row[c] == CYAN:
-                    out_row[c] = YELLOW
-        out_rows[r0 - 1][c0 - 1 : c1 + 2] = [GREEN] * (span + 2)
-        out_rows[r1 + 1][c0 - 1 : c1 + 2] = [GREEN] * (span + 2)
-        for r in range(r0, r1 + 1):
-            out_rows[r][c0 - 1] = GREEN
-            out_rows[r][c1 + 1] = GREEN
-    return out
+            a = r * s + c0 + 1
+            out[a : a + span - 4] = out[a : a + span - 4].translate(_SHADE)
+    del out[w::s]
+    return Grid._of(memoryview(out).cast("B", (h, w)).tolist())
 
 
 def _pink_components(grid: Grid) -> list[tuple[int, int, int, int]]:
     """Bounding boxes (r0, c0, r1, c1) of 4-connected pink components,
     in row-major order of each component's first cell."""
-    # Label each row's pink runs; a run joins every component with a run
-    # in the row above that shares a column. Labels are numbered in
-    # row-major order of their first run, and a merge keeps the smaller,
-    # so the surviving roots list components by their first cell.
-    parent = []
-    boxes = []
-    above = []
-    for r, row in enumerate(grid):
-        if PINK not in row:
-            above = []
+    cells = [(r, c) for r, row in enumerate(grid) for c, value in enumerate(row) if value == PINK]
+    unseen = set(cells)
+    bounds = []
+    for cell in cells:
+        if cell not in unseen:
             continue
-        runs = []
-        for match in _PINK_RUN.finditer(bytes(row)):
-            start, stop = match.span()
-            root = None
-            for a, b, label in above:
-                if a < stop and start < b:
-                    while parent[label] != label:
-                        label = parent[label]
-                    if root is None:
-                        root = label
-                    elif label != root:
-                        root, label = min(root, label), max(root, label)
-                        parent[label] = root
-                        box, other = boxes[root], boxes[label]
-                        box[1] = min(box[1], other[1])
-                        box[3] = max(box[3], other[3])
-            if root is None:
-                root = len(boxes)
-                parent.append(root)
-                boxes.append([r, start, r, stop - 1])
-            else:
-                box = boxes[root]
-                box[1] = min(box[1], start)
-                box[2] = r
-                box[3] = max(box[3], stop - 1)
-            runs.append((start, stop, root))
-        above = runs
-    return [tuple(box) for label, box in enumerate(boxes) if parent[label] == label]
+        unseen.remove(cell)
+        stack = [cell]
+        (r0, c0), (r1, c1) = cell, cell
+        while stack:
+            r, c = stack.pop()
+            r0, c0, r1, c1 = min(r0, r), min(c0, c), max(r1, r), max(c1, c)
+            for near in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                if near in unseen:
+                    unseen.remove(near)
+                    stack.append(near)
+        bounds.append((r0, c0, r1, c1))
+    return bounds
 
 
 def validate() -> TaskSet:

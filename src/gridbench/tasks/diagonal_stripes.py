@@ -36,10 +36,9 @@ def generate(size=None, colors=None, bands=None, corner=None, rng=None) -> Examp
     band = min(3 * bands, diag_count - 1)
     lo = 0 if corner == 0 else diag_count - band
     hi = lo + band
-    # Output row r is the three-color period rotated by r; input row r
-    # shows it only at the columns c with lo <= r + c < hi.
-    periods = [(colors[k:] + colors[:k]) * (size // 3 + 1) for k in range(3)]
-    out_rows = [periods[r % 3][:size] for r in range(size)]
+    # Input row r shows output row r only at the columns c with
+    # lo <= r + c < hi.
+    out_rows = _stripes(colors, size, size)
     grid_rows = []
     for r, out_row in enumerate(out_rows):
         row = [0] * size
@@ -49,8 +48,38 @@ def generate(size=None, colors=None, bands=None, corner=None, rng=None) -> Examp
     return Example(input=Grid._of(grid_rows), output=Grid._of(out_rows))
 
 
+def _stripes(colors, h: int, w: int) -> list[list[int]]:
+    """Fresh rows of the full pattern: cell (r, c) holds ``colors[(r + c) % 3]``."""
+    period = list(colors) * (w // 3 + 2)
+    return [period[r % 3 : r % 3 + w] for r in range(h)]
+
+
 def verifier(grid: Grid) -> Grid:
     """Reference transformation: fill each (row + col) mod 3 class.
+
+    When no class holds two colors, as in every generated input, each
+    class takes its color (0 if none) in bulk on the grid's bytes. Any
+    other grid takes :func:`_reference`, the row-major walk that defines
+    the result; ``tests/test_verifier_equivalence.py`` pins the two together.
+    """
+    rows = list(grid)
+    h, w = len(rows), len(rows[0])
+    # Rows joined by (1 - w) % 3 zero bytes put cell (r, c) at a flat
+    # index equal to r + c modulo 3, so class k is data[k::3].
+    try:
+        ragged = set(map(len, rows)) != {w}
+        data = bytes((1 - w) % 3).join(map(bytes, rows))
+    except (TypeError, ValueError):  # a row without a length, a cell that is not a byte
+        return _reference(grid)
+    classes = [data[k::3].translate(None, b"\0") for k in range(3)]  # their nonzero cells
+    # A class whose cells are not all its first one holds two colors.
+    if ragged or any(seen.lstrip(seen[:1]) for seen in classes):
+        return _reference(grid)
+    return Grid._of(_stripes([seen[0] if seen else 0 for seen in classes], h, w))
+
+
+def _reference(grid: Grid) -> Grid:
+    """:func:`verifier` as a row-major walk, for any grid.
 
     Take the cells of each residue class ``(r + c) % 3`` in row-major
     order. A nonzero cell keeps its value; a zero cell takes the last
@@ -61,35 +90,13 @@ def verifier(grid: Grid) -> Grid:
     is accepted: inconsistent seeds settle on the last color per class.
     """
     rows = grid.to_lists()
-    # Row r holds class k at columns (k - r) % 3, +3, ...; start every
-    # class's carry at its last nonzero value, found from the bottom up.
     carry = [0, 0, 0]
-    missing = [0, 1, 2]
-    for r in range(len(rows) - 1, -1, -1):
-        row = rows[r]
-        if not any(row):
-            continue
-        for k in missing[:]:
-            seen = list(filter(None, row[(k - r) % 3 :: 3]))
-            if seen:
-                carry[k] = seen[-1]
-                missing.remove(k)
-        if not missing:
-            break
-    for r, row in enumerate(rows):
-        if not any(row):
-            period = [carry[r % 3], carry[(r + 1) % 3], carry[(r + 2) % 3]]
-            row[:] = (period * (len(row) // 3 + 1))[: len(row)]
-            continue
-        for k in range(3):
-            start = (k - r) % 3
-            cells = row[start::3]
-            last = carry[k]
-            for i, value in enumerate(cells):
+    # The second pass fills the zeros before each class's first color.
+    for _ in range(2):
+        for r, row in enumerate(rows):
+            for c, value in enumerate(row):
                 if value:
-                    last = value
+                    carry[(r + c) % 3] = value
                 else:
-                    cells[i] = last
-            row[start::3] = cells
-            carry[k] = last
+                    row[c] = carry[(r + c) % 3]
     return Grid._of(rows)

@@ -1,18 +1,25 @@
 """The 05269061 and 543a7ed5 verifiers against cell-by-cell references.
 
-``diagonal_stripes.verifier`` fills each residue class in closed form on
-row slices, and ``borders_and_holes._pink_components`` labels runs of
-pink cells. The references below are the loops they replace: three
-row-major carry passes over every cell, and a flood fill from every
-unvisited pink cell. On seeded random grids of every shape from 1x1 to
-30x30 both must give the same components, the same output grid or the
-same exception, and leave the input grid unchanged.
+Both verifiers confirm the common case on the grid's bytes and hand every
+other grid to ``_reference``, a private walk over the cells. The expected
+outcomes below never take the byte path. For 543a7ed5 they come from
+``_reference`` with its components taken from the flood fill below and
+its painting done cell by cell instead of by ``_painted``, which the
+byte path shares. For 05269061 they come from three row-major carry
+passes over every cell, or from ``_reference`` itself where rows were
+mutated to leave the grid contract. On seeded random
+grids of every shape from 1x1 to 30x30, on generated inputs and on a
+grid for each condition that sends a grid to the reference walk, both
+must give the same output grid or the same exception, and leave the
+input grid unchanged.
 """
 
 import random
 
+import pytest
+
 from gridbench import Grid, new_stream
-from gridbench.grid import CYAN, PINK
+from gridbench.grid import BLUE, CYAN, GREEN, PINK, RED, YELLOW
 from gridbench.tasks import borders_and_holes, diagonal_stripes
 
 SIDES = range(1, 31)
@@ -55,6 +62,20 @@ def reference_pink_components(grid):
                         stack.append((nr, nc))
             bounds.append((r0, c0, r1, c1))
     return bounds
+
+
+def reference_paint(data, h, w, bounds):
+    # Rows of ``data`` each followed by one separator byte, as _painted takes them.
+    rows = [list(data[r * (w + 1) : r * (w + 1) + w]) for r in range(h)]
+    out = [list(row) for row in rows]
+    for r0, c0, r1, c1 in bounds:
+        for r in range(r0 - 1, r1 + 2):
+            for c in range(c0 - 1, c1 + 2):
+                if not (r0 <= r <= r1 and c0 <= c <= c1):
+                    out[r][c] = GREEN
+                elif r0 < r < r1 and c0 < c < c1 and rows[r][c] == CYAN:
+                    out[r][c] = YELLOW
+    return Grid(out)
 
 
 def _outcome(verify, grid):
@@ -105,6 +126,75 @@ def _grids(rnd, fills):
     return [fills[(h + w) % len(fills)](rnd, h, w) for h in SIDES for w in SIDES]
 
 
+def _box(rows, r0, c0, r1, c1, hole=True):
+    # A pink rectangle, hollow inside its perimeter when ``hole``.
+    for r in range(r0, r1 + 1):
+        for c in range(c0, c1 + 1):
+            inner = r0 < r < r1 and c0 < c < c1
+            rows[r][c] = CYAN if inner and hole else PINK
+    return rows
+
+
+def _cyan(h, w):
+    return [[CYAN] * w for _ in range(h)]
+
+
+def _mutated(rows):
+    """Grids of ``rows`` whose live rows were changed after the checked constructor."""
+    names = (
+        "ragged row", "ragged rows of the right total", "short last row", "cell 256", "float cell"
+    )
+    grids = {name: Grid(rows) for name in names}
+    live = {name: list(grid) for name, grid in grids.items()}
+    live["ragged row"][1].append(rows[1][0])
+    live["ragged rows of the right total"][1].append(rows[1][0])
+    live["ragged rows of the right total"][2].pop()
+    live["short last row"][-1].pop()
+    live["cell 256"][0][0] = 256
+    live["float cell"][0][0] = float(rows[0][0])  # equal to a color, not an int
+    return grids
+
+
+def _borders_fallbacks():
+    """One grid per condition that the byte check hands to the reference walk."""
+    peninsula = _box(_cyan(12, 12), 2, 2, 8, 8)
+    peninsula[6][3] = peninsula[6][4] = peninsula[5][4] = PINK  # its own corner at (5, 4)
+    island = _box(_cyan(12, 12), 2, 2, 9, 9)
+    island[5][5] = PINK
+    ring = _box(_cyan(12, 12), 2, 2, 6, 6)
+    ring[1][4] = PINK
+    corner_ring = _box(_cyan(12, 12), 2, 2, 6, 6)
+    corner_ring[7][7] = PINK  # diagonal to the box, so a component of its own
+    another_color = _box(_cyan(10, 10), 2, 2, 6, 6)
+    another_color[8][8] = BLUE
+    # Solid boxes, so that no cell next to the gap becomes a corner.
+    gaps = {}
+    for side, (r, c) in (("top", (2, 4)), ("bottom", (6, 4)), ("left", (4, 2)), ("right", (4, 6))):
+        gaps[side] = _box(_cyan(10, 10), 2, 2, 6, 6, hole=False)
+        gaps[side][r][c] = CYAN
+    grids = {
+        **{f"a gap in the {side} side": rows for side, rows in gaps.items()},
+        "pink ring cell": ring,
+        "pink ring corner": corner_ring,
+        "box on the top edge": _box(_cyan(10, 10), 0, 3, 4, 7),
+        "box on the bottom edge": _box(_cyan(10, 10), 5, 3, 9, 7),
+        "box on the left edge": _box(_cyan(10, 10), 3, 0, 7, 4),
+        "box on the right edge": _box(_cyan(10, 10), 3, 5, 7, 9),
+        "pink island in a hole": island,
+        "peninsula with an interior corner": peninsula,
+        "two boxes at gap 1": _box(_box(_cyan(12, 12), 2, 2, 5, 5), 2, 7, 5, 9),
+        "another color": another_color,
+    }
+    grids = {name: Grid(rows) for name, rows in grids.items()}
+    return grids | _mutated(_box(_cyan(10, 10), 2, 2, 6, 6))
+
+
+def _stripes_fallbacks():
+    """One grid per condition that the byte check hands to the reference walk."""
+    two_colors = Grid([[0, 0, 0, 0], [0, 0, 0, 0], [RED, 0, 0, 0], [0, 0, BLUE, 0]])
+    return {"two colors in a class and an empty class": two_colors} | _mutated([[RED, 0, 0, 0]] * 4)
+
+
 def test_pink_components_and_borders_verify_match_references(monkeypatch):
     seed = 11
     rnd = random.Random(seed)
@@ -114,19 +204,17 @@ def test_pink_components_and_borders_verify_match_references(monkeypatch):
         for i in range(10)
         for params in ({}, {"size": 30, "boxes": 1}, {"size": 30, "boxes": 6})
     ]
-    actual = [
-        (borders_and_holes._pink_components(g), _outcome(borders_and_holes.verifier, g))
-        for g in cases
-    ]
+    for grid in cases:
+        assert borders_and_holes._pink_components(grid) == reference_pink_components(grid), grid
+    cases += _borders_fallbacks().values()
+    actual = [_outcome(borders_and_holes.verifier, g) for g in cases]
     monkeypatch.setattr(borders_and_holes, "_pink_components", reference_pink_components)
-    expected = [
-        (reference_pink_components(g), _outcome(borders_and_holes.verifier, g)) for g in cases
-    ]
+    monkeypatch.setattr(borders_and_holes, "_painted", reference_paint)
+    expected = [_outcome(borders_and_holes._reference, g) for g in cases]
     for grid, got, want in zip(cases, actual, expected):
         assert got == want, grid
-    outcomes = [outcome for _, outcome in expected]
-    assert any(isinstance(outcome, Grid) for outcome in outcomes)
-    assert any(isinstance(outcome, tuple) for outcome in outcomes)
+    assert any(isinstance(outcome, Grid) for outcome in expected)
+    assert any(isinstance(outcome, tuple) for outcome in expected)
 
 
 def test_stripes_verify_matches_three_pass_reference():
@@ -138,5 +226,52 @@ def test_stripes_verify_matches_three_pass_reference():
         for i in range(10)
         for params in ({}, {"size": 30})
     ]
+    # One class empty, the others one color each: the bulk case.
+    cases.append(Grid([[RED, BLUE, 0, RED], [BLUE, 0, RED, 0]]))
     for grid in cases:
         assert _outcome(diagonal_stripes.verifier, grid) == _outcome(reference_stripes, grid), grid
+    # The fallbacks against the walk itself: mutated rows leave the grid
+    # contract that the three passes assume.
+    for name, grid in _stripes_fallbacks().items():
+        want = _outcome(diagonal_stripes._reference, grid)
+        assert _outcome(diagonal_stripes.verifier, grid) == want, name
+        if name.startswith("two colors"):
+            assert want == _outcome(reference_stripes, grid)
+
+
+@pytest.mark.parametrize(
+    "module, fallbacks",
+    [(borders_and_holes, _borders_fallbacks), (diagonal_stripes, _stripes_fallbacks)],
+    ids=["543a7ed5", "05269061"],
+)
+def test_each_fallback_condition_reaches_the_reference_walk(monkeypatch, module, fallbacks):
+    calls = []
+    walk = module._reference
+    monkeypatch.setattr(module, "_reference", lambda grid: calls.append(grid) or walk(grid))
+    for name, grid in fallbacks().items():
+        calls.clear()
+        _outcome(module.verifier, grid)
+        assert len(calls) == 1, name
+
+
+@pytest.mark.parametrize(
+    "module, params",
+    [
+        (borders_and_holes, {}),
+        (borders_and_holes, {"size": 30}),
+        (borders_and_holes, {"size": 30, "boxes": 1}),
+        (diagonal_stripes, {}),
+        (diagonal_stripes, {"size": 30}),
+    ],
+    ids=["543a7ed5", "543a7ed5-size30", "543a7ed5-size30-boxes1", "05269061", "05269061-size30"],
+)
+def test_generated_inputs_are_verified_without_the_reference_walk(monkeypatch, module, params):
+    # Defaults and each task's largest size, which between them cover
+    # every benchmark workload's parameters for these two tasks.
+    def refuse(grid):
+        raise AssertionError("the verifier took the reference walk")
+
+    monkeypatch.setattr(module, "_reference", refuse)
+    for i in range(300):
+        example = module.generate(rng=new_stream(5, module.TASK_ID, i), **params)
+        assert module.verifier(example.input) == example.output, i

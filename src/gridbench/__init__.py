@@ -22,10 +22,7 @@ from .grid import (
 from .rng import RngStream, new_stream
 from .framework import (
     MAX_ATTEMPTS,
-    VariationResult,
-    apply_variation,
     generate_examples,
-    generate_task_set,
     lookup,
     params,
     register,
@@ -56,16 +53,13 @@ __all__ = [
     "RngStream",
     "TaskScore",
     "TaskSet",
-    "VariationResult",
     "VerificationError",
     "VerifierDomainError",
-    "apply_variation",
     "emit_dataset",
     "evaluate",
     "format_percent",
     "format_report",
     "generate_examples",
-    "generate_task_set",
     "golden_check",
     "load_task_file",
     "lookup",

@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 from .errors import GridBenchError, check_int, shown
-from .framework import apply_variation  # noqa: F401  (bench/spans.py wraps cli.apply_variation)
 from .framework import lookup, task_ids
 from .grid import PALETTE, render_text
 from .harness import (
@@ -23,6 +22,9 @@ from .harness import (
 )
 from .rng import new_stream
 
+# bench/spans.py patches this name and nothing calls it; ROADMAP item 1 deletes it.
+apply_variation = None
+
 
 def _parse_override(text: str) -> tuple[str, object]:
     key, sep, raw = text.partition("=")
@@ -32,9 +34,13 @@ def _parse_override(text: str) -> tuple[str, object]:
 
 
 def _parse_value(raw: str) -> object:
-    if "," in raw:
-        return [_parse_scalar(part) for part in raw.split(",")]
-    return _parse_scalar(raw)
+    if "," not in raw:
+        return _parse_scalar(raw)
+    # One trailing comma ends a list, so "pink," is the one-element list [6].
+    parts = raw.split(",")
+    if not parts[-1].strip():
+        parts.pop()
+    return [_parse_scalar(part) for part in parts]
 
 
 def _parse_scalar(raw: str) -> object:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import inspect
 from collections.abc import Iterator
-from dataclasses import dataclass
 from types import ModuleType
 
 from .errors import VerificationError, VerifierDomainError, check_int, shown
-from .grid import Example, TaskSet
+from .grid import Example
 from .rng import new_stream
 
 # Retry budget for constraint-satisfying layout sampling. Exhausting it
@@ -102,34 +101,3 @@ class generate_examples:  # noqa: N801  (an iterator class, like enumerate)
                     )
             yield example
 
-
-def generate_task_set(task_id: str, train_count: int, test_count: int, master_seed: int) -> TaskSet:
-    """Indexes 0..train_count-1 of :func:`generate_examples` as train and the
-    next ``test_count`` as test; one outside the verifier's domain raises."""
-    check_int("train_count", train_count, 1, 2**64 - 1)
-    check_int("test_count", test_count, 1, 2**64 - train_count)
-    examples = list(generate_examples(task_id, train_count + test_count - 1, master_seed))
-    return TaskSet(train=examples[:train_count], test=examples[train_count:])
-
-
-@dataclass(frozen=True)
-class VariationResult:
-    """Examples generated under overridden parameters.
-
-    ``verifier_checked`` is False when the overrides left the reference
-    verifier's domain; such examples were not consistency-checked and
-    should not be mixed with mimetic ones.
-    """
-
-    task_set: TaskSet
-    verifier_checked: bool
-
-
-def apply_variation(task_id: str, overrides: dict, count: int, master_seed: int) -> VariationResult:
-    """:func:`generate_examples` with the overrides held fixed, as a task set, and
-    without them :func:`generate_task_set` with one test example; with overrides,
-    an example outside the verifier's domain marks the result unchecked."""
-    stream = generate_examples(task_id, count, master_seed, overrides)
-    examples = list(stream)
-    task_set = TaskSet(train=examples[:count], test=examples[count:])
-    return VariationResult(task_set=task_set, verifier_checked=stream.domain_error is None)

@@ -18,10 +18,9 @@ unbounded integers.
 A stream's position is a counter: word k after state s is the scrambled
 value of s + k * increment (mod 2**64), independent of the words before
 it. ``peek_draws`` uses this to compute a block of words in bulk, with
-the multiply-shift draw over one span that each word makes, ``peek``
-reads the words alone, and ``skip`` advances the stream by any number of
-words in constant time; all give exactly the words that one ``_next``
-call per word would.
+the multiply-shift draw over one span that each word makes, and ``skip``
+advances the stream by any number of words in constant time; both give
+exactly the words that one ``_next`` call per word would.
 """
 
 from __future__ import annotations
@@ -87,10 +86,6 @@ class RngStream:
     def _next(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK64
         return _scramble(self.state)
-
-    def peek(self, n: int) -> list[int]:
-        """The next ``n`` raw 64-bit words, without advancing the stream."""
-        return self.peek_draws(n, 1)[0]
 
     def peek_draws(self, n: int, span: int) -> tuple[list[int], list[int]]:
         """The next ``n`` words and their multiply-shift draws over ``span``,

@@ -120,6 +120,9 @@ def test_generate_rejects_bool_box_colors(tmp_path, capsys):
         ("colors=pink", "colors must be a list of integers, got 6"),
         ("boxes=1,2", "boxes must be an integer, got [1, 2]"),
         ("size=true", "size must be an integer, got True"),
+        # Only one trailing comma ends a list.
+        ("colors=,", "cannot parse override value ''"),
+        ("colors=6,,", "cannot parse override value ''"),
     ],
 )
 def test_generate_rejects_mistyped_layout_overrides(tmp_path, capsys, override, message):
@@ -132,6 +135,23 @@ def test_generate_rejects_mistyped_layout_overrides(tmp_path, capsys, override, 
     ) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_generate_trailing_comma_makes_a_one_element_list(tmp_path, capsys):
+    def generate(name, *overrides):
+        out = tmp_path / name
+        argv = ["generate", "--task", "543a7ed5", "--count", "3", "--seed", "3", "--out", str(out)]
+        for override in overrides:
+            argv += ["--set", override]
+        assert run(argv) == 0
+        return (out / "543a7ed5.json").read_bytes()
+
+    # Pink is the boxes' only color in the verifier's domain.
+    assert generate("pink", "boxes=1", "colors=pink,") == generate("plain", "boxes=1")
+    assert capsys.readouterr().err == ""
+    generate("red", "boxes=1", "colors=red,")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: task 543a7ed5: ")
 
 
 @pytest.mark.parametrize(
@@ -215,10 +235,10 @@ def test_validate_reports_bundled_fixture(capsys):
     assert lines[-1] == "Examples pass for 1/1 tasks (100%)"
 
 
-def test_validate_with_golden_dir(tmp_path, capsys):
-    from gridbench import generate_task_set, save_task_file
+def test_validate_with_golden_dir(tmp_path, capsys, make_task_set):
+    from gridbench import save_task_file
 
-    save_task_file(tmp_path / "1e0a9b12.json", generate_task_set("1e0a9b12", 2, 1, 5))
+    save_task_file(tmp_path / "1e0a9b12.json", make_task_set("1e0a9b12", 2, 5))
     assert run(["validate", "--golden-dir", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "Testing task 1e0a9b12 ... pass" in lines
@@ -386,11 +406,11 @@ def test_render_generated_example(capsys):
     assert all(line.isdigit() for line in body)
 
 
-def test_render_from_file(tmp_path, capsys, monkeypatch):
-    from gridbench import generate_task_set, save_task_file
+def test_render_from_file(tmp_path, capsys, monkeypatch, make_task_set):
+    from gridbench import save_task_file
 
     path = tmp_path / "t.json"
-    save_task_file(path, generate_task_set("05269061", 2, 1, 4))
+    save_task_file(path, make_task_set("05269061", 2, 4))
     built = []
     example = gridbench.grid._example
     monkeypatch.setattr(gridbench.grid, "_example", lambda pair: built.append(pair) or example(pair))
@@ -403,11 +423,11 @@ def test_render_from_file(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == from_file
 
 
-def test_render_index_out_of_range(tmp_path, capsys):
-    from gridbench import generate_task_set, save_task_file
+def test_render_index_out_of_range(tmp_path, capsys, make_task_set):
+    from gridbench import save_task_file
 
     path = tmp_path / "t.json"
-    save_task_file(path, generate_task_set("05269061", 2, 1, 4))
+    save_task_file(path, make_task_set("05269061", 2, 4))
     assert run(["render", "--file", str(path), "--index", "5"]) == 1
     assert capsys.readouterr().err == f"error: {path}: train index 5 outside [0, 1]\n"
     assert run(["render", "--file", str(path), "--split", "test", "--index", "-1"]) == 1

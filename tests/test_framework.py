@@ -1,4 +1,4 @@
-"""Registry and task-set generation."""
+"""Registry and example generation."""
 
 from types import SimpleNamespace
 
@@ -10,9 +10,7 @@ from gridbench import (
     Grid,
     VerificationError,
     VerifierDomainError,
-    apply_variation,
     generate_examples,
-    generate_task_set,
     lookup,
     params,
     register,
@@ -75,30 +73,6 @@ def test_duplicate_registration_rejected():
         del _REGISTRY["ffffffff"]
 
 
-def test_generate_task_set_validates_counts():
-    with pytest.raises(ValueError, match=r"^train_count 0 outside \[1, 18446744073709551615\]$"):
-        generate_task_set("543a7ed5", 0, 1, master_seed=0)
-    with pytest.raises(ValueError, match=r"^test_count 0 outside \[1, 18446744073709551615\]$"):
-        generate_task_set("543a7ed5", 1, 0, master_seed=0)
-    # Every example index, train and test, must fit a 64-bit stream key.
-    with pytest.raises(ValueError, match=r"^test_count 2 outside \[1, 1\]$"):
-        generate_task_set("1e0a9b12", 2**64 - 1, 2, master_seed=0)
-    with pytest.raises(ValueError) as info:
-        generate_task_set("1e0a9b12", 10**5000, 1, master_seed=0)
-    message = str(info.value)
-    assert message.startswith("train_count ")
-    assert message.endswith("outside [1, 18446744073709551615]")
-    assert len(message) < 200
-    # A list holding such an integer has no repr, so it is named by its type.
-    with pytest.raises(ValueError, match="^train_count must be an integer, got <list>$"):
-        generate_task_set("1e0a9b12", [10**5000], 1, master_seed=0)
-    for count in (True, 2.5):
-        with pytest.raises(ValueError, match=f"^train_count must be an integer, got {count}$"):
-            generate_task_set("1e0a9b12", count, 1, master_seed=5)
-        with pytest.raises(ValueError, match=f"^test_count must be an integer, got {count}$"):
-            generate_task_set("1e0a9b12", 1, count, master_seed=5)
-
-
 def test_fully_specified_generate_draws_nothing():
     gen = lookup("543a7ed5")
     rng = new_stream(7, "543a7ed5", 0)
@@ -115,9 +89,10 @@ def test_fully_specified_generate_draws_nothing():
 
 
 def test_variation_larger_grid_and_more_boxes():
-    result = apply_variation("543a7ed5", {"size": 24, "boxes": 5}, 3, master_seed=5)
-    assert result.verifier_checked is True
-    for ex in (*result.task_set.train, *result.task_set.test):
+    stream = generate_examples("543a7ed5", 3, master_seed=5, overrides={"size": 24, "boxes": 5})
+    examples = list(stream)
+    assert len(examples) == 4 and stream.domain_error is None
+    for ex in examples:
         assert ex.input.height == ex.input.width == 24
         assert len(_pink_components(ex.input)) == 5
 
@@ -148,40 +123,51 @@ def test_verifier_domain_error_raises_or_marks_the_variation_unchecked():
     register(SimpleNamespace(TASK_ID="fffffffd", generate=fake_generate, verifier=wrong_verifier))
     try:
         with pytest.raises(VerifierDomainError, match="even cell"):
-            generate_task_set("fffffffe", 20, 1, master_seed=1)
-        result = apply_variation("fffffffe", {"size": 2}, 20, master_seed=1)
-        assert result.verifier_checked is False
-        assert len(result.task_set.train) == 20 and len(result.task_set.test) == 1
-        assert all(ex.input.width == 2 for ex in result.task_set.train)
+            list(generate_examples("fffffffe", 20, master_seed=1))
+        stream = generate_examples("fffffffe", 20, master_seed=1, overrides={"size": 2})
+        examples = list(stream)
+        assert str(stream.domain_error) == "even cell"
+        assert len(examples) == 21 and all(ex.input.width == 2 for ex in examples)
         mismatch = r"^task fffffffd: example 0 does not satisfy its verifier$"
         with pytest.raises(VerificationError, match=mismatch):
-            generate_task_set("fffffffd", 20, 1, master_seed=1)
+            list(generate_examples("fffffffd", 20, master_seed=1))
         with pytest.raises(VerificationError, match=mismatch):
-            apply_variation("fffffffd", {"size": 2}, 20, master_seed=1)
+            list(generate_examples("fffffffd", 20, master_seed=1, overrides={"size": 2}))
     finally:
         del _REGISTRY["fffffffe"], _REGISTRY["fffffffd"]
 
 
 def test_variation_recolored_boxes_flagged_out_of_domain():
-    result = apply_variation("543a7ed5", {"colors": [2, 2, 2]}, 2, master_seed=11)
-    assert result.verifier_checked is False
-    for ex in result.task_set.train:
+    stream = generate_examples("543a7ed5", 2, master_seed=11, overrides={"colors": [2, 2, 2]})
+    examples = list(stream)
+    assert stream.domain_error is not None
+    for ex in examples:
         assert any(2 in row for row in ex.input)
 
 
 def test_variation_unknown_parameter():
+    # The arguments are checked when the stream is made, before any example.
     with pytest.raises(ValueError):
-        apply_variation("543a7ed5", {"bogus": 1}, 1, master_seed=0)
+        generate_examples("543a7ed5", 1, master_seed=0, overrides={"bogus": 1})
     with pytest.raises(ValueError, match=r"^count 0 outside \[1, 18446744073709551615\]$"):
-        apply_variation("1e0a9b12", {}, 0, master_seed=5)
+        generate_examples("1e0a9b12", 0, master_seed=5)
     with pytest.raises(ValueError, match=r"^count 18446744073709551616 outside \[1, 18446744073709551615\]$"):
-        apply_variation("1e0a9b12", {}, 2**64, master_seed=5)
+        generate_examples("1e0a9b12", 2**64, master_seed=5)
+    with pytest.raises(ValueError) as info:
+        generate_examples("1e0a9b12", 10**5000, master_seed=0)
+    message = str(info.value)
+    assert message.startswith("count ")
+    assert message.endswith("outside [1, 18446744073709551615]")
+    assert len(message) < 200
+    # A list holding such an integer has no repr, so it is named by its type.
+    with pytest.raises(ValueError, match="^count must be an integer, got <list>$"):
+        generate_examples("1e0a9b12", [10**5000], master_seed=0)
     for count in (True, 2.5):
         with pytest.raises(ValueError, match=f"^count must be an integer, got {count}$"):
-            apply_variation("1e0a9b12", {}, count, master_seed=5)
+            generate_examples("1e0a9b12", count, master_seed=5)
 
 
 def test_variation_impossible_layout_exhausts_budget():
     # Nine 2x2-or-larger boxes cannot keep spacing 2 on a 5x5 grid.
     with pytest.raises(GenerationError):
-        apply_variation("543a7ed5", {"size": 5, "boxes": 9}, 1, master_seed=0)
+        list(generate_examples("543a7ed5", 1, master_seed=0, overrides={"size": 5, "boxes": 9}))

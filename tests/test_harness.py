@@ -24,12 +24,11 @@ from gridbench import (
     TaskSet,
     VerificationError,
     VerifierDomainError,
-    apply_variation,
     emit_dataset,
     evaluate,
     format_percent,
     format_report,
-    generate_task_set,
+    generate_examples,
     golden_check,
     load_task_file,
     register,
@@ -61,13 +60,13 @@ def test_load_round_trip(tmp_path):
     assert load_task_file(path) == MINIMAL
 
 
-def test_a_canonical_file_reads_as_its_tuples_of_examples(tmp_path):
+def test_a_canonical_file_reads_as_its_tuples_of_examples(tmp_path, make_task_set):
     path = tmp_path / "t.json"
-    task_set = generate_task_set("1e0a9b12", 3, 1, 2)
+    task_set = make_task_set("1e0a9b12", 3, 2)
     save_task_file(path, task_set)
     loaded = load_task_file(path)
     assert loaded == task_set and task_set == loaded
-    assert loaded == load_task_file(path) and loaded != generate_task_set("1e0a9b12", 3, 1, 3)
+    assert loaded == load_task_file(path) and loaded != make_task_set("1e0a9b12", 3, 3)
     assert loaded.train[1:] == task_set.train[1:] and loaded.train[-1] == task_set.train[-1]
     assert list(loaded.test) == list(task_set.test) and repr(loaded) == repr(task_set)
     # Each read builds a fresh example, so changing one leaves the task set as loaded.
@@ -327,8 +326,8 @@ def test_domain_error_without_overrides_stops_at_its_example(tmp_path):
     try:
         for make in (
             lambda: emit_dataset(["f3000002"], 50, 1, tmp_path / "d"),
-            lambda: generate_task_set("f3000002", 50, 1, 1),
-            lambda: apply_variation("f3000002", {}, 50, 1),
+            lambda: list(generate_examples("f3000002", 50, 1)),
+            lambda: list(generate_examples("f3000002", 50, 1, {})),
         ):
             calls.clear()
             with pytest.raises(VerifierDomainError, match="^example 2 is outside the domain$"):
@@ -831,9 +830,9 @@ def test_golden_check_not_applicable_without_data(tmp_path):
         golden_check("1e0a9b12", tmp_path / "missing")
 
 
-def test_golden_check_runs_verifier_for_fixtureless_tasks(tmp_path):
+def test_golden_check_runs_verifier_for_fixtureless_tasks(tmp_path, make_task_set):
     path = tmp_path / "1e0a9b12.json"
-    ts = generate_task_set("1e0a9b12", 3, 1, master_seed=3)
+    ts = make_task_set("1e0a9b12", 3, master_seed=3)
     save_task_file(path, ts)
     assert golden_check("1e0a9b12", tmp_path) is True
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -865,8 +864,8 @@ def test_reduced_generator_is_caught_by_golden_comparison():
     assert sum(v == 6 for row in reduced.input for v in row) == 40
 
 
-def test_render_text_round_trips_through_files(tmp_path):
-    ts = generate_task_set("05269061", 2, 1, master_seed=8)
+def test_render_text_round_trips_through_files(tmp_path, make_task_set):
+    ts = make_task_set("05269061", 2, master_seed=8)
     path = tmp_path / "t.json"
     save_task_file(path, ts)
     loaded = load_task_file(path)

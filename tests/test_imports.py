@@ -87,11 +87,10 @@ def test_import_loads_nothing_that_only_forking_helpers_needs():
 
 EXPECTED_PUBLIC = {
     "PALETTE", "MAX_ATTEMPTS", "EvalReport", "Example", "FormatError", "GenerationError", "Grid",
-    "GridBenchError", "RngStream", "TaskScore", "TaskSet", "VariationResult",
-    "VerificationError", "VerifierDomainError", "apply_variation", "emit_dataset", "evaluate",
-    "format_percent", "format_report", "generate_examples", "generate_task_set", "golden_check",
-    "load_task_file", "lookup", "new_stream", "params", "register", "render_text",
-    "save_task_file", "task_ids",
+    "GridBenchError", "RngStream", "TaskScore", "TaskSet", "VerificationError",
+    "VerifierDomainError", "emit_dataset", "evaluate", "format_percent", "format_report",
+    "generate_examples", "golden_check", "load_task_file", "lookup", "new_stream", "params",
+    "register", "render_text", "save_task_file", "task_ids",
 }
 
 

@@ -22,11 +22,9 @@ import pytest
 
 from gridbench import (
     GenerationError,
-    apply_variation,
     emit_dataset,
     lookup,
     new_stream,
-    save_task_file,
     task_ids,
 )
 from gridbench.cli import run
@@ -94,11 +92,10 @@ def dataset_digests(seed: int) -> dict[str, str]:
 
 
 def variation_digest(overrides: dict) -> dict:
-    result = apply_variation(VARIATION["task"], overrides, VARIATION["count"], VARIATION["seed"])
+    task = VARIATION["task"]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "variation.json"
-        save_task_file(path, result.task_set)
-        return {"sha256": _sha256(path), "verifier_checked": result.verifier_checked}
+        unchecked = emit_dataset([task], VARIATION["count"], VARIATION["seed"], tmp, overrides)
+        return {"sha256": _sha256(Path(tmp) / f"{task}.json"), "verifier_checked": task not in unchecked}
 
 
 def cli_digest(overrides: dict) -> str:
@@ -160,7 +157,7 @@ def test_layout_digests(known):
 
 
 def test_cli_set_digests(known):
-    # The CLI's writer gives the bytes that apply_variation + save_task_file give.
+    # generate --set parses the overrides into the bytes that emit_dataset writes.
     expected = [known["variation"]["sha256"], *(entry["sha256"] for entry in known["layouts"])]
     assert [cli_digest(o) for o in [VARIATION["overrides"], *LAYOUT_OVERRIDES]] == expected
 

@@ -116,7 +116,7 @@ PEEK_STREAMS = [
 def test_peek_equals_sequential_next_and_keeps_state(key, n):
     a, b = new_stream(*key), new_stream(*key)
     state = a.state
-    assert a.peek(n) == [b._next() for _ in range(n)]
+    assert a.peek_draws(n, 1)[0] == [b._next() for _ in range(n)]
     assert a.state == state
 
 
@@ -136,7 +136,7 @@ def test_peek_wraps_past_two_to_the_64(n):
     a, b = new_stream(0, "x", 0), new_stream(0, "x", 0)
     a.state = b.state = 2**64 - 3
     assert a.state + _GOLDEN >= 2**64
-    assert a.peek(n) == [b._next() for _ in range(n)]
+    assert a.peek_draws(n, 1)[0] == [b._next() for _ in range(n)]
     a.skip(n)
     assert a.state == b.state
 
@@ -148,7 +148,7 @@ def test_peek_draws_are_the_multiply_shift_of_the_peeked_words(key, n, span):
     s = new_stream(*key)
     state = s.state
     words, draws = s.peek_draws(n, span)
-    assert words == s.peek(n)
+    assert words == s.peek_draws(n, 1)[0]
     assert draws == [(w * span) >> 64 for w in words]
     assert s.state == state
 
@@ -163,13 +163,13 @@ def test_peek_draws_rejects_spans_outside_one_to_two_to_the_64():
 def test_peek_and_skip_reject_negative_counts():
     s = new_stream(1, "x", 0)
     with pytest.raises(ValueError):
-        s.peek(-1)
+        s.peek_draws(-1, 1)
     with pytest.raises(ValueError):
         s.skip(-1)
     # A fraction is not a count, and True is not one word.
     for n in (2.5, True):
         with pytest.raises(ValueError, match=f"^n must be an integer, got {n}$"):
-            s.peek(n)
+            s.peek_draws(n, 1)
         with pytest.raises(ValueError, match=f"^n must be an integer, got {n}$"):
             s.skip(n)
 

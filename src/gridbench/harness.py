@@ -71,7 +71,7 @@ def _grid_text(grid: Grid) -> bytearray:
 
     The bytes of ``json.dumps`` with compact separators for a grid
     that meets the ``Grid`` contract. The rows are joined into one byte
-    string of cells (``bytes(row)``, by integer value) with the row
+    string of cells (``bytearray(row)``, by integer value) with the row
     breaks at the pad slots, which is written over the even slots of
     the shape's frame. Cell types are not checked again: rows mutated
     after construction to ragged or empty rows, or to a cell that is
@@ -89,8 +89,9 @@ def _grid_text(grid: Grid) -> bytearray:
         ):
             raise ValueError(f"grid rows are not 1 to {MAX_SIDE} rows of 1 to {MAX_SIDE} cells")
         # The row breaks become 0x80 like a cell outside 0-9, until the
-        # commas overwrite them.
-        cells = bytearray(b"\n".join(map(bytes, rows)).translate(_TO_DIGIT))
+        # commas overwrite them. bytearray(row) accepts and rejects the same
+        # cells as bytes(row), and CPython builds it faster from a list.
+        cells = bytearray(b"\n".join(map(bytearray, rows)).translate(_TO_DIGIT))
         cells[width :: width + 1] = b"," * (height - 1)
         frame = bytearray(_frame(height, width))
         frame[::2] = cells

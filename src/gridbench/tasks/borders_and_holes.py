@@ -197,12 +197,14 @@ def _sample_layout(boxes, size, box_colors, rng):
 def _crowded(boxes) -> bool:
     """True iff two of the ``(row, col, height, width)`` boxes conflict:
     each grown by ``_SPACING`` cells down and right, the two intersect."""
-    grown = [(r, c, r + h + _SPACING, c + w + _SPACING) for r, c, h, w in boxes]
-    return any(
-        r0 < r3 and r2 < r1 and c0 < c3 and c2 < c1
-        for i, (r0, c0, r1, c1) in enumerate(grown)
-        for r2, c2, r3, c3 in grown[i + 1 :]
-    )
+    grown = []
+    for r0, c0, h, w in boxes:
+        r1, c1 = r0 + h + _SPACING, c0 + w + _SPACING
+        for r2, c2, r3, c3 in grown:
+            if r0 < r3 and r2 < r1 and c0 < c3 and c2 < c1:
+                return True
+        grown.append((r0, c0, r1, c1))
+    return False
 
 
 def _checked_layout(rows, cols, widths, heights, colors, boxes, size):
@@ -266,7 +268,8 @@ def verifier(grid: Grid) -> Grid:
     h, w = len(rows), len(rows[0])
     s = w + 1  # row stride: each row ends in _SEP, so no pink run wraps
     try:
-        data = _SEP.join(map(bytes, rows)) + _SEP
+        # bytearray, not bytes: the same cells pass, and faster from a list.
+        data = _SEP.join(map(bytearray, rows)) + _SEP
     except (TypeError, ValueError):  # a cell that is not a byte
         return _reference(grid)
     # Only cyan and pink besides h separators, all in column w.

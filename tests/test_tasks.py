@@ -374,3 +374,28 @@ def test_stripes_generator_matches_cell_by_cell_reference():
                 ]
                 ex = diagonal_stripes.generate(size=size, colors=colors, bands=bands, corner=corner)
                 assert (ex.input, ex.output) == (Grid(grid), Grid(out)), (size, bands, corner)
+
+
+def test_stripes_input_rows_match_per_row_construction():
+    # The loop that built every input row before generate built only the
+    # rows its band meets; each row must still be a list of its own, since
+    # the grids own their rows and a caller may change a cell in place.
+    colors = [1, 2, 3]
+    for size in range(3, 31):
+        diag_count = 2 * size - 1
+        for bands in (1, 2, 3):
+            band = min(3 * bands, diag_count - 1)
+            for corner in (0, 1):
+                lo = 0 if corner == 0 else diag_count - band
+                hi = lo + band
+                out = [[colors[(r + c) % 3] for c in range(size)] for r in range(size)]
+                rows = []
+                for r, out_row in enumerate(out):
+                    row = [0] * size
+                    start, stop = max(0, lo - r), max(0, min(size, hi - r))
+                    row[start:stop] = out_row[start:stop]
+                    rows.append(row)
+                ex = diagonal_stripes.generate(size=size, colors=colors, bands=bands, corner=corner)
+                assert ex.input == Grid(rows), (size, bands, corner)
+                lists = [*ex.input, *ex.output]
+                assert len(set(map(id, lists))) == 2 * size, (size, bands, corner)

@@ -11,7 +11,7 @@ generated example must satisfy ``verifier(input) == output`` exactly.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from types import ModuleType
 
 from .errors import VerificationError, VerifierDomainError, check_int, shown
@@ -24,9 +24,10 @@ from .rng import new_stream
 MAX_ATTEMPTS = 10_000
 
 
-# Task id -> (task, the parameter names its ``generate`` declares), read once
-# at registration, so a wrapper installed over ``generate`` later keeps them.
-_REGISTRY: dict[str, tuple[ModuleType, tuple[str, ...]]] = {}
+# Task id -> (task, the parameter names its ``generate`` declares, its
+# ``verifier``), read once at registration, so a wrapper installed over
+# ``generate`` later keeps them, and one over ``verifier`` is judged as given.
+_REGISTRY: dict[str, tuple[ModuleType, tuple[str, ...], Callable]] = {}
 
 
 def register(task: ModuleType) -> None:
@@ -34,10 +35,10 @@ def register(task: ModuleType) -> None:
     if task.TASK_ID in _REGISTRY:
         raise ValueError(f"task {task.TASK_ID!r} is already registered")
     names = tuple(name for name in inspect.signature(task.generate).parameters if name != "rng")
-    _REGISTRY[task.TASK_ID] = (task, names)
+    _REGISTRY[task.TASK_ID] = (task, names, task.verifier)
 
 
-def _entry(task_id: str) -> tuple[ModuleType, tuple[str, ...]]:
+def _entry(task_id: str) -> tuple[ModuleType, tuple[str, ...], Callable]:
     try:
         return _REGISTRY[task_id]
     except KeyError:
@@ -59,6 +60,12 @@ def task_ids() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def _cells_verifier(task_id: str, program):
+    """The task's ``verify_cells`` if ``program`` is the ``verifier`` it was registered with."""
+    entry = _REGISTRY.get(task_id)
+    return getattr(entry[0], "verify_cells", None) if entry and program is entry[2] else None
+
+
 class generate_examples:  # noqa: N801  (an iterator class, like enumerate)
     """``count`` train examples, then one test example, as a lazy stream.
 
@@ -69,7 +76,7 @@ class generate_examples:  # noqa: N801  (an iterator class, like enumerate)
     overrides, which yield it unchecked and keep the first as ``domain_error``."""
 
     def __init__(self, task_id: str, count: int, master_seed: int, overrides=None) -> None:
-        self._task, names = _entry(task_id)
+        self._task, names, _ = _entry(task_id)
         self._overrides = overrides = dict(overrides or {})
         unknown = sorted(set(overrides) - set(names))
         if unknown:

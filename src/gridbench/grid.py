@@ -9,6 +9,7 @@ while a grid is being built; once a grid has been handed out inside an
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -182,13 +183,26 @@ class TaskSet:
 Cells = tuple[int, int, bytes]
 
 
+def _grid(cells: Cells) -> Grid:
+    """The grid of checked cells; its rows come from one C call."""
+    height, width, data = cells
+    return Grid._of(memoryview(data).cast("B", (height, width)).tolist())
+
+
 def _example(pair: tuple[Cells, Cells]) -> Example:
-    """The example of checked input and output cells; rows come from one C call each."""
-    (h_in, w_in, data_in), (h_out, w_out, data_out) = pair
-    return Example(
-        input=Grid._of(memoryview(data_in).cast("B", (h_in, w_in)).tolist()),
-        output=Grid._of(memoryview(data_out).cast("B", (h_out, w_out)).tolist()),
-    )
+    """The example of checked input and output cells."""
+    return Example(input=_grid(pair[0]), output=_grid(pair[1]))
+
+
+def _via_grid(verify, cells: Cells) -> Cells:
+    """The cells of ``verify``'s result on the grid of ``cells``."""
+    out = verify(_grid(cells))
+    return out.height, out.width, b"".join(map(bytes, out))
+
+
+def _code(value):
+    """A cell as a byte join reads it: its ``__index__`` when it has one, else itself."""
+    return operator.index(value) if hasattr(type(value), "__index__") else value
 
 
 class LazyExamples(Sequence):

@@ -15,9 +15,9 @@ commas between rows and whose odd slots hold fixed separators: a grid
 is written by copying its cells into the frame, and read, without
 building a JSON object tree, by checking the file's bytes against the
 frame and keeping the cells of its even slots. The whole file is checked
-before any example is built; an example's row lists are built from its
-cells each time it is read, so ``evaluate`` holds a file's cells and
-the row lists of one example at a time. Every other file is decoded as
+before any example is built; ``evaluate`` holds a file's cells, judges
+a bundled verifier on them and builds the row lists of one example at a
+time for any other program. Every other file is decoded as
 UTF-8, goes through ``json.loads`` and is validated element by element.
 """
 
@@ -34,7 +34,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import FormatError, shown
-from .framework import generate_examples, lookup
+from .framework import _cells_verifier, generate_examples, lookup
 from .grid import MAX_SIDE, Cells, Example, Grid, LazyExamples, TaskSet
 
 # bench/spans.py patches this name and nothing calls it; ROADMAP item 1 deletes it.
@@ -369,7 +369,8 @@ def evaluate(example_dir, programs: dict[str, Callable[[Grid], Grid]]) -> EvalRe
     an example, or calls ``sys.exit``, fails that example; tasks present
     in the directory but missing from ``programs`` are skipped and listed
     in the report. A path that is not a directory raises
-    ``NotADirectoryError``.
+    ``NotADirectoryError``. A task's verifier as registered is judged by
+    its ``verify_cells`` on a canonical file's cells, with the same result.
     """
     directory = _directory(Path(example_dir))
     scores: dict[str, tuple[int, int]] = {}
@@ -381,7 +382,8 @@ def evaluate(example_dir, programs: dict[str, Callable[[Grid], Grid]]) -> EvalRe
         if task_id not in programs:
             skipped.append(task_id)
             continue
-        scores[task_id] = _judge(programs[task_id], load_task_file(path))
+        program = programs[task_id]
+        scores[task_id] = _judge(program, load_task_file(path), _cells_verifier(task_id, program))
     return EvalReport.from_scores(scores, skipped)
 
 
@@ -393,28 +395,30 @@ def _directory(path):
     return path
 
 
-def _judge(program: Callable[[Grid], Grid], task_set: TaskSet) -> tuple[int, int]:
+def _judge(
+    program: Callable[[Grid], Grid], task_set: TaskSet, verify_cells: Callable | None = None
+) -> tuple[int, int]:
     """``(passed, total)`` of a program over every train and test example; an
     example fails when it raises (``SystemExit`` too, but not
     ``KeyboardInterrupt``) or returns a result that is not a valid grid.
 
-    The examples are read one at a time, so those of a canonical file
-    are built from its cells just before each call and freed before the
-    next is built. The program gets each input ``Grid`` as read and may
-    modify it: both callers pass a task set they have just loaded and
-    drop afterwards, so nothing else holds it, and each expected output
-    is a ``Grid`` of its own.
+    ``verify_cells``, given when ``program`` is a task's own verifier, judges
+    a split read from a canonical file on its cells, shape and bytes. Other
+    splits are read one example at a time, each built just before its call;
+    the program gets each input ``Grid`` as read and may modify it, since both
+    callers drop the task set afterwards and each expected output is its own ``Grid``.
     """
     passed = 0
-    for example in itertools.chain(task_set.train, task_set.test):
-        try:
-            result = program(example.input)
-            if not isinstance(result, Grid):
-                result = Grid(result)
-        except (Exception, SystemExit):
-            continue
-        if result == example.output:
-            passed += 1
+    for split in (task_set.train, task_set.test):
+        cells = verify_cells is not None and isinstance(split, LazyExamples)
+        for given, expected in split._pairs if cells else ((e.input, e.output) for e in split):
+            try:
+                result = verify_cells(given) if cells else program(given)
+                if not (cells or isinstance(result, Grid)):
+                    result = Grid(result)
+            except (Exception, SystemExit):
+                continue
+            passed += result == expected
     return passed, len(task_set.train) + len(task_set.test)
 
 
@@ -461,5 +465,5 @@ def golden_check(task_id: str, golden_dir=None) -> bool | None:
         golden = load_task_file(path)
     if getattr(gen, "validate", None) is not None:
         return gen.validate() == golden
-    passed, total = _judge(gen.verifier, golden)
+    passed, total = _judge(gen.verifier, golden, _cells_verifier(task_id, gen.verifier))
     return passed == total

@@ -146,7 +146,11 @@ def new_stream(master_seed: int, task_id: str, example_index: int) -> RngStream:
         raise ValueError("task_id must be a non-empty string")
     # Indexes are keyed as 64-bit words; a wider one would alias a smaller one.
     check_int("example_index", example_index, 0, _MASK64)
-    state = _scramble((master_seed + _GOLDEN) & _MASK64)
-    state = _scramble(state ^ _fnv1a(task_id))
-    state = _scramble(state ^ example_index)
+    state = _scramble(_keyed(master_seed, task_id) ^ example_index)
     return RngStream(state, master_seed, task_id, example_index)
+
+
+@lru_cache(maxsize=256)
+def _keyed(master_seed: int, task_id: str) -> int:
+    # The state before the index is mixed in, so that a run hashes each task id once.
+    return _scramble(_scramble((master_seed + _GOLDEN) & _MASK64) ^ _fnv1a(task_id))

@@ -18,7 +18,8 @@ import re
 
 from ..errors import GenerationError, VerifierDomainError, check_int, check_ints
 from ..framework import MAX_ATTEMPTS
-from ..grid import CYAN, GREEN, MAX_SIDE, PINK, YELLOW, Example, Grid, TaskSet
+from ..grid import CYAN, GREEN, MAX_SIDE, PINK, YELLOW, Cells, Example, Grid, TaskSet
+from ..grid import _code, _grid, _via_grid
 
 TASK_ID = "543a7ed5"
 
@@ -258,28 +259,44 @@ def verifier(grid: Grid) -> Grid:
     (possibly hollowed) that keep one cell clear of the grid edge and are
     not :func:`_crowded`; anything else raises VerifierDomainError.
 
-    A grid is confirmed in bulk on its bytes when every pink corner (a
-    pink cell with no pink above or left of it, as each component's first
-    cell is) starts an uncrowded, cyan-ringed rectangle with a pink
-    perimeter. Any other grid takes :func:`_reference`, the cell walk that
-    alone raises; ``tests/test_verifier_equivalence.py`` pins the two together.
+    A grid is confirmed in bulk on its bytes by :func:`_ringed`. Any other grid
+    takes :func:`_reference`, the cell walk that alone raises;
+    ``tests/test_verifier_equivalence.py`` pins the two together.
     """
     rows = list(grid)
     h, w = len(rows), len(rows[0])
-    s = w + 1  # row stride: each row ends in _SEP, so no pink run wraps
     try:
         # bytearray, not bytes: the same cells pass, and faster from a list.
         data = _SEP.join(map(bytearray, rows)) + _SEP
     except (TypeError, ValueError):  # a cell that is not a byte
         return _reference(grid)
+    out = _ringed(data, h, w)
+    if out is None:
+        return _reference(grid)
+    return Grid._of(memoryview(out).cast("B", (h, w)).tolist())
+
+
+def verify_cells(cells: Cells) -> Cells:
+    """:func:`verifier` on a grid's checked cells, giving the output's cells."""
+    h, w, data = cells
+    out = _ringed(_SEP.join([data[i : i + w] for i in range(0, h * w, w)]) + _SEP, h, w)
+    return _via_grid(_reference, cells) if out is None else (h, w, bytes(out))
+
+
+def _ringed(data: bytes, h: int, w: int) -> bytearray | None:
+    """The painted cells of the ``h`` rows of ``data``, each followed by
+    _SEP, when every pink corner (a pink cell with no pink above or left of
+    it, as each component's first cell is) starts an uncrowded, cyan-ringed
+    rectangle with a pink perimeter; None for any other data."""
+    s = w + 1  # row stride: each row ends in _SEP, so no pink run wraps
     # Only cyan and pink besides h separators, all in column w.
     seps = _SEP * h
     if data.translate(None, _CYAN_PINK_BYTES) != seps or data[w::s] != seps:
-        return _reference(grid)
+        return None
     # One byte per cell in the mask, so a shift by 8 bits moves one cell.
     pink = int.from_bytes(data.translate(_PINK_BIT), "little")
     corners = (pink & ~(pink << 8 | pink << 8 * s)).to_bytes(len(data), "little")
-    bounds = []
+    bounds, boxes = [], []
     for corner in _ONE.finditer(corners):
         i = corner.start()
         r0, c0 = divmod(i, s)
@@ -296,18 +313,20 @@ def verifier(grid: Grid) -> Grid:
             and data[i - 1 : j : s].count(CYAN) == height
             and data[i + width : j + width + 1 : s].count(CYAN) == height
         ):
-            return _reference(grid)
+            return None
         bounds.append((r0, c0, r0 + height - 1, c0 + width - 1))
+        boxes.append((r0, c0, height, width))
     # Also catches a corner inside an earlier rectangle (an island).
-    if _crowded((r0, c0, r1 - r0 + 1, c1 - c0 + 1) for r0, c0, r1, c1 in bounds):
-        return _reference(grid)
+    if _crowded(boxes):
+        return None
     return _painted(data, h, w, bounds)
 
 
 def _reference(grid: Grid) -> Grid:
     """:func:`verifier` cell by cell: the reference walk, which raises
-    VerifierDomainError for every grid outside the domain."""
-    rows = list(grid)
+    VerifierDomainError for every grid outside the domain. A cell is read
+    as the bulk path's byte join reads it, by ``__index__`` when it has one."""
+    rows = [list(map(_code, row)) for row in grid]
     h, w = len(rows), len(rows[0])
     for r, row in enumerate(rows):
         if len(row) != w:
@@ -315,7 +334,7 @@ def _reference(grid: Grid) -> Grid:
         if not _CYAN_PINK.issuperset(row):
             c, value = next((c, v) for c, v in enumerate(row) if v not in _CYAN_PINK)
             raise VerifierDomainError(f"cell ({r}, {c}) holds {value}, expected cyan or pink")
-    bounds = _pink_components(grid)
+    bounds = _pink_components(rows)
     if _crowded((r0, c0, r1 - r0 + 1, c1 - c0 + 1) for r0, c0, r1, c1 in bounds):
         raise VerifierDomainError(f"pink rectangles come closer than spacing {_SPACING}")
     for r0, c0, r1, c1 in bounds:
@@ -330,12 +349,12 @@ def _reference(grid: Grid) -> Grid:
             raise VerifierDomainError("pink component is not rectangular")
     # Cells equal to cyan or pink (8.0, say) are painted as their codes.
     data = b"".join(bytes(PINK if v == PINK else CYAN for v in row) + _SEP for row in rows)
-    return _painted(data, h, w, bounds)
+    return _grid((h, w, _painted(data, h, w, bounds)))
 
 
-def _painted(data: bytes, h: int, w: int, bounds) -> Grid:
-    """The ``h`` rows of ``data``, each ending in _SEP, with each box of
-    ``bounds`` ringed green and the cyan cells inside its perimeter yellow."""
+def _painted(data: bytes, h: int, w: int, bounds) -> bytearray:
+    """The cells of the ``h`` rows of ``data``, each ending in _SEP, with each box
+    of ``bounds`` ringed green and the cyan cells inside its perimeter yellow."""
     s = w + 1
     out = bytearray(data)
     for r0, c0, r1, c1 in bounds:
@@ -348,13 +367,13 @@ def _painted(data: bytes, h: int, w: int, bounds) -> Grid:
             a = r * s + c0 + 1
             out[a : a + span - 4] = out[a : a + span - 4].translate(_SHADE)
     del out[w::s]
-    return Grid._of(memoryview(out).cast("B", (h, w)).tolist())
+    return out
 
 
-def _pink_components(grid: Grid) -> list[tuple[int, int, int, int]]:
+def _pink_components(rows) -> list[tuple[int, int, int, int]]:
     """Bounding boxes (r0, c0, r1, c1) of 4-connected pink components,
     in row-major order of each component's first cell."""
-    cells = [(r, c) for r, row in enumerate(grid) for c, value in enumerate(row) if value == PINK]
+    cells = [(r, c) for r, row in enumerate(rows) for c, value in enumerate(row) if value == PINK]
     unseen = set(cells)
     bounds = []
     for cell in cells:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from ..errors import GenerationError, check_int
 from ..framework import MAX_ATTEMPTS
-from ..grid import Example, Grid
+from ..grid import Cells, Example, Grid
 
 TASK_ID = "1e0a9b12"
 
@@ -36,7 +36,7 @@ def generate(size=None, rng=None) -> Example:
     raise GenerationError(f"task {TASK_ID}: every sampled layout was already settled")
 
 
-def verifier(grid: Grid) -> Grid:
+def _reference(grid: Grid) -> Grid:
     """Reference transformation: per-column gravity, order preserved."""
     h = grid.height
     columns = []
@@ -44,3 +44,16 @@ def verifier(grid: Grid) -> Grid:
         stack = list(filter(None, column))
         columns.append([0] * (h - len(stack)) + stack)
     return Grid._of(list(map(list, zip(*columns))))
+
+
+verifier = _reference  # the Grid entry: a byte path is no faster on rows
+
+
+def verify_cells(cells: Cells) -> Cells:
+    """:func:`verifier` on checked cells: each column's nonzero cells, bottom-aligned."""
+    h, w, data = cells
+    out = bytearray(h * w)
+    for c in range(w):
+        stack = data[c::w].translate(None, b"\0")
+        out[c + (h - len(stack)) * w :: w] = stack
+    return h, w, bytes(out)

@@ -9,7 +9,7 @@ complete pattern.
 from __future__ import annotations
 
 from ..errors import check_int, check_ints
-from ..grid import Example, Grid
+from ..grid import Cells, Example, Grid, _code, _via_grid
 
 TASK_ID = "05269061"
 
@@ -46,9 +46,10 @@ def generate(size=None, colors=None, bands=None, corner=None, rng=None) -> Examp
     return Example(input=Grid._of(grid_rows), output=Grid._of(out_rows))
 
 
-def _stripes(colors, h: int, w: int) -> list[list[int]]:
-    """Fresh rows of the full pattern: cell (r, c) holds ``colors[(r + c) % 3]``."""
-    period = list(colors) * (w // 3 + 2)
+def _stripes(colors, h: int, w: int) -> list:
+    """Fresh rows of the full pattern, slices of ``colors`` (a list or bytes)
+    repeated: cell (r, c) holds ``colors[(r + c) % 3]``."""
+    period = colors * (w // 3 + 2)
     return [period[r % 3 : r % 3 + w] for r in range(h)]
 
 
@@ -56,25 +57,41 @@ def verifier(grid: Grid) -> Grid:
     """Reference transformation: fill each (row + col) mod 3 class.
 
     When no class holds two colors, as in every generated input, each
-    class takes its color (0 if none) in bulk on the grid's bytes. Any
-    other grid takes :func:`_reference`, the row-major walk that defines
-    the result; ``tests/test_verifier_equivalence.py`` pins the two together.
+    class takes its color (0 if none) in bulk on the grid's bytes, by
+    :func:`_colors`. Any other grid takes :func:`_reference`, the row-major
+    walk that defines the result; ``tests/test_verifier_equivalence.py`` pins them together.
     """
     rows = list(grid)
     h, w = len(rows), len(rows[0])
-    # Rows joined by (1 - w) % 3 zero bytes put cell (r, c) at a flat
-    # index equal to r + c modulo 3, so class k is data[k::3].
     try:
         ragged = set(map(len, rows)) != {w}
         # bytearray, not bytes: the same cells pass, and faster from a list.
         data = bytes((1 - w) % 3).join(map(bytearray, rows))
     except (TypeError, ValueError):  # a row without a length, a cell that is not a byte
-        return _reference(grid)
+        ragged = True
+    colors = None if ragged else _colors(data)
+    return _reference(grid) if colors is None else Grid._of(_stripes(colors, h, w))
+
+
+def verify_cells(cells: Cells) -> Cells:
+    """:func:`verifier` on a grid's checked cells, giving the output's cells."""
+    h, w, data = cells
+    pad = bytes((1 - w) % 3)
+    colors = _colors(pad.join([data[i : i + w] for i in range(0, h * w, w)]) if pad else data)
+    if colors is None:
+        return _via_grid(_reference, cells)
+    return h, w, b"".join(_stripes(bytes(colors), h, w))
+
+
+def _colors(data: bytes) -> list[int] | None:
+    """Each class's color (0 if none), or None if a class holds two colors:
+    rows joined by (1 - w) % 3 zero bytes put cell (r, c) at a flat index
+    equal to r + c modulo 3, so class k is data[k::3]."""
     classes = [data[k::3].translate(None, b"\0") for k in range(3)]  # their nonzero cells
     # A class whose cells are not all its first one holds two colors.
-    if ragged or any(seen.lstrip(seen[:1]) for seen in classes):
-        return _reference(grid)
-    return Grid._of(_stripes([seen[0] if seen else 0 for seen in classes], h, w))
+    if any(seen.lstrip(seen[:1]) for seen in classes):
+        return None
+    return [seen[0] if seen else 0 for seen in classes]
 
 
 def _reference(grid: Grid) -> Grid:
@@ -87,8 +104,9 @@ def _reference(grid: Grid) -> Grid:
     with no nonzero cell stays 0. This is the fixed point of carrying
     the last seen color per class through row-major passes, so any grid
     is accepted: inconsistent seeds settle on the last color per class.
+    A cell is read as the bulk path's byte join reads it, by ``__index__``.
     """
-    rows = grid.to_lists()
+    rows = [list(map(_code, row)) for row in grid]
     carry = [0, 0, 0]
     # The second pass fills the zeros before each class's first color.
     for _ in range(2):

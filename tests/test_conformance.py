@@ -92,6 +92,21 @@ def test_examples_meet_the_grid_contract_and_own_their_rows(task_id):
             assert example.input.to_lists() == before
 
 
+def _cells(grid):
+    return grid.height, grid.width, b"".join(map(bytes, grid))
+
+
+@pytest.mark.parametrize("task_id", task_ids())
+def test_cells_verifier_gives_the_output_cells(task_id):
+    # evaluate judges a task's verifier by its verify_cells on a canonical file.
+    gen = lookup(task_id)
+    if getattr(gen, "verify_cells", None) is None:
+        pytest.skip("the task has no cells verifier")
+    for index in range(40):
+        example = gen.generate(rng=new_stream(SEED, task_id, index))
+        assert gen.verify_cells(_cells(example.input)) == _cells(example.output)
+
+
 @pytest.mark.parametrize("task_id", task_ids())
 def test_golden_data_satisfies_the_task(task_id):
     gen = lookup(task_id)

@@ -768,6 +768,42 @@ def test_evaluate_judges_each_example_once_after_checking_the_whole_file(tmp_pat
     assert judged() == TaskScore(21, 21) and len(calls) == 21
 
 
+def _edit_out_of_domain(task_id, rows):
+    if task_id == "67a423a3":  # no crossing
+        for row in rows:
+            row[:] = [0] * len(row)
+        return
+    # Another color on the first nonzero cell: an alien 543a7ed5 color, a
+    # second color in a 05269061 class, another 1e0a9b12 color.
+    r, c = next((r, c) for r, row in enumerate(rows) for c, v in enumerate(row) if v)
+    rows[r][c] = rows[r][c] % 9 + 1
+
+
+@pytest.mark.parametrize("task_id", ["05269061", "1e0a9b12", "543a7ed5", "67a423a3"])
+def test_cells_judge_and_grid_judge_give_the_same_score(tmp_path, monkeypatch, task_id):
+    from gridbench import lookup
+
+    emit_dataset([task_id], 6, 5, tmp_path)
+    path = tmp_path / f"{task_id}.json"
+    task_set = load_task_file(path)
+    examples = [*task_set.train, *task_set.test]
+    # One output cell changed, an input moved out of the domain, and an
+    # output of another shape: each fails its example.
+    examples[0].output[0][0] = (examples[0].output[0][0] + 1) % 10
+    _edit_out_of_domain(task_id, list(examples[1].input))
+    examples[-1] = Example(examples[-1].input, Grid([row[:-1] for row in examples[-1].output]))
+    save_task_file(path, TaskSet(train=examples[:-1], test=examples[-1:]))
+    task = lookup(task_id)
+    cells_calls = []
+    verify_cells = task.verify_cells
+    monkeypatch.setattr(task, "verify_cells", lambda cells: cells_calls.append(cells) or verify_cells(cells))
+    by_cells = evaluate(tmp_path, {task_id: task.verifier}).per_task[task_id]
+    assert len(cells_calls) == 7
+    by_grid = evaluate(tmp_path, {task_id: lambda grid: task.verifier(grid)}).per_task[task_id]
+    assert len(cells_calls) == 7
+    assert by_cells == by_grid == TaskScore(4, 7)
+
+
 def test_evaluate_rejects_a_path_that_is_not_a_directory(tmp_path):
     with pytest.raises(NotADirectoryError, match="missing is not a directory"):
         evaluate(tmp_path / "missing", {})

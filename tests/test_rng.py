@@ -1,9 +1,12 @@
 """Random stream determinism and distribution checks."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from gridbench import new_stream
-from gridbench.rng import _GOLDEN
+from gridbench.rng import _GOLDEN, _MASK64, _fnv1a, _keyed, _scramble
 
 
 def draws(stream, n):
@@ -197,3 +200,21 @@ def test_sample_rejects_k_outside_the_population():
         with pytest.raises(ValueError, match=rf"^k {k} outside \[0, 3\]$"):
             s.sample(range(3), k)
     assert s.state == state
+
+
+def test_cached_key_states_match_an_uncached_computation():
+    # new_stream caches the state after the seed and task id are mixed in;
+    # the states must be those of the three scrambles done in full, for the
+    # known-answer triples, both the first time and from the cache.
+    fixture = json.loads(Path(__file__).with_name("known_answers.json").read_text(encoding="utf-8"))
+    keys = {(int(v["master_seed"]), v["task_id"]) for v in fixture["rng"]}
+    indexes = {0, 1, 2**64 - 1} | {int(v["example_index"]) for v in fixture["rng"]}
+    _keyed.cache_clear()
+    for _ in range(2):
+        for master_seed, task_id in sorted(keys):
+            for index in sorted(indexes):
+                state = _scramble((master_seed + _GOLDEN) & _MASK64)
+                state = _scramble(state ^ _fnv1a(task_id))
+                state = _scramble(state ^ index)
+                assert new_stream(master_seed, task_id, index).state == state
+    assert _keyed.cache_info().hits > 0

@@ -1,18 +1,21 @@
-"""The 05269061 and 543a7ed5 verifiers against cell-by-cell references.
+"""The four bundled verifiers against cell-by-cell references.
 
-Both verifiers confirm the common case on the grid's bytes and hand every
-other grid to ``_reference``, a private walk over the cells. The expected
-outcomes below never take the byte path. For 543a7ed5 they come from
-``_reference`` with its components taken from the flood fill below and
-its painting done cell by cell instead of by ``_painted``, which the
-byte path shares. For 05269061 they come from three row-major carry
-passes over every cell, or from ``_reference`` itself where rows were
-mutated to leave the grid contract. On seeded random
-grids of every shape from 1x1 to 30x30, on generated inputs, on a
-grid for each condition that sends a grid to the reference walk and on
-grids whose rows were mutated after construction, both must give the
-same output grid or the same exception, and leave the input grid
-unchanged.
+05269061 and 543a7ed5 confirm the common case on the grid's bytes and
+hand every other grid to ``_reference``, a private walk over the cells;
+1e0a9b12 and 67a423a3 take their row walk, ``_reference``, for a grid.
+Each task's ``verify_cells`` runs a bulk core on a grid's checked cells
+and hands any input that the core does not confirm to ``_reference``.
+The expected outcomes below never take a byte path. For 543a7ed5 they
+come from ``_reference`` with its components taken from the flood fill
+below and its painting done cell by cell instead of by ``_painted``,
+which the byte paths share. For 05269061 they come from three row-major
+carry passes over every cell, or from ``_reference`` itself where rows
+were mutated to leave the grid contract. For 1e0a9b12 and 67a423a3 they
+come from the row walks. On seeded random grids of every shape from 1x1
+to 30x30, on generated inputs, on a grid for each condition that sends a
+grid to the reference walk and on grids whose rows were mutated after
+construction, every path must give the same output grid or the same
+exception, message included, and leave the input grid unchanged.
 """
 
 import random
@@ -20,8 +23,8 @@ import random
 import pytest
 
 from gridbench import Grid, new_stream
-from gridbench.grid import BLUE, CYAN, GREEN, PINK, RED, YELLOW
-from gridbench.tasks import borders_and_holes, diagonal_stripes
+from gridbench.grid import BLUE, CYAN, GREEN, PINK, RED, YELLOW, _grid
+from gridbench.tasks import borders_and_holes, column_gravity, crossing_marker, diagonal_stripes
 
 SIDES = range(1, 31)
 
@@ -76,7 +79,16 @@ def reference_paint(data, h, w, bounds):
                     out[r][c] = GREEN
                 elif r0 < r < r1 and c0 < c < c1 and rows[r][c] == CYAN:
                     out[r][c] = YELLOW
-    return Grid(out)
+    return bytes(cell for row in out for cell in row)
+
+
+def _on_cells(module):
+    """``module.verify_cells`` on a grid's cells, its result as a grid."""
+
+    def verify(grid):
+        return _grid(module.verify_cells((grid.height, grid.width, b"".join(map(bytes, grid)))))
+
+    return verify
 
 
 def _outcome(verify, grid):
@@ -122,6 +134,34 @@ def _mixed(rnd, h, w):
     return Grid([[rnd.choice((0, 0, 0, rnd.randint(1, 9))) for _ in range(w)] for _ in range(h)])
 
 
+def _crossing(rnd, h, w):
+    # One full row and one full column of two colors, a few with a gap,
+    # so the walk finds one crossing, several or none.
+    a, b = rnd.sample(range(1, 10), 2)
+    rows = [[0] * w for _ in range(h)]
+    rows[rnd.randrange(h)] = [a] * w
+    col = rnd.randrange(w)
+    for row in rows:
+        row[col] = b
+    if rnd.random() < 0.3:
+        rows[rnd.randrange(h)][rnd.randrange(w)] = 0
+    return Grid(rows)
+
+
+def _dense(rnd, h, w):
+    # Mostly nonzero, so many cells have four nonzero neighbors and the last one counts.
+    return Grid([[rnd.choice((0, rnd.randint(1, 9), rnd.randint(1, 9))) for _ in range(w)] for _ in range(h)])
+
+
+def _checked(grid):
+    """Whether ``grid``'s rows still meet the grid contract, so that it has cells."""
+    try:
+        Grid(grid.to_lists())
+    except ValueError:
+        return False
+    return True
+
+
 def _grids(rnd, fills):
     # One grid of every shape, the fills taking turns.
     return [fills[(h + w) % len(fills)](rnd, h, w) for h in SIDES for w in SIDES]
@@ -157,16 +197,29 @@ class Index:
         return hash(self.value)
 
 
+class IndexOnly:
+    """An integer-like cell with only ``__index__``: it neither compares
+    nor hashes as its value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def _mutated(rows):
     """Grids of ``rows`` whose live rows were changed after the checked constructor.
 
     The verifiers join rows into bytes, which takes a ``bool`` or
     ``__index__`` cell by its value and rejects every other cell that is
-    not a byte; ``BYTE_PATH`` names the grids that the join takes.
+    not a byte; ``BYTE_PATH`` names the grids that the join takes. The
+    reference walks read a cell with ``__index__`` the same way, so even
+    one that does not compare equal to its value gives the same grid.
     """
     names = (
         "ragged row", "ragged rows of the right total", "short last row", "cell 256", "cell -1",
-        "float cell", "None cell", "bool cell", "__index__ cell",
+        "float cell", "None cell", "bool cell", "__index__ cell", "__index__-only cell",
     )
     grids = {name: Grid(rows) for name in names}
     live = {name: list(grid) for name, grid in grids.items()}
@@ -180,6 +233,7 @@ def _mutated(rows):
     live["None cell"][0][0] = None
     live["bool cell"][0][0] = False
     live["__index__ cell"][0][0] = Index(rows[0][0])
+    live["__index__-only cell"][0][0] = IndexOnly(rows[0][0])
     return grids
 
 
@@ -238,11 +292,13 @@ def test_pink_components_and_borders_verify_match_references(monkeypatch):
         assert borders_and_holes._pink_components(grid) == reference_pink_components(grid), grid
     cases += _borders_fallbacks().values()
     actual = [_outcome(borders_and_holes.verifier, g) for g in cases]
+    on_cells = [_outcome(_on_cells(borders_and_holes), g) if _checked(g) else None for g in cases]
     monkeypatch.setattr(borders_and_holes, "_pink_components", reference_pink_components)
     monkeypatch.setattr(borders_and_holes, "_painted", reference_paint)
     expected = [_outcome(borders_and_holes._reference, g) for g in cases]
-    for grid, got, want in zip(cases, actual, expected):
+    for grid, got, got_cells, want in zip(cases, actual, on_cells, expected):
         assert got == want, grid
+        assert got_cells in (None, want), grid
     assert any(isinstance(outcome, Grid) for outcome in expected)
     assert any(isinstance(outcome, tuple) for outcome in expected)
 
@@ -259,7 +315,9 @@ def test_stripes_verify_matches_three_pass_reference():
     # One class empty, the others one color each: the bulk case.
     cases.append(Grid([[RED, BLUE, 0, RED], [BLUE, 0, RED, 0]]))
     for grid in cases:
-        assert _outcome(diagonal_stripes.verifier, grid) == _outcome(reference_stripes, grid), grid
+        want = _outcome(reference_stripes, grid)
+        assert _outcome(diagonal_stripes.verifier, grid) == want, grid
+        assert _outcome(_on_cells(diagonal_stripes), grid) == want, grid
     # The fallbacks against the walk itself: mutated rows leave the grid
     # contract that the three passes assume.
     for name, grid in _stripes_fallbacks().items():
@@ -273,8 +331,8 @@ def test_stripes_verify_matches_three_pass_reference():
 # takes and that leaves the grid in the verifier's bulk case. A bool
 # cell is no 543a7ed5 color, so it is a fallback there.
 BYTE_PATH = {
-    borders_and_holes: {"__index__ cell"},
-    diagonal_stripes: {"bool cell", "__index__ cell"},
+    borders_and_holes: {"__index__ cell", "__index__-only cell"},
+    diagonal_stripes: {"bool cell", "__index__ cell", "__index__-only cell"},
 }
 
 
@@ -291,6 +349,40 @@ def test_each_fallback_condition_reaches_the_reference_walk(monkeypatch, module,
         calls.clear()
         _outcome(module.verifier, grid)
         assert len(calls) == (name not in BYTE_PATH[module]), name
+        # A grid with cells reaches the walk from its cells too.
+        if _checked(grid):
+            calls.clear()
+            _outcome(_on_cells(module), grid)
+            assert len(calls) == 1, name
+
+
+@pytest.mark.parametrize(
+    "module, fills",
+    [(column_gravity, (_sparse, _mixed)), (crossing_marker, (_crossing, _dense, _sparse))],
+    ids=["1e0a9b12", "67a423a3"],
+)
+def test_bulk_cores_match_the_row_walks(monkeypatch, module, fills):
+    # Every shape from 1x1 to 30x30, so 1xN, Nx1 and the widths up to 2
+    # where 67a423a3 has no interior, and generated inputs.
+    seed = 13
+    cases = _grids(random.Random(seed), fills)
+    cases += [
+        module.generate(rng=new_stream(seed, module.TASK_ID, i), **params).input
+        for i in range(10)
+        for params in ({}, {"size": 10})
+    ]
+    expected = [_outcome(module._reference, g) for g in cases]
+    walked = []
+    walk = module._reference
+    monkeypatch.setattr(module, "_reference", lambda grid: walked.append(grid) or walk(grid))
+    for grid, want in zip(cases, expected):
+        walked.clear()
+        assert _outcome(_on_cells(module), grid) == want, grid
+        # The core confirms every input that the walk accepts.
+        assert not walked or isinstance(want, tuple), grid
+    assert any(isinstance(outcome, Grid) for outcome in expected)
+    if module is crossing_marker:
+        assert any(isinstance(outcome, tuple) for outcome in expected)
 
 
 @pytest.mark.parametrize(
@@ -301,12 +393,20 @@ def test_each_fallback_condition_reaches_the_reference_walk(monkeypatch, module,
         (borders_and_holes, {"size": 30, "boxes": 1}),
         (diagonal_stripes, {}),
         (diagonal_stripes, {"size": 30}),
+        (column_gravity, {}),
+        (column_gravity, {"size": 10}),
+        (crossing_marker, {}),
+        (crossing_marker, {"size": 30}),
     ],
-    ids=["543a7ed5", "543a7ed5-size30", "543a7ed5-size30-boxes1", "05269061", "05269061-size30"],
+    ids=[
+        "543a7ed5", "543a7ed5-size30", "543a7ed5-size30-boxes1", "05269061", "05269061-size30",
+        "1e0a9b12", "1e0a9b12-size10", "67a423a3", "67a423a3-size30",
+    ],
 )
 def test_generated_inputs_are_verified_without_the_reference_walk(monkeypatch, module, params):
     # Defaults and each task's largest size, which between them cover
-    # every benchmark workload's parameters for these two tasks.
+    # every benchmark workload's parameters. The Grid entries of 1e0a9b12
+    # and 67a423a3 are their walks, so only their cells entries are checked.
     def refuse(grid):
         raise AssertionError("the verifier took the reference walk")
 
@@ -314,3 +414,4 @@ def test_generated_inputs_are_verified_without_the_reference_walk(monkeypatch, m
     for i in range(300):
         example = module.generate(rng=new_stream(5, module.TASK_ID, i), **params)
         assert module.verifier(example.input) == example.output, i
+        assert _on_cells(module)(example.input) == example.output, i

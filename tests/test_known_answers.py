@@ -14,8 +14,10 @@ must say so, name the task and explain why; only then re-record with::
 """
 
 import hashlib
+import io
 import json
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,22 @@ LAYOUT_OVERRIDES = [{"size": 30, "boxes": 1}, {"size": 30, "boxes": 6}, {"size":
 INFEASIBLE = [(3, 1), (5, 2)]
 INFEASIBLE_SEED = 5
 INFEASIBLE_INDEXES = range(3)
+# gridbench generate command lines, each run with --seed 5: every task at
+# the smallest and largest size it accepts, the emit-large-grids command
+# lines of bench/workloads.py, and 543a7ed5 boxes in a color outside the
+# verifier's domain, which are written unchecked.
+COMMAND_LINES = [
+    *(
+        ["--task", task, "--set", f"size={size}", "--count", "20"]
+        for task, sizes in (("05269061", (3, 30)), ("67a423a3", (3, 30)), ("1e0a9b12", (3, 10)))
+        for size in sizes
+    ),
+    ["--task", "67a423a3", "--set", "size=30", "--count", "100"],
+    ["--task", "05269061", "--set", "size=30", "--count", "100"],
+    ["--task", "1e0a9b12", "--set", "size=10", "--count", "201"],
+    ["--task", "543a7ed5", "--set", "size=30", "--set", "boxes=1", "--count", "100"],
+    ["--task", "543a7ed5", "--set", "colors=2,2,2", "--count", "20"],
+]
 
 
 def _sha256(path: Path) -> str:
@@ -108,6 +126,21 @@ def cli_digest(overrides: dict) -> str:
         return _sha256(Path(tmp) / f"{task}.json")
 
 
+def command_line_digests() -> list[dict]:
+    """The SHA-256 of the task file each of ``COMMAND_LINES`` writes, and
+    whether the run checked it against the verifier (it warns when not)."""
+    digests = []
+    for argv in COMMAND_LINES:
+        task = argv[argv.index("--task") + 1]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                assert run(["generate", *argv, "--seed", "5", "--out", tmp]) == 0
+            digest = _sha256(Path(tmp) / f"{task}.json")
+        digests.append({"argv": argv, "sha256": digest, "verifier_checked": "warning:" not in err.getvalue()})
+    return digests
+
+
 def layout_digests() -> list[dict]:
     return [{"overrides": o, **variation_digest(o)} for o in LAYOUT_OVERRIDES]
 
@@ -130,6 +163,7 @@ def record() -> dict:
         "datasets": {str(seed): dataset_digests(seed) for seed in DATASET_SEEDS},
         "variation": {**VARIATION, **variation_digest(VARIATION["overrides"])},
         "layouts": layout_digests(),
+        "command_lines": command_line_digests(),
         "failed_searches": failed_search_states(),
     }
 
@@ -160,6 +194,10 @@ def test_cli_set_digests(known):
     # generate --set parses the overrides into the bytes that emit_dataset writes.
     expected = [known["variation"]["sha256"], *(entry["sha256"] for entry in known["layouts"])]
     assert [cli_digest(o) for o in [VARIATION["overrides"], *LAYOUT_OVERRIDES]] == expected
+
+
+def test_command_line_digests(known):
+    assert command_line_digests() == known["command_lines"]
 
 
 def test_failed_search_states(known):

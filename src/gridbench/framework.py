@@ -5,17 +5,19 @@ verifier implementing the same transformation. Generators accept their
 parameters as keyword arguments; anything left unspecified is sampled
 from the per-example random stream, subject to the task's layout
 constraints. The verifier doubles as the correctness oracle: every
-generated example must satisfy ``verifier(input) == output`` exactly.
+generated example's input cells must give its output cells under the
+task's ``verify_cells``, or under ``verifier`` for a task without one.
 """
 
 from __future__ import annotations
 
 import inspect
 from collections.abc import Callable, Iterator
+from functools import partial
 from types import ModuleType
 
 from .errors import VerificationError, VerifierDomainError, check_int, shown
-from .grid import Example
+from .grid import Cells, Example, _cells, _example, _via_grid
 from .rng import new_stream
 
 # Retry budget for constraint-satisfying layout sampling. Exhausting it
@@ -70,8 +72,9 @@ class generate_examples:  # noqa: N801  (an iterator class, like enumerate)
     """``count`` train examples, then one test example, as a lazy stream.
 
     The arguments are checked at once. Iterating generates indexes 0 to
-    ``count`` (at most 2**64 - 1) one at a time and checks each against the
-    verifier: a wrong output raises :class:`VerificationError`, and an input
+    ``count`` (at most 2**64 - 1) one at a time and checks each on its cells
+    against the task's ``verify_cells`` (its ``verifier`` for a task without
+    one): a wrong output raises :class:`VerificationError`, and an input
     outside its domain raises :class:`VerifierDomainError` unless there are
     overrides, which yield it unchecked and keep the first as ``domain_error``."""
 
@@ -92,19 +95,24 @@ class generate_examples:  # noqa: N801  (an iterator class, like enumerate)
         """Indexes ``start`` to ``stop - 1``, none past ``count``, generated and
         checked as iteration does; ``domain_error`` keeps the first one seen by
         any block of this stream object."""
+        return map(_example, self._pairs(start, stop))
+
+    def _pairs(self, start: int, stop: int) -> Iterator[tuple[Cells, Cells]]:
+        """The checked input and output cells of ``block(start, stop)``'s examples."""
         task, seed, overrides = self._task, self._seed, self._overrides
+        verify = getattr(task, "verify_cells", None) or partial(_via_grid, task.verifier)
         for index in range(start, min(stop, self._count + 1)):
             example = task.generate(rng=new_stream(seed, task.TASK_ID, index), **overrides)
+            pair = _cells(example.input), _cells(example.output)
             try:
-                expected = task.verifier(example.input)
+                expected = verify(pair[0])
             except VerifierDomainError as err:
                 if not overrides:
                     raise
                 self.domain_error = self.domain_error or err
             else:
-                if expected != example.output:
+                if expected != pair[1]:
                     raise VerificationError(
                         f"task {task.TASK_ID}: example {index} does not satisfy its verifier"
                     )
-            yield example
-
+            yield pair

@@ -36,6 +36,7 @@ BLACK, BLUE, RED, GREEN, YELLOW, GREY, PINK, ORANGE, CYAN, MAROON = range(10)
 _ROW_TYPES = frozenset((list, tuple))
 _CELL_TYPES = frozenset((int,))
 _COLORS = frozenset(range(10))
+_COLOR_BYTES = bytes(range(10))
 
 
 def _check_cells(rows, width: int) -> None:
@@ -69,10 +70,12 @@ class Grid:
     ``load_task_file`` (which calls it, except on a file whose canonical
     layout already proves every cell a digit and every grid
     rectangular) and a judge program's result that is not a ``Grid``
-    (which ``evaluate`` passes to it). ``copy()``, the examples of a
-    canonical file and the bundled generators and verifiers build from
-    cells that were already checked, so they wrap fresh row lists
-    without checking them again.
+    (which ``evaluate`` passes to it). ``copy()``, the examples read from
+    a file or generated and the bundled generators and verifiers build
+    from cells that were already checked, so they wrap fresh row lists
+    without checking them again. A grid is written, judged and checked
+    against its task's verifier as its cells (``_cells``), which read
+    each cell by its integer value.
     """
 
     __slots__ = ("_rows",)
@@ -161,9 +164,9 @@ class Example:
 class TaskSet:
     """Ordered train and test examples for one task.
 
-    Each split is a tuple of examples, except that a task file read in
-    its canonical layout gives :class:`LazyExamples`, which compares,
-    indexes and iterates as that tuple would.
+    Each split is a tuple of examples, except that a task set read from
+    a file holds :class:`LazyExamples`, which compares, indexes and
+    iterates as that tuple would.
     """
 
     train: Sequence[Example]
@@ -194,10 +197,52 @@ def _example(pair: tuple[Cells, Cells]) -> Example:
     return Example(input=_grid(pair[0]), output=_grid(pair[1]))
 
 
+def _cells(grid: Grid) -> Cells:
+    """A grid's checked cells, its rows joined once (``bytearray(row)``, by value).
+
+    Rows mutated after construction out of the grid contract (ragged or
+    empty rows, a cell that is not an integer or lies outside 0-9) raise
+    ``ValueError`` naming the first bad row or cell, while a mutated-in
+    ``bool`` or other integer-like cell (a NumPy integer, say) is read as
+    its value.
+    """
+    rows = list(grid)
+    try:
+        width = len(rows[0])
+        # bytearray, not bytes: the same cells pass, and faster from a list.
+        data = b"".join(map(bytearray, rows))
+        if not 0 < width <= MAX_SIDE or set(map(len, rows)) != {width}:
+            raise ValueError(f"grid rows are not 1 to {MAX_SIDE} rows of 1 to {MAX_SIDE} cells")
+        if data.translate(None, _COLOR_BYTES):
+            raise ValueError("grid cell is not a color code")
+    except (TypeError, ValueError):
+        Grid(rows)  # names the first bad row or cell
+        raise
+    return len(rows), width, data
+
+
 def _via_grid(verify, cells: Cells) -> Cells:
-    """The cells of ``verify``'s result on the grid of ``cells``."""
+    """The cells of ``verify``'s result on the grid of ``cells``; a result
+    that is not a ``Grid`` goes through the ``Grid`` constructor first."""
     out = verify(_grid(cells))
-    return out.height, out.width, b"".join(map(bytes, out))
+    return _cells(out if isinstance(out, Grid) else Grid(out))
+
+
+def _grid_verifier(namespace: dict):
+    """A task's ``verifier`` through its ``verify_cells``: the grid's checked
+    cells in, the result's cells out as a grid. A grid whose rows are not
+    checked cells (ragged rows, a cell that is not a color code) goes to the
+    task's ``_reference`` walk. Both are looked up in ``namespace``, the task
+    module's globals, at call time."""
+
+    def verifier(grid: Grid) -> Grid:
+        try:
+            cells = _cells(grid)
+        except (TypeError, ValueError):
+            return namespace["_reference"](grid)
+        return _grid(namespace["verify_cells"](cells))
+
+    return verifier
 
 
 def _code(value):

@@ -14,11 +14,12 @@ byte frame per grid shape, whose even slots hold the cells and the
 commas between rows and whose odd slots hold fixed separators: a grid
 is written by copying its cells into the frame, and read, without
 building a JSON object tree, by checking the file's bytes against the
-frame and keeping the cells of its even slots. The whole file is checked
-before any example is built; ``evaluate`` holds a file's cells, judges
-a bundled verifier on them and builds the row lists of one example at a
-time for any other program. Every other file is decoded as
-UTF-8, goes through ``json.loads`` and is validated element by element.
+frame and keeping the cells of its even slots. Every other file is
+decoded as UTF-8, goes through ``json.loads`` and is validated element
+by element into the same cells. The whole file is checked before any
+example is built; ``evaluate`` holds a file's cells, judges a bundled
+verifier on them and builds the row lists of one example at a time for
+any other program.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 
 from .errors import FormatError, shown
 from .framework import _cells_verifier, generate_examples, lookup
-from .grid import MAX_SIDE, Cells, Example, Grid, LazyExamples, TaskSet
+from .grid import MAX_SIDE, Cells, Grid, LazyExamples, TaskSet, _cells, _via_grid
 
 # bench/spans.py patches this name and nothing calls it; ROADMAP item 1 deletes it.
 generate_task_set = None
@@ -47,9 +48,8 @@ _PAIR = b']],"output":[['
 _NEXT = b']]},{"input":[['
 _SPLIT = b']]}],"test":[{"input":[['
 _TAIL = b']]}]}'
-# Cell value -> ASCII digit; any byte that is not a color maps to 0x80,
-# which is not ASCII.
-_TO_DIGIT = bytes(range(48, 58)).ljust(256, b"\x80")
+# Cell value -> ASCII digit (only cells are ever translated).
+_TO_DIGIT = bytes.maketrans(bytes(range(10)), b"0123456789")
 # ASCII digit -> cell value (only digits are ever translated).
 _FROM_DIGIT = bytes.maketrans(b"0123456789", bytes(range(10)))
 
@@ -66,50 +66,26 @@ def _frame(height: int, width: int) -> bytes:
     return b"],[".join([b"," * (2 * width - 1)] * height)
 
 
-def _grid_text(grid: Grid) -> bytearray:
-    """A grid's rows as canonical JSON bytes, without the outer brackets.
-
-    The bytes of ``json.dumps`` with compact separators for a grid
-    that meets the ``Grid`` contract. The rows are joined into one byte
-    string of cells (``bytearray(row)``, by integer value) with the row
-    breaks at the pad slots, which is written over the even slots of
-    the shape's frame. Cell types are not checked again: rows mutated
-    after construction to ragged or empty rows, or to a cell that is
-    not an integer or lies outside 0-9, raise ``ValueError`` naming the
-    first bad row or cell, while a mutated-in ``bool`` or other
-    integer-like cell (a NumPy integer, say) is written as its digit.
-    Either way no file is written that ``load_task_file`` would reject.
-    """
-    rows = list(grid)
-    try:
-        height = len(rows)
-        width = len(rows[0]) if rows else 0
-        if not (
-            1 <= height <= MAX_SIDE and 1 <= width <= MAX_SIDE and set(map(len, rows)) == {width}
-        ):
-            raise ValueError(f"grid rows are not 1 to {MAX_SIDE} rows of 1 to {MAX_SIDE} cells")
-        # The row breaks become 0x80 like a cell outside 0-9, until the
-        # commas overwrite them. bytearray(row) accepts and rejects the same
-        # cells as bytes(row), and CPython builds it faster from a list.
-        cells = bytearray(b"\n".join(map(bytearray, rows)).translate(_TO_DIGIT))
-        cells[width :: width + 1] = b"," * (height - 1)
-        frame = bytearray(_frame(height, width))
-        frame[::2] = cells
-        if not frame.isascii():
-            raise ValueError("grid cell is not a color code")
-        return frame
-    except (TypeError, ValueError):
-        Grid(rows)  # names the first bad row or cell
-        raise
+def _text(cells: Cells) -> bytearray:
+    """A grid's canonical JSON text, without the outer brackets, from its
+    checked cells: their digits, the rows joined by the commas of the pad
+    slots, written over the even slots of the shape's frame."""
+    height, width, data = cells
+    digits = data.translate(_TO_DIGIT)
+    frame = bytearray(_frame(height, width))
+    frame[::2] = b",".join([digits[i : i + width] for i in range(0, height * width, width)])
+    return frame
 
 
-def _task_text(examples: Iterable[Example], train_count: int, start: int = 0) -> Iterator[bytes]:
-    """The bytes of a task file's examples from index ``start`` on, one chunk
-    per example, without the tail; the file's first ``train_count`` examples
-    are train, the rest test."""
-    for index, example in enumerate(examples, start):
+def _task_text(
+    pairs: Iterable[tuple[Cells, Cells]], train_count: int, start: int = 0
+) -> Iterator[bytes]:
+    """The bytes of a task file's examples from index ``start`` on, given as
+    input and output cells, one chunk per example, without the tail; the
+    file's first ``train_count`` examples are train, the rest test."""
+    for index, (given, expected) in enumerate(pairs, start):
         separator = _HEAD if index == 0 else _SPLIT if index == train_count else _NEXT
-        yield separator + _grid_text(example.input) + _PAIR + _grid_text(example.output)
+        yield separator + _text(given) + _PAIR + _text(expected)
 
 
 def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
@@ -134,19 +110,19 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
 
 
 def save_task_file(path, task_set: TaskSet) -> None:
-    """Write a task set as compact ARC JSON, atomically."""
-    examples = (*task_set.train, *task_set.test)
-    _write_atomic(Path(path), itertools.chain(_task_text(examples, len(task_set.train)), (_TAIL,)))
+    """Write a task set as compact ARC JSON, atomically; a grid whose rows no
+    longer meet the grid contract raises ``ValueError`` (``grid._cells``)."""
+    pairs = ((_cells(e.input), _cells(e.output)) for e in (*task_set.train, *task_set.test))
+    _write_atomic(Path(path), itertools.chain(_task_text(pairs, len(task_set.train)), (_TAIL,)))
 
 
 def load_task_file(path) -> TaskSet:
     """Read and strictly validate an ARC JSON task file.
 
     The whole file is checked before this returns, so a malformed one
-    raises ``FormatError`` before any example is used. The splits of a
-    canonical file hold each grid as checked cells and build an
-    ``Example`` each time one is read; those of any other file are
-    tuples of examples built here.
+    raises ``FormatError`` before any example is used. The splits hold
+    each grid as checked cells and build an ``Example`` each time one is
+    read, whatever the file's layout.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -165,10 +141,7 @@ def load_task_file(path) -> TaskSet:
         raise FormatError(
             f"{path}: top level must be an object with exactly 'train' and 'test'"
         )
-    return TaskSet(
-        train=_read_examples(path, payload, "train"),
-        test=_read_examples(path, payload, "test"),
-    )
+    return TaskSet(train=_read_pairs(path, payload, "train"), test=_read_pairs(path, payload, "test"))
 
 
 def _decode_canonical(data: bytes) -> TaskSet | None:
@@ -244,11 +217,11 @@ def _decode_grid(data: bytes) -> Cells | None:
     return height, width, digits.translate(_FROM_DIGIT)
 
 
-def _read_examples(path: Path, payload: dict, split: str) -> list[Example]:
+def _read_pairs(path: Path, payload: dict, split: str) -> LazyExamples:
     items = payload[split]
     if not isinstance(items, list) or not items:
         raise FormatError(f"{path}: '{split}' must be a non-empty list")
-    examples = []
+    pairs = []
     for i, item in enumerate(items):
         where = f"{path}: {split}[{i}]"
         if not isinstance(item, dict) or set(item) != {"input", "output"}:
@@ -256,11 +229,11 @@ def _read_examples(path: Path, payload: dict, split: str) -> list[Example]:
         pair = []
         for key in ("input", "output"):
             try:
-                pair.append(Grid(item[key]))
+                pair.append(_cells(Grid(item[key])))
             except ValueError as err:
                 raise FormatError(f"{where}.{key}: {err}") from None
-        examples.append(Example(input=pair[0], output=pair[1]))
-    return examples
+        pairs.append(tuple(pair))
+    return LazyExamples(pairs)
 
 
 # Consecutive indexes per block. The caller's process makes the first block
@@ -291,7 +264,7 @@ def emit_dataset(task_list, count: int, master_seed: int, out_dir, overrides=Non
     for task_id in sorted(set(task_list)):
         try:
             stream = generate_examples(task_id, count, master_seed, overrides)
-            chunks = _task_text(stream.block(0, _BLOCK), count)
+            chunks = _task_text(stream._pairs(0, _BLOCK), count)
             first = [next(chunks)]  # the first example, made before the directory
             directory.mkdir(parents=True, exist_ok=True)
             first.extend(chunks)
@@ -370,7 +343,7 @@ def evaluate(example_dir, programs: dict[str, Callable[[Grid], Grid]]) -> EvalRe
     in the directory but missing from ``programs`` are skipped and listed
     in the report. A path that is not a directory raises
     ``NotADirectoryError``. A task's verifier as registered is judged by
-    its ``verify_cells`` on a canonical file's cells, with the same result.
+    its ``verify_cells`` on the file's cells, with the same result.
     """
     directory = _directory(Path(example_dir))
     scores: dict[str, tuple[int, int]] = {}
@@ -398,27 +371,23 @@ def _directory(path):
 def _judge(
     program: Callable[[Grid], Grid], task_set: TaskSet, verify_cells: Callable | None = None
 ) -> tuple[int, int]:
-    """``(passed, total)`` of a program over every train and test example; an
-    example fails when it raises (``SystemExit`` too, but not
-    ``KeyboardInterrupt``) or returns a result that is not a valid grid.
+    """``(passed, total)`` of a program over every train and test example of a
+    task set read from a file; an example fails when it raises (``SystemExit``
+    too, but not ``KeyboardInterrupt``) or returns a result that is not a valid grid.
 
-    ``verify_cells``, given when ``program`` is a task's own verifier, judges
-    a split read from a canonical file on its cells, shape and bytes. Other
-    splits are read one example at a time, each built just before its call;
-    the program gets each input ``Grid`` as read and may modify it, since both
-    callers drop the task set afterwards and each expected output is its own ``Grid``.
+    Each result is compared with the expected output as cells, shape and
+    bytes. ``verify_cells``, given when ``program`` is a task's own verifier,
+    runs on the input's cells; any other program gets an input ``Grid`` built
+    just before its call and may modify it, since each input is built afresh.
     """
+    run = verify_cells or functools.partial(_via_grid, program)
     passed = 0
-    for split in (task_set.train, task_set.test):
-        cells = verify_cells is not None and isinstance(split, LazyExamples)
-        for given, expected in split._pairs if cells else ((e.input, e.output) for e in split):
-            try:
-                result = verify_cells(given) if cells else program(given)
-                if not (cells or isinstance(result, Grid)):
-                    result = Grid(result)
-            except (Exception, SystemExit):
-                continue
-            passed += result == expected
+    for given, expected in (*task_set.train._pairs, *task_set.test._pairs):
+        try:
+            result = run(given)
+        except (Exception, SystemExit):
+            continue
+        passed += result == expected
     return passed, len(task_set.train) + len(task_set.test)
 
 

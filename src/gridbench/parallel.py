@@ -25,7 +25,7 @@ _HELPER_S = 0.02
 
 def _block_text(stream: generate_examples, start: int, count: int) -> bytes:
     """The bytes of the block of ``stream``'s task file from index ``start``."""
-    return b"".join(_task_text(stream.block(start, start + _BLOCK), count, start))
+    return b"".join(_task_text(stream._pairs(start, start + _BLOCK), count, start))
 
 
 class Blocks:

@@ -19,7 +19,7 @@ import re
 from ..errors import GenerationError, VerifierDomainError, check_int, check_ints
 from ..framework import MAX_ATTEMPTS
 from ..grid import CYAN, GREEN, MAX_SIDE, PINK, YELLOW, Cells, Example, Grid, TaskSet
-from ..grid import _code, _grid, _via_grid
+from ..grid import _code, _grid, _grid_verifier, _via_grid
 
 TASK_ID = "543a7ed5"
 
@@ -252,35 +252,24 @@ def _checked_layout(rows, cols, widths, heights, colors, boxes, size):
     return colors
 
 
-def verifier(grid: Grid) -> Grid:
-    """Reference transformation: ring each pink rectangle, shade its holes.
+def verify_cells(cells: Cells) -> Cells:
+    """Reference transformation on a grid's checked cells: ring each pink
+    rectangle, shade its holes, giving the output's cells.
 
     Accepts cyan/pink grids whose pink cells form axis-aligned rectangles
     (possibly hollowed) that keep one cell clear of the grid edge and are
     not :func:`_crowded`; anything else raises VerifierDomainError.
 
-    A grid is confirmed in bulk on its bytes by :func:`_ringed`. Any other grid
-    takes :func:`_reference`, the cell walk that alone raises;
+    A grid is confirmed in bulk by :func:`_ringed`. Any other grid takes
+    :func:`_reference`, the cell walk that alone raises;
     ``tests/test_verifier_equivalence.py`` pins the two together.
     """
-    rows = list(grid)
-    h, w = len(rows), len(rows[0])
-    try:
-        # bytearray, not bytes: the same cells pass, and faster from a list.
-        data = _SEP.join(map(bytearray, rows)) + _SEP
-    except (TypeError, ValueError):  # a cell that is not a byte
-        return _reference(grid)
-    out = _ringed(data, h, w)
-    if out is None:
-        return _reference(grid)
-    return Grid._of(memoryview(out).cast("B", (h, w)).tolist())
-
-
-def verify_cells(cells: Cells) -> Cells:
-    """:func:`verifier` on a grid's checked cells, giving the output's cells."""
     h, w, data = cells
     out = _ringed(_SEP.join([data[i : i + w] for i in range(0, h * w, w)]) + _SEP, h, w)
     return _via_grid(_reference, cells) if out is None else (h, w, bytes(out))
+
+
+verifier = _grid_verifier(globals())  # the Grid entry, through verify_cells
 
 
 def _ringed(data: bytes, h: int, w: int) -> bytearray | None:
@@ -323,7 +312,7 @@ def _ringed(data: bytes, h: int, w: int) -> bytearray | None:
 
 
 def _reference(grid: Grid) -> Grid:
-    """:func:`verifier` cell by cell: the reference walk, which raises
+    """The transformation cell by cell: the reference walk, which raises
     VerifierDomainError for every grid outside the domain. A cell is read
     as the bulk path's byte join reads it, by ``__index__`` when it has one."""
     rows = [list(map(_code, row)) for row in grid]

@@ -9,7 +9,7 @@ complete pattern.
 from __future__ import annotations
 
 from ..errors import check_int, check_ints
-from ..grid import Cells, Example, Grid, _code, _via_grid
+from ..grid import Cells, Example, Grid, _code, _grid_verifier, _via_grid
 
 TASK_ID = "05269061"
 
@@ -53,49 +53,33 @@ def _stripes(colors, h: int, w: int) -> list:
     return [period[r % 3 : r % 3 + w] for r in range(h)]
 
 
-def verifier(grid: Grid) -> Grid:
-    """Reference transformation: fill each (row + col) mod 3 class.
-
-    When no class holds two colors, as in every generated input, each
-    class takes its color (0 if none) in bulk on the grid's bytes, by
-    :func:`_colors`. Any other grid takes :func:`_reference`, the row-major
-    walk that defines the result; ``tests/test_verifier_equivalence.py`` pins them together.
-    """
-    rows = list(grid)
-    h, w = len(rows), len(rows[0])
-    try:
-        ragged = set(map(len, rows)) != {w}
-        # bytearray, not bytes: the same cells pass, and faster from a list.
-        data = bytes((1 - w) % 3).join(map(bytearray, rows))
-    except (TypeError, ValueError):  # a row without a length, a cell that is not a byte
-        ragged = True
-    colors = None if ragged else _colors(data)
-    return _reference(grid) if colors is None else Grid._of(_stripes(colors, h, w))
-
-
 def verify_cells(cells: Cells) -> Cells:
-    """:func:`verifier` on a grid's checked cells, giving the output's cells."""
+    """Reference transformation on a grid's checked cells: fill each
+    (row + col) mod 3 class, giving the output's cells.
+
+    Rows joined by (1 - w) % 3 zero bytes put cell (r, c) at a flat index
+    equal to r + c modulo 3, so class k is every third byte from k. When no
+    class holds two colors, as in every generated input, each class takes
+    its color (0 if none) in bulk. Any other grid takes :func:`_reference`,
+    the row-major walk that defines the result;
+    ``tests/test_verifier_equivalence.py`` pins them together.
+    """
     h, w, data = cells
     pad = bytes((1 - w) % 3)
-    colors = _colors(pad.join([data[i : i + w] for i in range(0, h * w, w)]) if pad else data)
-    if colors is None:
-        return _via_grid(_reference, cells)
-    return h, w, b"".join(_stripes(bytes(colors), h, w))
-
-
-def _colors(data: bytes) -> list[int] | None:
-    """Each class's color (0 if none), or None if a class holds two colors:
-    rows joined by (1 - w) % 3 zero bytes put cell (r, c) at a flat index
-    equal to r + c modulo 3, so class k is data[k::3]."""
-    classes = [data[k::3].translate(None, b"\0") for k in range(3)]  # their nonzero cells
+    joined = pad.join([data[i : i + w] for i in range(0, h * w, w)]) if pad else data
+    classes = [joined[k::3].translate(None, b"\0") for k in range(3)]  # their nonzero cells
     # A class whose cells are not all its first one holds two colors.
     if any(seen.lstrip(seen[:1]) for seen in classes):
-        return None
-    return [seen[0] if seen else 0 for seen in classes]
+        return _via_grid(_reference, cells)
+    colors = bytes(seen[0] if seen else 0 for seen in classes)
+    return h, w, b"".join(_stripes(colors, h, w))
+
+
+verifier = _grid_verifier(globals())  # the Grid entry, through verify_cells
 
 
 def _reference(grid: Grid) -> Grid:
-    """:func:`verifier` as a row-major walk, for any grid.
+    """The transformation as a row-major walk, for any grid.
 
     Take the cells of each residue class ``(r + c) % 3`` in row-major
     order. A nonzero cell keeps its value; a zero cell takes the last

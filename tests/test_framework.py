@@ -10,6 +10,7 @@ from gridbench import (
     Grid,
     VerificationError,
     VerifierDomainError,
+    emit_dataset,
     generate_examples,
     lookup,
     params,
@@ -102,6 +103,21 @@ def test_a_block_is_a_slice_of_the_stream():
     assert list(generate_examples("05269061", 9, 4).block(3, 7)) == whole[3:7]
     # No index past count: the stream's last index is its test example.
     assert list(generate_examples("05269061", 9, 4).block(8, 20)) == whole[8:]
+
+
+@pytest.mark.parametrize("task_id", ["05269061", "1e0a9b12", "543a7ed5", "67a423a3"])
+def test_generation_checks_each_example_by_verify_cells_alone(tmp_path, monkeypatch, task_id):
+    # One verifier path: each generated example, iterated or written, is
+    # checked once on its cells, and the Grid verifier is never called.
+    task = lookup(task_id)
+    cells_calls, grid_calls = [], []
+    verify_cells = task.verify_cells
+    monkeypatch.setattr(task, "verify_cells", lambda cells: cells_calls.append(cells) or verify_cells(cells))
+    monkeypatch.setattr(task, "verifier", grid_calls.append)
+    assert len(list(generate_examples(task_id, 9, 3))) == len(cells_calls) == 10
+    cells_calls.clear()
+    emit_dataset([task_id], 11, 3, tmp_path)  # one later block, made in this process
+    assert len(cells_calls) == 12 and grid_calls == []
 
 
 def test_verifier_domain_error_raises_or_marks_the_variation_unchecked():

@@ -38,6 +38,7 @@ from gridbench import (
 from gridbench import harness, parallel
 from gridbench.cli import run
 from gridbench.framework import _REGISTRY
+from gridbench.grid import LazyExamples
 from gridbench.tasks import borders_and_holes
 
 MINIMAL = TaskSet(
@@ -799,9 +800,47 @@ def test_cells_judge_and_grid_judge_give_the_same_score(tmp_path, monkeypatch, t
     monkeypatch.setattr(task, "verify_cells", lambda cells: cells_calls.append(cells) or verify_cells(cells))
     by_cells = evaluate(tmp_path, {task_id: task.verifier}).per_task[task_id]
     assert len(cells_calls) == 7
-    by_grid = evaluate(tmp_path, {task_id: lambda grid: task.verifier(grid)}).per_task[task_id]
-    assert len(cells_calls) == 7
+    grid_calls = []
+
+    def program(grid):
+        grid_calls.append(grid)
+        return task.verifier(grid)
+
+    by_grid = evaluate(tmp_path, {task_id: program}).per_task[task_id]
+    assert len(grid_calls) == 7
+    # The Grid entries of 05269061 and 543a7ed5 run verify_cells too; the
+    # walks of 1e0a9b12 and 67a423a3 do not.
+    assert len(cells_calls) == 7 + 7 * (task.verifier is not task._reference)
     assert by_cells == by_grid == TaskScore(4, 7)
+
+
+def test_an_arc_spaced_copy_reads_to_the_same_cells_and_report(tmp_path):
+    from gridbench import lookup, task_ids
+
+    canonical, spaced = tmp_path / "canonical", tmp_path / "spaced"
+    emit_dataset(task_ids(), 4, 9, canonical)
+    # One output cell changed, so that one task fails on both copies.
+    path = canonical / "1e0a9b12.json"
+    task_set = load_task_file(path)
+    examples = [*task_set.train, *task_set.test]
+    examples[2].output[0][0] = (examples[2].output[0][0] + 1) % 10
+    save_task_file(path, TaskSet(train=examples[:-1], test=examples[-1:]))
+    spaced.mkdir()
+    for source in canonical.glob("*.json"):
+        text = source.read_text(encoding="utf-8")
+        spaced_text = json.dumps(json.loads(text))  # ARC spacing: ", " and ": "
+        (spaced / source.name).write_text(spaced_text, encoding="utf-8")
+        if source.name != "manifest.json":
+            assert spaced_text != text
+            read, want = load_task_file(spaced / source.name), load_task_file(source)
+            for split, want_split in ((read.train, want.train), (read.test, want.test)):
+                assert isinstance(split, LazyExamples) and split._pairs == want_split._pairs
+    verifiers = {tid: lookup(tid).verifier for tid in task_ids()}
+    wrappers = {tid: lambda grid, verify=verify: verify(grid) for tid, verify in verifiers.items()}
+    for programs in (verifiers, wrappers):
+        report = evaluate(canonical, programs)
+        assert evaluate(spaced, programs) == report
+        assert report.tasks_passed == len(task_ids()) - 1 and not report.per_task["1e0a9b12"].passed
 
 
 def test_evaluate_rejects_a_path_that_is_not_a_directory(tmp_path):

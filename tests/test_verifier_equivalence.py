@@ -1,10 +1,11 @@
 """The four bundled verifiers against cell-by-cell references.
 
-05269061 and 543a7ed5 confirm the common case on the grid's bytes and
-hand every other grid to ``_reference``, a private walk over the cells;
-1e0a9b12 and 67a423a3 take their row walk, ``_reference``, for a grid.
 Each task's ``verify_cells`` runs a bulk core on a grid's checked cells
-and hands any input that the core does not confirm to ``_reference``.
+and hands any input that the core does not confirm to ``_reference``, a
+private walk over the cells. The ``verifier`` of 05269061 and 543a7ed5
+is the shared ``Grid`` entry: it joins a grid's rows into checked cells
+for ``verify_cells`` and hands rows that are not cells to ``_reference``;
+1e0a9b12 and 67a423a3 take their row walk, ``_reference``, for a grid.
 The expected outcomes below never take a byte path. For 543a7ed5 they
 come from ``_reference`` with its components taken from the flood fill
 below and its painting done cell by cell instead of by ``_painted``,
@@ -211,9 +212,9 @@ class IndexOnly:
 def _mutated(rows):
     """Grids of ``rows`` whose live rows were changed after the checked constructor.
 
-    The verifiers join rows into bytes, which takes a ``bool`` or
+    The ``Grid`` entries join rows into cells, which takes a ``bool`` or
     ``__index__`` cell by its value and rejects every other cell that is
-    not a byte; ``BYTE_PATH`` names the grids that the join takes. The
+    not a color code; ``BYTE_PATH`` names the grids that the join takes. The
     reference walks read a cell with ``__index__`` the same way, so even
     one that does not compare equal to its value gives the same grid.
     """

@@ -110,9 +110,13 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
 
 
 def save_task_file(path, task_set: TaskSet) -> None:
-    """Write a task set as compact ARC JSON, atomically; a grid whose rows no
-    longer meet the grid contract raises ``ValueError`` (``grid._cells``)."""
-    pairs = ((_cells(e.input), _cells(e.output)) for e in (*task_set.train, *task_set.test))
+    """Write a task set as compact ARC JSON, atomically, a split read from a file
+    from the cells it holds; a grid whose rows no longer meet the grid contract
+    raises ``ValueError`` (``grid._cells``)."""
+    pairs = itertools.chain.from_iterable(
+        s._pairs if isinstance(s, LazyExamples) else ((_cells(e.input), _cells(e.output)) for e in s)
+        for s in (task_set.train, task_set.test)
+    )
     _write_atomic(Path(path), itertools.chain(_task_text(pairs, len(task_set.train)), (_TAIL,)))
 
 

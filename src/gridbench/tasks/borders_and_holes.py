@@ -15,6 +15,7 @@ this positional split coincides with the color split.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from ..errors import GenerationError, VerifierDomainError, check_int, check_ints
 from ..framework import MAX_ATTEMPTS
@@ -38,9 +39,6 @@ _CYAN_PINK_BYTES = bytes((CYAN, PINK))
 # A run of pink cells in the verifier's bytes.
 _PINK_RUN = re.compile(bytes((PINK,)) + b"+")
 
-_SEP = b"\xff"  # joins the verifier's rows; no color, so never cyan, pink or ring
-_GREEN = bytes((GREEN,))
-_SHADE = bytes.maketrans(bytes((CYAN,)), bytes((YELLOW,)))
 _PINK_BIT = bytes(int(b == PINK) for b in range(256))  # pink to 1, any other byte to 0
 _ONE = re.compile(b"\x01")
 
@@ -260,55 +258,52 @@ def verify_cells(cells: Cells) -> Cells:
     (possibly hollowed) that keep one cell clear of the grid edge and are
     not :func:`_crowded`; anything else raises VerifierDomainError.
 
-    A grid is confirmed in bulk by :func:`_ringed`. Any other grid takes
+    The bulk core ANDs whole-grid masks, one byte per cell: each pink corner
+    (a pink cell with no pink above or left of it, as each component's first
+    cell is) must start a box with a cyan ring and a pink perimeter
+    (:func:`_masks`), and the boxes must not be crowded. Any other grid takes
     :func:`_reference`, the cell walk that alone raises;
     ``tests/test_verifier_equivalence.py`` pins the two together.
     """
     h, w, data = cells
-    out = _ringed(_SEP.join([data[i : i + w] for i in range(0, h * w, w)]) + _SEP, h, w)
-    return _via_grid(_reference, cells) if out is None else (h, w, bytes(out))
+    pink = int.from_bytes(data.translate(_PINK_BIT), "little")
+    # Only cyan and pink, none on the grid's edge (the ring of an (h - 2) x
+    # (w - 2) box): so no pink run wraps and every box's ring lies inside.
+    if data.translate(None, _CYAN_PINK_BYTES) or pink & _masks(w, w - 2, h - 2)[0]:
+        return _via_grid(_reference, cells)
+    # A shift by 8 bits moves one cell.
+    corners = (pink & ~(pink << 8 | pink << 8 * w)).to_bytes(h * w, "little")
+    bounds, boxes = [], []
+    for corner in _ONE.finditer(corners):
+        i = corner.start()
+        width = _PINK_RUN.match(data, i).end() - i
+        height = _PINK_RUN.match(data[i::w]).end()
+        ring, perimeter, _ = _masks(w, width, height)
+        near = pink >> 8 * (i - w - 1)  # from the ring's first cell on
+        if near & ring or near & perimeter != perimeter:
+            return _via_grid(_reference, cells)
+        r0, c0 = divmod(i, w)
+        bounds.append((r0, c0, r0 + height - 1, c0 + width - 1))
+        boxes.append((r0, c0, height, width))
+    # Also catches a corner inside an earlier rectangle (an island).
+    if _crowded(boxes):
+        return _via_grid(_reference, cells)
+    return h, w, _paint(data, h, w, bounds)
 
 
 verifier = _grid_verifier(globals())  # the Grid entry, through verify_cells
 
 
-def _ringed(data: bytes, h: int, w: int) -> bytearray | None:
-    """The painted cells of the ``h`` rows of ``data``, each followed by
-    _SEP, when every pink corner (a pink cell with no pink above or left of
-    it, as each component's first cell is) starts an uncrowded, cyan-ringed
-    rectangle with a pink perimeter; None for any other data."""
-    s = w + 1  # row stride: each row ends in _SEP, so no pink run wraps
-    # Only cyan and pink besides h separators, all in column w.
-    seps = _SEP * h
-    if data.translate(None, _CYAN_PINK_BYTES) != seps or data[w::s] != seps:
-        return None
-    # One byte per cell in the mask, so a shift by 8 bits moves one cell.
-    pink = int.from_bytes(data.translate(_PINK_BIT), "little")
-    corners = (pink & ~(pink << 8 | pink << 8 * s)).to_bytes(len(data), "little")
-    bounds, boxes = [], []
-    for corner in _ONE.finditer(corners):
-        i = corner.start()
-        r0, c0 = divmod(i, s)
-        width = _PINK_RUN.match(data, i).end() - i
-        height = _PINK_RUN.match(data[i::s]).end()
-        j = i + (height - 1) * s  # the bottom-left cell
-        # Bottom row and right column pink, ring cyan (off the grid it reads short or _SEP).
-        if not (
-            r0 and c0
-            and data[j : j + width].count(PINK) == width
-            and data[i + width - 1 : j + width : s].count(PINK) == height
-            and data[i - s - 1 : i - s + width + 1].count(CYAN) == width + 2
-            and data[j + s - 1 : j + s + width + 1].count(CYAN) == width + 2
-            and data[i - 1 : j : s].count(CYAN) == height
-            and data[i + width : j + width + 1 : s].count(CYAN) == height
-        ):
-            return None
-        bounds.append((r0, c0, r0 + height - 1, c0 + width - 1))
-        boxes.append((r0, c0, height, width))
-    # Also catches a corner inside an earlier rectangle (an island).
-    if _crowded(boxes):
-        return None
-    return _painted(data, h, w, bounds)
+@lru_cache(maxsize=256)
+def _masks(w: int, width: int, height: int) -> tuple[int, int, int]:
+    """The ring, perimeter and inside of a ``width`` x ``height`` box in rows of
+    ``w`` cells, as masks of one byte per cell (1 in, 0 out) from the ring's first."""
+    masks = [bytearray((height + 2) * w) for _ in range(3)]
+    for r in range(height + 2):
+        for c in range(width + 2):
+            depth = min(r, c, height + 1 - r, width + 1 - c)  # 0 on the ring, 1 on the perimeter
+            masks[min(depth, 2)][r * w + c] = 1
+    return tuple(int.from_bytes(mask, "little") for mask in masks)
 
 
 def _reference(grid: Grid) -> Grid:
@@ -337,26 +332,24 @@ def _reference(grid: Grid) -> Grid:
         ):
             raise VerifierDomainError("pink component is not rectangular")
     # Cells equal to cyan or pink (8.0, say) are painted as their codes.
-    data = b"".join(bytes(PINK if v == PINK else CYAN for v in row) + _SEP for row in rows)
-    return _grid((h, w, _painted(data, h, w, bounds)))
+    data = bytes(PINK if v == PINK else CYAN for row in rows for v in row)
+    return _grid((h, w, _paint(data, h, w, bounds)))
 
 
-def _painted(data: bytes, h: int, w: int, bounds) -> bytearray:
-    """The cells of the ``h`` rows of ``data``, each ending in _SEP, with each box
-    of ``bounds`` ringed green and the cyan cells inside its perimeter yellow."""
-    s = w + 1
-    out = bytearray(data)
+def _paint(data: bytes, h: int, w: int, bounds) -> bytes:
+    """The cyan and pink cells ``data`` of an ``h`` x ``w`` grid with each box of
+    ``bounds`` ringed green (over cyan) and the cyan cells inside its perimeter yellow."""
+    ring = inside = 0
     for r0, c0, r1, c1 in bounds:
-        span = c1 - c0 + 3  # the ring's width
-        top, bottom = (r0 - 1) * s + c0 - 1, (r1 + 1) * s + c0 - 1
-        out[top : top + span] = out[bottom : bottom + span] = _GREEN * span
-        sides = _GREEN * (r1 - r0 + 1)
-        out[top + s : bottom : s] = out[top + s + span - 1 : bottom + span - 1 : s] = sides
-        for r in range(r0 + 1, r1):
-            a = r * s + c0 + 1
-            out[a : a + span - 4] = out[a : a + span - 4].translate(_SHADE)
-    del out[w::s]
-    return out
+        box_ring, _, box_inside = _masks(w, c1 - c0 + 1, r1 - r0 + 1)
+        at = 8 * ((r0 - 1) * w + c0 - 1)  # from the ring's first cell on
+        ring |= box_ring << at
+        inside |= box_inside << at
+    cells = int.from_bytes(data, "little")
+    # Bit 3 of a byte is set in cyan (8), not in pink (6), so ``cells >> 3``
+    # marks the cyan cells. Cyan less 5 is green and less 4 yellow: no borrows.
+    cells -= 5 * ring + 4 * (inside & cells >> 3)
+    return cells.to_bytes(h * w, "little")
 
 
 def _pink_components(rows) -> list[tuple[int, int, int, int]]:

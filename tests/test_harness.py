@@ -76,6 +76,21 @@ def test_a_canonical_file_reads_as_its_tuples_of_examples(tmp_path, make_task_se
     assert loaded.train[0] == task_set.train[0]
 
 
+def test_saving_a_loaded_file_writes_its_cells_and_builds_no_grid(tmp_path, monkeypatch):
+    emit_dataset(["543a7ed5", "05269061"], 4, 3, tmp_path / "ds")
+    paths = [tmp_path / "ds" / f"{task_id}.json" for task_id in ("543a7ed5", "05269061")]
+    loaded = {path: load_task_file(path) for path in paths}
+
+    def refuse(*args):
+        raise AssertionError("a Grid was built")
+
+    monkeypatch.setattr(Grid, "__init__", refuse)
+    monkeypatch.setattr(Grid, "_of", refuse)
+    for path, task_set in loaded.items():
+        save_task_file(tmp_path / path.name, task_set)
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -8,8 +8,8 @@ for ``verify_cells`` and hands rows that are not cells to ``_reference``;
 1e0a9b12 and 67a423a3 take their row walk, ``_reference``, for a grid.
 The expected outcomes below never take a byte path. For 543a7ed5 they
 come from ``_reference`` with its components taken from the flood fill
-below and its painting done cell by cell instead of by ``_painted``,
-which the byte paths share. For 05269061 they come from three row-major
+below and its painting done cell by cell instead of by ``_paint``,
+which the bulk core shares. For 05269061 they come from three row-major
 carry passes over every cell, or from ``_reference`` itself where rows
 were mutated to leave the grid contract. For 1e0a9b12 and 67a423a3 they
 come from the row walks. On seeded random grids of every shape from 1x1
@@ -70,8 +70,8 @@ def reference_pink_components(grid):
 
 
 def reference_paint(data, h, w, bounds):
-    # Rows of ``data`` each followed by one separator byte, as _painted takes them.
-    rows = [list(data[r * (w + 1) : r * (w + 1) + w]) for r in range(h)]
+    # The ``h`` rows of ``w`` cells in ``data``, as _paint takes them.
+    rows = [list(data[r * w : r * w + w]) for r in range(h)]
     out = [list(row) for row in rows]
     for r0, c0, r1, c1 in bounds:
         for r in range(r0 - 1, r1 + 2):
@@ -295,13 +295,40 @@ def test_pink_components_and_borders_verify_match_references(monkeypatch):
     actual = [_outcome(borders_and_holes.verifier, g) for g in cases]
     on_cells = [_outcome(_on_cells(borders_and_holes), g) if _checked(g) else None for g in cases]
     monkeypatch.setattr(borders_and_holes, "_pink_components", reference_pink_components)
-    monkeypatch.setattr(borders_and_holes, "_painted", reference_paint)
+    monkeypatch.setattr(borders_and_holes, "_paint", reference_paint)
     expected = [_outcome(borders_and_holes._reference, g) for g in cases]
     for grid, got, got_cells, want in zip(cases, actual, on_cells, expected):
         assert got == want, grid
         assert got_cells in (None, want), grid
     assert any(isinstance(outcome, Grid) for outcome in expected)
     assert any(isinstance(outcome, tuple) for outcome in expected)
+
+
+def test_every_box_extent_matches_the_reference(monkeypatch):
+    # Sampled boxes reach extent 7 only. A solid and a hollow box of every
+    # width and height that fits a 30x30 grid checks the cached masks of
+    # larger layouts; the offsets take turns: the top-left corner, the
+    # bottom-right one and the middle.
+    cases = []
+    for height in range(1, 29):
+        for width in range(1, 29):
+            offsets = ((1, 1), (29 - height, 29 - width), ((30 - height) // 2, (30 - width) // 2))
+            r0, c0 = offsets[(height + width) % 3]
+            for hole in (False, True):
+                rows = _box(_cyan(30, 30), r0, c0, r0 + height - 1, c0 + width - 1, hole)
+                cases.append(Grid(rows))
+    walk = borders_and_holes._reference
+
+    def refuse(grid):
+        raise AssertionError("the verifier took the reference walk")
+
+    monkeypatch.setattr(borders_and_holes, "_reference", refuse)
+    actual = [(_outcome(borders_and_holes.verifier, g), _outcome(_on_cells(borders_and_holes), g)) for g in cases]
+    monkeypatch.setattr(borders_and_holes, "_reference", walk)
+    monkeypatch.setattr(borders_and_holes, "_paint", reference_paint)
+    for grid, got in zip(cases, actual):
+        want = _outcome(borders_and_holes._reference, grid)
+        assert isinstance(want, Grid) and got == (want, want), grid
 
 
 def test_stripes_verify_matches_three_pass_reference():

@@ -11,6 +11,8 @@ A change that alters any of these values changes published datasets. It
 must say so, name the task and explain why; only then re-record with::
 
     PYTHONPATH=src python tests/test_known_answers.py
+
+which also re-records the CLI transcripts of ``test_transcripts.py``.
 """
 
 import hashlib
@@ -205,4 +207,7 @@ def test_failed_search_states(known):
 
 
 if __name__ == "__main__":
+    from test_transcripts import record as record_transcripts  # the module beside this one
+
     FIXTURE.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
+    record_transcripts()

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .errors import GridBenchError, check_int, shown
-from .framework import lookup, task_ids
+from .framework import generate_examples, lookup, task_ids
 from .grid import PALETTE, render_text
 from .harness import (
     EvalReport,
@@ -20,7 +20,6 @@ from .harness import (
     load_task_file,
     save_task_file,  # noqa: F401  (bench/spans.py wraps cli.save_task_file)
 )
-from .rng import new_stream
 
 # bench/spans.py patches this name and nothing calls it; ROADMAP item 1 deletes it.
 apply_variation = None
@@ -102,9 +101,9 @@ def _cmd_render(args) -> int:
         pool = task_set.train if args.split == "train" else task_set.test
         example = pool[check_int(f"{args.file}: {args.split} index", args.index, 0, len(pool) - 1)]
     else:
-        gen = lookup(args.task)
-        rng = new_stream(args.seed, args.task, args.index)
-        example = gen.generate(rng=rng)
+        index = check_int("example_index", args.index, 0, 2**64 - 1)
+        stream = generate_examples(args.task, max(index, 1), args.seed)
+        example = next(stream.block(index, index + 1))
     print("input:")
     print(render_text(example.input), end="")
     print("output:")

@@ -62,10 +62,13 @@ def task_ids() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def _cells_verifier(task_id: str, program):
-    """The task's ``verify_cells`` if ``program`` is the ``verifier`` it was registered with."""
+def _on_cells(task_id: str, program) -> Callable[[Cells], Cells]:
+    """``program`` as a function of cells: the task's ``verify_cells`` if ``program``
+    is the ``verifier`` it was registered with, else ``program`` through a ``Grid``."""
     entry = _REGISTRY.get(task_id)
-    return getattr(entry[0], "verify_cells", None) if entry and program is entry[2] else None
+    if entry and program is entry[2] and hasattr(entry[0], "verify_cells"):
+        return entry[0].verify_cells
+    return partial(_via_grid, program)
 
 
 class generate_examples:  # noqa: N801  (an iterator class, like enumerate)

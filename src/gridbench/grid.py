@@ -69,13 +69,14 @@ class Grid:
     A grid is validated where its rows enter: this constructor,
     ``load_task_file`` (which calls it, except on a file whose canonical
     layout already proves every cell a digit and every grid
-    rectangular) and a judge program's result that is not a ``Grid``
-    (which ``evaluate`` passes to it). ``copy()``, the examples read from
-    a file or generated and the bundled generators and verifiers build
-    from cells that were already checked, so they wrap fresh row lists
-    without checking them again. A grid is written, judged and checked
-    against its task's verifier as its cells (``_cells``), which read
-    each cell by its integer value.
+    rectangular), :class:`TaskSet`, which keeps each example's grids as
+    their checked cells, and a judge program's result that is not a
+    ``Grid`` (which ``evaluate`` passes to it). ``copy()``, the examples
+    read from a task set or generated and the bundled generators and
+    verifiers build from cells that were already checked, so they wrap
+    fresh row lists without checking them again. A grid is written,
+    judged and checked against its task's verifier as its cells
+    (``_cells``), which read each cell by its integer value.
     """
 
     __slots__ = ("_rows",)
@@ -164,19 +165,20 @@ class Example:
 class TaskSet:
     """Ordered train and test examples for one task.
 
-    Each split is a tuple of examples, except that a task set read from
-    a file holds :class:`LazyExamples`, which compares, indexes and
-    iterates as that tuple would.
+    Each split holds checked cells (:class:`LazyExamples`), whatever built it,
+    and compares, indexes and iterates as the tuple of its examples would;
+    the grids of examples given here are checked as ``_cells`` checks them.
     """
 
     train: Sequence[Example]
     test: Sequence[Example]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.train, LazyExamples):
-            object.__setattr__(self, "train", tuple(self.train))
-        if not isinstance(self.test, LazyExamples):
-            object.__setattr__(self, "test", tuple(self.test))
+        for name in ("train", "test"):
+            split = getattr(self, name)
+            if not isinstance(split, LazyExamples):
+                split = LazyExamples([(_cells(e.input), _cells(e.output)) for e in split])
+                object.__setattr__(self, name, split)
         if not self.train or not self.test:
             raise ValueError("train and test must both be non-empty")
 

@@ -35,8 +35,8 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import FormatError, shown
-from .framework import _cells_verifier, generate_examples, lookup
-from .grid import MAX_SIDE, Cells, Grid, LazyExamples, TaskSet, _cells, _via_grid
+from .framework import _on_cells, generate_examples, lookup
+from .grid import MAX_SIDE, Cells, Grid, LazyExamples, TaskSet, _cells
 
 # bench/spans.py patches this name and nothing calls it; ROADMAP item 1 deletes it.
 generate_task_set = None
@@ -110,13 +110,8 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
 
 
 def save_task_file(path, task_set: TaskSet) -> None:
-    """Write a task set as compact ARC JSON, atomically, a split read from a file
-    from the cells it holds; a grid whose rows no longer meet the grid contract
-    raises ``ValueError`` (``grid._cells``)."""
-    pairs = itertools.chain.from_iterable(
-        s._pairs if isinstance(s, LazyExamples) else ((_cells(e.input), _cells(e.output)) for e in s)
-        for s in (task_set.train, task_set.test)
-    )
+    """Write a task set as compact ARC JSON, atomically, from the checked cells it holds."""
+    pairs = itertools.chain(task_set.train._pairs, task_set.test._pairs)
     _write_atomic(Path(path), itertools.chain(_task_text(pairs, len(task_set.train)), (_TAIL,)))
 
 
@@ -359,8 +354,7 @@ def evaluate(example_dir, programs: dict[str, Callable[[Grid], Grid]]) -> EvalRe
         if task_id not in programs:
             skipped.append(task_id)
             continue
-        program = programs[task_id]
-        scores[task_id] = _judge(program, load_task_file(path), _cells_verifier(task_id, program))
+        scores[task_id] = _judge(_on_cells(task_id, programs[task_id]), load_task_file(path))
     return EvalReport.from_scores(scores, skipped)
 
 
@@ -372,19 +366,15 @@ def _directory(path):
     return path
 
 
-def _judge(
-    program: Callable[[Grid], Grid], task_set: TaskSet, verify_cells: Callable | None = None
-) -> tuple[int, int]:
-    """``(passed, total)`` of a program over every train and test example of a
-    task set read from a file; an example fails when it raises (``SystemExit``
+def _judge(run: Callable[[Cells], Cells], task_set: TaskSet) -> tuple[int, int]:
+    """``(passed, total)`` of ``run``, a program on cells (``_on_cells``), over every
+    train and test example of a task set; an example fails when it raises (``SystemExit``
     too, but not ``KeyboardInterrupt``) or returns a result that is not a valid grid.
 
     Each result is compared with the expected output as cells, shape and
-    bytes. ``verify_cells``, given when ``program`` is a task's own verifier,
-    runs on the input's cells; any other program gets an input ``Grid`` built
+    bytes. A program lifted through a ``Grid`` gets an input ``Grid`` built
     just before its call and may modify it, since each input is built afresh.
     """
-    run = verify_cells or functools.partial(_via_grid, program)
     passed = 0
     for given, expected in (*task_set.train._pairs, *task_set.test._pairs):
         try:
@@ -438,5 +428,5 @@ def golden_check(task_id: str, golden_dir=None) -> bool | None:
         golden = load_task_file(path)
     if getattr(gen, "validate", None) is not None:
         return gen.validate() == golden
-    passed, total = _judge(gen.verifier, golden, _cells_verifier(task_id, gen.verifier))
+    passed, total = _judge(_on_cells(task_id, gen.verifier), golden)
     return passed == total

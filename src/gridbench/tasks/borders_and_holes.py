@@ -39,7 +39,6 @@ _CYAN_PINK_BYTES = bytes((CYAN, PINK))
 # A run of pink cells in the verifier's bytes.
 _PINK_RUN = re.compile(bytes((PINK,)) + b"+")
 
-_PINK_BIT = bytes(int(b == PINK) for b in range(256))  # pink to 1, any other byte to 0
 _ONE = re.compile(b"\x01")
 
 
@@ -266,10 +265,14 @@ def verify_cells(cells: Cells) -> Cells:
     ``tests/test_verifier_equivalence.py`` pins the two together.
     """
     h, w, data = cells
-    pink = int.from_bytes(data.translate(_PINK_BIT), "little")
     # Only cyan and pink, none on the grid's edge (the ring of an (h - 2) x
     # (w - 2) box): so no pink run wraps and every box's ring lies inside.
-    if data.translate(None, _CYAN_PINK_BYTES) or pink & _masks(w, w - 2, h - 2)[0]:
+    if data.translate(None, _CYAN_PINK_BYTES):
+        return _via_grid(_reference, cells)
+    whole = int.from_bytes(data, "little")
+    edge, band, middle = _masks(w, w - 2, h - 2)  # together, every cell
+    pink = whole >> 1 & (edge | band | middle)  # bit 1 is set in pink (6), not cyan (8)
+    if pink & edge:
         return _via_grid(_reference, cells)
     # A shift by 8 bits moves one cell.
     corners = (pink & ~(pink << 8 | pink << 8 * w)).to_bytes(h * w, "little")
@@ -288,7 +291,7 @@ def verify_cells(cells: Cells) -> Cells:
     # Also catches a corner inside an earlier rectangle (an island).
     if _crowded(boxes):
         return _via_grid(_reference, cells)
-    return h, w, _paint(data, h, w, bounds)
+    return h, w, _paint(whole, h, w, bounds)
 
 
 verifier = _grid_verifier(globals())  # the Grid entry, through verify_cells
@@ -333,19 +336,18 @@ def _reference(grid: Grid) -> Grid:
             raise VerifierDomainError("pink component is not rectangular")
     # Cells equal to cyan or pink (8.0, say) are painted as their codes.
     data = bytes(PINK if v == PINK else CYAN for row in rows for v in row)
-    return _grid((h, w, _paint(data, h, w, bounds)))
+    return _grid((h, w, _paint(int.from_bytes(data, "little"), h, w, bounds)))
 
 
-def _paint(data: bytes, h: int, w: int, bounds) -> bytes:
-    """The cyan and pink cells ``data`` of an ``h`` x ``w`` grid with each box of
-    ``bounds`` ringed green (over cyan) and the cyan cells inside its perimeter yellow."""
+def _paint(cells: int, h: int, w: int, bounds) -> bytes:
+    """The ``h`` x ``w`` cyan and pink ``cells``, one byte each, with each box of ``bounds``
+    ringed green (over cyan) and the cyan cells inside its perimeter yellow."""
     ring = inside = 0
     for r0, c0, r1, c1 in bounds:
         box_ring, _, box_inside = _masks(w, c1 - c0 + 1, r1 - r0 + 1)
         at = 8 * ((r0 - 1) * w + c0 - 1)  # from the ring's first cell on
         ring |= box_ring << at
         inside |= box_inside << at
-    cells = int.from_bytes(data, "little")
     # Bit 3 of a byte is set in cyan (8), not in pink (6), so ``cells >> 3``
     # marks the cyan cells. Cyan less 5 is green and less 4 yellow: no borrows.
     cells -= 5 * ring + 4 * (inside & cells >> 3)

@@ -31,14 +31,15 @@ from gridbench import (
     generate_examples,
     golden_check,
     load_task_file,
+    lookup,
     register,
     render_text,
     save_task_file,
 )
 from gridbench import harness, parallel
 from gridbench.cli import run
-from gridbench.framework import _REGISTRY
-from gridbench.grid import LazyExamples
+from gridbench.framework import _REGISTRY, _on_cells
+from gridbench.grid import LazyExamples, _cells
 from gridbench.tasks import borders_and_holes
 
 MINIMAL = TaskSet(
@@ -74,6 +75,19 @@ def test_a_canonical_file_reads_as_its_tuples_of_examples(tmp_path, make_task_se
     first = loaded.train[0].input
     first[0][0] = (first[0][0] + 1) % 10
     assert loaded.train[0] == task_set.train[0]
+    # A task set built from examples holds their checked cells, as one read
+    # from a file does, and the judge takes it as it is.
+    examples = list(generate_examples("1e0a9b12", 3, 2))
+    cells = [(_cells(e.input), _cells(e.output)) for e in examples]
+    assert isinstance(task_set.train, LazyExamples) and isinstance(task_set.test, LazyExamples)
+    assert (task_set.train._pairs, task_set.test._pairs) == (cells[:3], cells[3:])
+    assert harness._judge(_on_cells("1e0a9b12", lookup("1e0a9b12").verifier), task_set) == (4, 4)
+    # Rows mutated out of the grid contract raise where they enter, before the file is touched.
+    before = path.read_bytes()
+    list(examples[1].output)[2][0] = 10
+    with pytest.raises(ValueError, match=re.escape("cell (2, 0) holds 10, not a color code in [0, 9]")):
+        save_task_file(path, TaskSet(train=examples[:3], test=examples[3:]))
+    assert path.read_bytes() == before and [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
 
 def test_saving_a_loaded_file_writes_its_cells_and_builds_no_grid(tmp_path, monkeypatch):

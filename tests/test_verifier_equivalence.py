@@ -69,8 +69,9 @@ def reference_pink_components(grid):
     return bounds
 
 
-def reference_paint(data, h, w, bounds):
-    # The ``h`` rows of ``w`` cells in ``data``, as _paint takes them.
+def reference_paint(cells, h, w, bounds):
+    # The ``h`` rows of ``w`` cells, one byte each in the integer ``cells``, as _paint takes them.
+    data = cells.to_bytes(h * w, "little")
     rows = [list(data[r * w : r * w + w]) for r in range(h)]
     out = [list(row) for row in rows]
     for r0, c0, r1, c1 in bounds:

@@ -28,7 +28,8 @@ MAX_ATTEMPTS = 10_000
 
 # Task id -> (task, the parameter names its ``generate`` declares, its
 # ``verifier``), read once at registration, so a wrapper installed over
-# ``generate`` later keeps them, and one over ``verifier`` is judged as given.
+# ``generate`` later keeps them, one over ``verifier`` is judged as given,
+# and generation checks with the registered ``verifier`` (``_on_cells``).
 _REGISTRY: dict[str, tuple[ModuleType, tuple[str, ...], Callable]] = {}
 
 
@@ -82,7 +83,7 @@ class generate_examples:  # noqa: N801  (an iterator class, like enumerate)
     overrides, which yield it unchecked and keep the first as ``domain_error``."""
 
     def __init__(self, task_id: str, count: int, master_seed: int, overrides=None) -> None:
-        self._task, names, _ = _entry(task_id)
+        self._task, names, self._verifier = _entry(task_id)
         self._overrides = overrides = dict(overrides or {})
         unknown = sorted(set(overrides) - set(names))
         if unknown:
@@ -103,7 +104,7 @@ class generate_examples:  # noqa: N801  (an iterator class, like enumerate)
     def _pairs(self, start: int, stop: int) -> Iterator[tuple[Cells, Cells]]:
         """The checked input and output cells of ``block(start, stop)``'s examples."""
         task, seed, overrides = self._task, self._seed, self._overrides
-        verify = getattr(task, "verify_cells", None) or partial(_via_grid, task.verifier)
+        verify = _on_cells(task.TASK_ID, self._verifier)
         for index in range(start, min(stop, self._count + 1)):
             example = task.generate(rng=new_stream(seed, task.TASK_ID, index), **overrides)
             pair = _cells(example.input), _cells(example.output)

@@ -9,7 +9,6 @@ while a grid is being built; once a grid has been handed out inside an
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -70,8 +69,9 @@ class Grid:
     ``load_task_file`` (which calls it, except on a file whose canonical
     layout already proves every cell a digit and every grid
     rectangular), :class:`TaskSet`, which keeps each example's grids as
-    their checked cells, and a judge program's result that is not a
-    ``Grid`` (which ``evaluate`` passes to it). ``copy()``, the examples
+    their checked cells, the ``verifier`` of 05269061 and 543a7ed5, which
+    runs on a grid's checked cells, and a judge program's result that is
+    not a ``Grid`` (which ``evaluate`` passes to it). ``copy()``, the examples
     read from a task set or generated and the bundled generators and
     verifiers build from cells that were already checked, so they wrap
     fresh row lists without checking them again. A grid is written,
@@ -202,11 +202,13 @@ def _example(pair: tuple[Cells, Cells]) -> Example:
 def _cells(grid: Grid) -> Cells:
     """A grid's checked cells, its rows joined once (``bytearray(row)``, by value).
 
-    Rows mutated after construction out of the grid contract (ragged or
-    empty rows, a cell that is not an integer or lies outside 0-9) raise
-    ``ValueError`` naming the first bad row or cell, while a mutated-in
-    ``bool`` or other integer-like cell (a NumPy integer, say) is read as
-    its value.
+    It checks rows that may have been mutated since construction, among
+    them those of a :class:`TaskSet`'s examples, of a grid given to the
+    ``verifier`` of 05269061 or 543a7ed5 and of a judged program's result.
+    Rows out of the grid contract (ragged or empty rows, a cell that is not
+    an integer or lies outside 0-9) raise ``ValueError`` naming the first
+    bad row or cell, while a mutated-in ``bool`` or other integer-like cell
+    (a NumPy integer, say) is read as its value.
     """
     rows = list(grid)
     try:
@@ -228,28 +230,6 @@ def _via_grid(verify, cells: Cells) -> Cells:
     that is not a ``Grid`` goes through the ``Grid`` constructor first."""
     out = verify(_grid(cells))
     return _cells(out if isinstance(out, Grid) else Grid(out))
-
-
-def _grid_verifier(namespace: dict):
-    """A task's ``verifier`` through its ``verify_cells``: the grid's checked
-    cells in, the result's cells out as a grid. A grid whose rows are not
-    checked cells (ragged rows, a cell that is not a color code) goes to the
-    task's ``_reference`` walk. Both are looked up in ``namespace``, the task
-    module's globals, at call time."""
-
-    def verifier(grid: Grid) -> Grid:
-        try:
-            cells = _cells(grid)
-        except (TypeError, ValueError):
-            return namespace["_reference"](grid)
-        return _grid(namespace["verify_cells"](cells))
-
-    return verifier
-
-
-def _code(value):
-    """A cell as a byte join reads it: its ``__index__`` when it has one, else itself."""
-    return operator.index(value) if hasattr(type(value), "__index__") else value
 
 
 class LazyExamples(Sequence):

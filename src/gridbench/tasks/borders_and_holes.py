@@ -20,7 +20,7 @@ from functools import lru_cache
 from ..errors import GenerationError, VerifierDomainError, check_int, check_ints
 from ..framework import MAX_ATTEMPTS
 from ..grid import CYAN, GREEN, MAX_SIDE, PINK, YELLOW, Cells, Example, Grid, TaskSet
-from ..grid import _code, _grid, _grid_verifier, _via_grid
+from ..grid import _cells, _grid, _via_grid
 
 TASK_ID = "543a7ed5"
 
@@ -294,7 +294,9 @@ def verify_cells(cells: Cells) -> Cells:
     return h, w, _paint(whole, h, w, bounds)
 
 
-verifier = _grid_verifier(globals())  # the Grid entry, through verify_cells
+def verifier(grid: Grid) -> Grid:
+    """The transformation on a ``Grid``: :func:`verify_cells` on its checked cells."""
+    return _grid(verify_cells(_cells(grid)))
 
 
 @lru_cache(maxsize=256)
@@ -311,13 +313,10 @@ def _masks(w: int, width: int, height: int) -> tuple[int, int, int]:
 
 def _reference(grid: Grid) -> Grid:
     """The transformation cell by cell: the reference walk, which raises
-    VerifierDomainError for every grid outside the domain. A cell is read
-    as the bulk path's byte join reads it, by ``__index__`` when it has one."""
-    rows = [list(map(_code, row)) for row in grid]
+    VerifierDomainError for every grid outside the domain."""
+    rows = list(grid)
     h, w = len(rows), len(rows[0])
     for r, row in enumerate(rows):
-        if len(row) != w:
-            raise VerifierDomainError(f"row {r} holds {len(row)} cells, expected {w}")
         if not _CYAN_PINK.issuperset(row):
             c, value = next((c, v) for c, v in enumerate(row) if v not in _CYAN_PINK)
             raise VerifierDomainError(f"cell ({r}, {c}) holds {value}, expected cyan or pink")
@@ -334,8 +333,7 @@ def _reference(grid: Grid) -> Grid:
             or any(rows[r][c0] != PINK or rows[r][c1] != PINK for r in range(r0, r1 + 1))
         ):
             raise VerifierDomainError("pink component is not rectangular")
-    # Cells equal to cyan or pink (8.0, say) are painted as their codes.
-    data = bytes(PINK if v == PINK else CYAN for row in rows for v in row)
+    data = b"".join(map(bytes, rows))
     return _grid((h, w, _paint(int.from_bytes(data, "little"), h, w, bounds)))
 
 

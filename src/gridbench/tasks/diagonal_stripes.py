@@ -9,7 +9,7 @@ complete pattern.
 from __future__ import annotations
 
 from ..errors import check_int, check_ints
-from ..grid import Cells, Example, Grid, _code, _grid_verifier, _via_grid
+from ..grid import Cells, Example, Grid, _cells, _grid, _via_grid
 
 TASK_ID = "05269061"
 
@@ -76,7 +76,9 @@ def verify_cells(cells: Cells) -> Cells:
     return h, w, (block * (h // 3 + 1))[: h * w]
 
 
-verifier = _grid_verifier(globals())  # the Grid entry, through verify_cells
+def verifier(grid: Grid) -> Grid:
+    """The transformation on a ``Grid``: :func:`verify_cells` on its checked cells."""
+    return _grid(verify_cells(_cells(grid)))
 
 
 def _reference(grid: Grid) -> Grid:
@@ -89,9 +91,8 @@ def _reference(grid: Grid) -> Grid:
     with no nonzero cell stays 0. This is the fixed point of carrying
     the last seen color per class through row-major passes, so any grid
     is accepted: inconsistent seeds settle on the last color per class.
-    A cell is read as the bulk path's byte join reads it, by ``__index__``.
     """
-    rows = [list(map(_code, row)) for row in grid]
+    rows = grid.to_lists()
     carry = [0, 0, 0]
     # The second pass fills the zeros before each class's first color.
     for _ in range(2):

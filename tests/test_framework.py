@@ -17,6 +17,7 @@ from gridbench import (
     register,
     task_ids,
 )
+from gridbench import framework
 from gridbench.framework import _REGISTRY
 from gridbench.rng import new_stream
 from gridbench.tasks.borders_and_holes import _pink_components
@@ -118,6 +119,26 @@ def test_generation_checks_each_example_by_verify_cells_alone(tmp_path, monkeypa
     cells_calls.clear()
     emit_dataset([task_id], 11, 3, tmp_path)  # one later block, made in this process
     assert len(cells_calls) == 12 and grid_calls == []
+
+
+def test_generation_checks_a_task_without_verify_cells_by_its_registered_verifier(monkeypatch):
+    # As in evaluate, the verifier captured by register is the check, not
+    # the task's attribute of the moment.
+    def fake_generate(rng=None):
+        cell = rng.randint(0, 9)
+        return Example(input=Grid([[cell]]), output=Grid([[cell]]))
+
+    def refuse(grid):
+        raise AssertionError("generation called the task's verifier attribute")
+
+    checked = []
+    task = SimpleNamespace(
+        TASK_ID="fffffffc", generate=fake_generate, verifier=lambda grid: checked.append(grid) or grid
+    )
+    monkeypatch.setattr(framework, "_REGISTRY", dict(_REGISTRY))
+    register(task)
+    task.verifier = refuse
+    assert len(list(generate_examples("fffffffc", 4, 1))) == len(checked) == 5
 
 
 def test_verifier_domain_error_raises_or_marks_the_variation_unchecked():

@@ -2,28 +2,31 @@
 
 Each task's ``verify_cells`` runs a bulk core on a grid's checked cells
 and hands any input that the core does not confirm to ``_reference``, a
-private walk over the cells. The ``verifier`` of 05269061 and 543a7ed5
-is the shared ``Grid`` entry: it joins a grid's rows into checked cells
-for ``verify_cells`` and hands rows that are not cells to ``_reference``;
-1e0a9b12 and 67a423a3 take their row walk, ``_reference``, for a grid.
-The expected outcomes below never take a byte path. For 543a7ed5 they
-come from ``_reference`` with its components taken from the flood fill
-below and its painting done cell by cell instead of by ``_paint``,
-which the bulk core shares. For 05269061 they come from three row-major
-carry passes over every cell, or from ``_reference`` itself where rows
-were mutated to leave the grid contract. For 1e0a9b12 and 67a423a3 they
-come from the row walks. On seeded random grids of every shape from 1x1
-to 30x30, on generated inputs, on a grid for each condition that sends a
-grid to the reference walk and on grids whose rows were mutated after
-construction, every path must give the same output grid or the same
-exception, message included, and leave the input grid unchanged.
+private walk over a grid built from those cells. The ``verifier`` of
+05269061 and 543a7ed5 runs ``verify_cells`` on a grid's checked cells
+(``_cells``), so rows mutated out of the grid contract raise the
+``ValueError`` that the checked constructor gives them; 1e0a9b12 and
+67a423a3 take their row walk, ``_reference``, for a grid. The expected
+outcomes below never take a byte path. For 543a7ed5 they come from
+``_reference`` with its components taken from the flood fill below and
+its painting done cell by cell instead of by ``_paint``, which the bulk
+core shares. For 05269061 they come from three row-major carry passes
+over every cell. For a grid with a mutated-in ``bool`` or ``__index__``
+cell they come from the same walk on the grid of the cells' values. For
+1e0a9b12 and 67a423a3 they come from the row walks. On seeded random
+grids of every shape from 1x1 to 30x30, on generated inputs, on a grid
+for each condition that sends a grid to the reference walk and on grids
+whose rows were mutated after construction, every path must give the
+same output grid or the same exception, message included, and leave the
+input grid unchanged.
 """
 
+import operator
 import random
 
 import pytest
 
-from gridbench import Grid, new_stream
+from gridbench import Example, Grid, TaskSet, VerifierDomainError, new_stream
 from gridbench.grid import BLUE, CYAN, GREEN, PINK, RED, YELLOW, _grid
 from gridbench.tasks import borders_and_holes, column_gravity, crossing_marker, diagonal_stripes
 
@@ -164,6 +167,24 @@ def _checked(grid):
     return True
 
 
+def _expected(walk, grid):
+    """What a ``Grid`` entry must give for ``grid``: ``walk``'s outcome on it;
+    for a mutated-in ``bool`` or ``__index__`` cell, on the grid of the cells'
+    values; for other rows out of the grid contract, the ``ValueError`` that
+    the checked constructor gives them."""
+    try:
+        Grid(list(grid))
+    except ValueError as err:
+        error = ValueError, str(err)
+    else:
+        return _outcome(walk, grid)
+    try:
+        by_value = Grid([[operator.index(value) for value in row] for row in grid])
+    except (TypeError, ValueError):
+        return error
+    return _outcome(walk, by_value)
+
+
 def _grids(rnd, fills):
     # One grid of every shape, the fills taking turns.
     return [fills[(h + w) % len(fills)](rnd, h, w) for h in SIDES for w in SIDES]
@@ -214,10 +235,8 @@ def _mutated(rows):
     """Grids of ``rows`` whose live rows were changed after the checked constructor.
 
     The ``Grid`` entries join rows into cells, which takes a ``bool`` or
-    ``__index__`` cell by its value and rejects every other cell that is
-    not a color code; ``BYTE_PATH`` names the grids that the join takes. The
-    reference walks read a cell with ``__index__`` the same way, so even
-    one that does not compare equal to its value gives the same grid.
+    ``__index__`` cell by its value, even one that does not compare equal
+    to its value, and rejects the rows of the ``REJECTED`` grids.
     """
     names = (
         "ragged row", "ragged rows of the right total", "short last row", "cell 256", "cell -1",
@@ -237,6 +256,16 @@ def _mutated(rows):
     live["__index__ cell"][0][0] = Index(rows[0][0])
     live["__index__-only cell"][0][0] = IndexOnly(rows[0][0])
     return grids
+
+
+# A hollow 543a7ed5 box, the rows of its mutated grids.
+BOX = _box(_cyan(10, 10), 2, 2, 6, 6)
+
+# The mutated grids whose rows ``_cells`` rejects.
+REJECTED = {
+    "ragged row", "ragged rows of the right total", "short last row", "cell 256", "cell -1",
+    "float cell", "None cell",
+}
 
 
 def _borders_fallbacks():
@@ -271,7 +300,7 @@ def _borders_fallbacks():
         "another color": another_color,
     }
     grids = {name: Grid(rows) for name, rows in grids.items()}
-    return grids | _mutated(_box(_cyan(10, 10), 2, 2, 6, 6))
+    return grids | _mutated(BOX)
 
 
 def _stripes_fallbacks():
@@ -297,7 +326,7 @@ def test_pink_components_and_borders_verify_match_references(monkeypatch):
     on_cells = [_outcome(_on_cells(borders_and_holes), g) if _checked(g) else None for g in cases]
     monkeypatch.setattr(borders_and_holes, "_pink_components", reference_pink_components)
     monkeypatch.setattr(borders_and_holes, "_paint", reference_paint)
-    expected = [_outcome(borders_and_holes._reference, g) for g in cases]
+    expected = [_expected(borders_and_holes._reference, g) for g in cases]
     for grid, got, got_cells, want in zip(cases, actual, on_cells, expected):
         assert got == want, grid
         assert got_cells in (None, want), grid
@@ -343,22 +372,18 @@ def test_stripes_verify_matches_three_pass_reference():
     ]
     # One class empty, the others one color each: the bulk case.
     cases.append(Grid([[RED, BLUE, 0, RED], [BLUE, 0, RED, 0]]))
+    cases += _stripes_fallbacks().values()
     for grid in cases:
-        want = _outcome(reference_stripes, grid)
+        want = _expected(reference_stripes, grid)
         assert _outcome(diagonal_stripes.verifier, grid) == want, grid
-        assert _outcome(_on_cells(diagonal_stripes), grid) == want, grid
-    # The fallbacks against the walk itself: mutated rows leave the grid
-    # contract that the three passes assume.
-    for name, grid in _stripes_fallbacks().items():
-        want = _outcome(diagonal_stripes._reference, grid)
-        assert _outcome(diagonal_stripes.verifier, grid) == want, name
-        if name.startswith("two colors"):
-            assert want == _outcome(reference_stripes, grid)
+        if _checked(grid):
+            assert _outcome(_on_cells(diagonal_stripes), grid) == want, grid
 
 
 # The mutated grids that stay on the byte path: a cell that the join
 # takes and that leaves the grid in the verifier's bulk case. A bool
-# cell is no 543a7ed5 color, so it is a fallback there.
+# cell is no 543a7ed5 color, so it is a fallback there. Neither these
+# nor the REJECTED grids reach the walk.
 BYTE_PATH = {
     borders_and_holes: {"__index__ cell", "__index__-only cell"},
     diagonal_stripes: {"bool cell", "__index__ cell", "__index__-only cell"},
@@ -377,12 +402,37 @@ def test_each_fallback_condition_reaches_the_reference_walk(monkeypatch, module,
     for name, grid in fallbacks().items():
         calls.clear()
         _outcome(module.verifier, grid)
-        assert len(calls) == (name not in BYTE_PATH[module]), name
+        assert len(calls) == (name not in BYTE_PATH[module] | REJECTED), name
+        # The walk sees only grids that meet the grid contract.
+        assert all(Grid(g.to_lists()) == g for g in calls), name
         # A grid with cells reaches the walk from its cells too.
         if _checked(grid):
             calls.clear()
             _outcome(_on_cells(module), grid)
             assert len(calls) == 1, name
+
+
+@pytest.mark.parametrize("name", list(_mutated(BOX)))
+def test_every_entry_checks_mutated_rows_by_one_rule(name):
+    # TaskSet and both Grid entries take a grid's checked cells: all raise
+    # the same ValueError, or none raises one.
+    def task_set(g):
+        return TaskSet(train=[Example(g, g)], test=[Example(g, g)])
+
+    grid = _mutated(BOX)[name]
+    errors, outcomes = set(), []
+    for entry in (task_set, diagonal_stripes.verifier, borders_and_holes.verifier):
+        try:
+            outcomes.append(entry(grid))
+        except ValueError as err:
+            errors.add(str(err))
+            outcomes.append(ValueError)
+        except VerifierDomainError as err:
+            outcomes.append(str(err))
+    assert len(errors) == (name in REJECTED)
+    assert outcomes.count(ValueError) in (0, 3)
+    if name == "bool cell":
+        assert outcomes[2] == "cell (0, 0) holds 0, expected cyan or pink"
 
 
 @pytest.mark.parametrize(

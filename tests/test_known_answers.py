@@ -62,8 +62,11 @@ INFEASIBLE_SEED = 5
 INFEASIBLE_INDEXES = range(3)
 # gridbench generate command lines, each run with --seed 5: every task at
 # the smallest and largest size it accepts, the emit-large-grids command
-# lines of bench/workloads.py, and 543a7ed5 boxes in a color outside the
-# verifier's domain, which are written unchecked.
+# lines of bench/workloads.py, 543a7ed5 boxes in a color outside the
+# verifier's domain, which are written unchecked, and then every parameter
+# the painters read: 05269061's bands, corner and colors, 67a423a3's
+# crossing and both its colors at either end of their ranges, 1e0a9b12 at
+# every size, and six 543a7ed5 boxes on the largest grid.
 COMMAND_LINES = [
     *(
         ["--task", task, "--set", f"size={size}", "--count", "20"]
@@ -75,6 +78,25 @@ COMMAND_LINES = [
     ["--task", "1e0a9b12", "--set", "size=10", "--count", "201"],
     ["--task", "543a7ed5", "--set", "size=30", "--set", "boxes=1", "--count", "100"],
     ["--task", "543a7ed5", "--set", "colors=2,2,2", "--count", "20"],
+    *(
+        ["--task", "05269061", "--set", f"size={size}", "--set", f"bands={bands}",
+         "--set", f"corner={corner}", "--count", "20"]
+        for size in (3, 30)
+        for bands in (1, 2, 3)
+        for corner in (0, 1)
+    ),
+    ["--task", "05269061", "--set", "colors=9,1,5", "--count", "20"],
+    ["--task", "05269061", "--set", "size=30", "--set", "colors=1,2,9", "--count", "20"],
+    *(
+        ["--task", "67a423a3", "--set", "size=30", "--set", f"row={row}", "--set", f"col={col}",
+         "--set", f"row_color={row_color}", "--set", f"col_color={col_color}", "--count", "20"]
+        for row, col, row_color, col_color in ((1, 1, 1, 9), (28, 28, 9, 1), (1, 28, 9, 1), (28, 1, 1, 9))
+    ),
+    ["--task", "67a423a3", "--set", "size=3", "--set", "row=1", "--set", "col=1", "--count", "20"],
+    ["--task", "67a423a3", "--set", "row=1", "--set", "row_color=9", "--count", "20"],
+    ["--task", "67a423a3", "--set", "col=1", "--set", "row_color=1", "--count", "20"],
+    *(["--task", "1e0a9b12", "--set", f"size={size}", "--count", "20"] for size in range(4, 10)),
+    ["--task", "543a7ed5", "--set", "size=30", "--set", "boxes=6", "--count", "50"],
 ]
 
 

@@ -1,4 +1,5 @@
-"""The 543a7ed5 layout sampler and spacing rule against plain references.
+"""The 543a7ed5 layout sampler, its spacing rule and the 1e0a9b12
+generator against plain references.
 
 The sampler reads its attempts from peeked blocks of stream words, with
 each word's draw over span 6 for the box extents, and rejects an attempt
@@ -8,12 +9,13 @@ rejection loop it replaces, one ``randint`` per draw. Both must give the
 same layout, or the same error, and leave the stream in the same state,
 so that every word consumed is the same. The task words its spacing rule
 as grown boxes (``_crowded``); the reference words it as gaps between
-nearest edges.
+nearest edges. The 1e0a9b12 reference is the draw-by-draw loop over row
+lists that its generator replaces.
 """
 
 import pytest
 
-from gridbench import GenerationError, new_stream
+from gridbench import Example, GenerationError, Grid, lookup, new_stream
 from gridbench.framework import MAX_ATTEMPTS
 from gridbench.grid import PINK, YELLOW
 from gridbench.tasks.borders_and_holes import TASK_ID, _SPACING, _crowded, _sample_layout
@@ -155,3 +157,40 @@ def test_sampler_matches_draw_by_draw_reference(boxes, size):
         expected = _outcome(reference_layout, boxes, size, index)
         actual = _outcome(lambda b, s, rng: _sample_layout(b, s, None, rng), boxes, size, index)
         assert actual == expected, index
+
+
+def reference_gravity(size, rng):
+    """The 1e0a9b12 example of ``rng``, one ``randint`` or ``sample`` per draw,
+    and the number of attempts it took."""
+    size = rng.randint(4, 6) if size is None else size
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        grid_rows = [[0] * size for _ in range(size)]
+        out_rows = [[0] * size for _ in range(size)]
+        moved = False
+        for c in range(size):
+            count = rng.randint(1, min(3, size - 1))
+            cells = sorted(rng.sample(range(size), count))
+            colors = [rng.randint(1, 9) for _ in range(count)]
+            for r, color in zip(cells, colors):
+                grid_rows[r][c] = color
+            for k, color in enumerate(colors):
+                out_rows[size - count + k][c] = color
+            if cells != list(range(size - count, size)):
+                moved = True
+        if moved:
+            return Example(input=Grid(grid_rows), output=Grid(out_rows)), attempt
+    raise GenerationError("1e0a9b12: every sampled layout was already settled")
+
+
+@pytest.mark.parametrize("size", [None, *range(3, 11)])
+def test_gravity_matches_draw_by_draw_reference(size):
+    generate = lookup("1e0a9b12").generate
+    attempts = []
+    for index in range(60):
+        rng, ref = new_stream(SEED, "1e0a9b12", index), new_stream(SEED, "1e0a9b12", index)
+        expected, tries = reference_gravity(size, ref)
+        assert (generate(size=size, rng=rng), rng.state) == (expected, ref.state), index
+        attempts.append(tries)
+    if size == 3:
+        # Some index draws an attempt whose every column is already settled.
+        assert max(attempts) > 1

@@ -2,13 +2,14 @@
 
 A grid is a rectangular array of color codes 0-9 with at most 30 cells
 per side, the native shape of ARC-style task files. Rows are exposed
-directly, so generator code can write cells with ``g[r][c] = color``
-while a grid is being built; once a grid has been handed out inside an
+directly, so code can write cells with ``g[r][c] = color`` while a grid
+is being built; once a grid has been handed out inside an
 :class:`Example` it is treated as a value and must not be mutated.
 """
 
 from __future__ import annotations
 
+from _thread import allocate_lock  # loaded with the interpreter, unlike threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -36,6 +37,8 @@ _ROW_TYPES = frozenset((list, tuple))
 _CELL_TYPES = frozenset((int,))
 _COLORS = frozenset(range(10))
 _COLOR_BYTES = bytes(range(10))
+_SHAPE_ERROR = f"grid rows are not 1 to {MAX_SIDE} rows of 1 to {MAX_SIDE} cells"
+_ROWS_LOCK = allocate_lock()  # builds a grid's rows from its cells once, whoever reads first
 
 
 def _check_cells(rows, width: int) -> None:
@@ -71,15 +74,15 @@ class Grid:
     rectangular), :class:`TaskSet`, which keeps each example's grids as
     their checked cells, the ``verifier`` of 05269061 and 543a7ed5, which
     runs on a grid's checked cells, and a judge program's result that is
-    not a ``Grid`` (which ``evaluate`` passes to it). ``copy()``, the examples
-    read from a task set or generated and the bundled generators and
-    verifiers build from cells that were already checked, so they wrap
-    fresh row lists without checking them again. A grid is written,
-    judged and checked against its task's verifier as its cells
-    (``_cells``), which read each cell by its integer value.
+    not a ``Grid`` (which ``evaluate`` passes to it). ``copy()``, the bundled
+    verifiers and the grids of checked cells (``_grid``: the examples that
+    generators paint or a task set holds) skip the checks; a grid of cells
+    keeps its cells, and builds its rows in one C call when first read.
+    A grid is written, judged and checked against its task's verifier as
+    its cells (``_cells``), which read each cell by its integer value.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_data")
 
     def __init__(self, rows) -> None:
         if not isinstance(rows, (list, tuple)) or not rows:
@@ -103,6 +106,7 @@ class Grid:
         ):
             _check_cells(rows, width)
         self._rows = list(map(list, rows))
+        self._data = None
 
     @classmethod
     def _of(cls, rows: list[list[int]]) -> "Grid":
@@ -113,7 +117,18 @@ class Grid:
         """
         grid = object.__new__(cls)
         grid._rows = rows
+        grid._data = None
         return grid
+
+    def __getattr__(self, name: str):  # runs only while a slot is unset
+        if name != "_rows":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with _ROWS_LOCK:  # a second reader finds the rows the first one built
+            if self._data is not None:
+                height, width, data = self._data
+                self._rows = memoryview(data).cast("B", (height, width)).tolist()
+                self._data = None  # the rows may change from here on
+        return self._rows
 
     @property
     def height(self) -> int:
@@ -135,6 +150,8 @@ class Grid:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
+        if self._data is not None and other._data is not None:
+            return self._data == other._data
         return self._rows == other._rows
 
     def __repr__(self) -> str:
@@ -189,9 +206,10 @@ Cells = tuple[int, int, bytes]
 
 
 def _grid(cells: Cells) -> Grid:
-    """The grid of checked cells; its rows come from one C call."""
-    height, width, data = cells
-    return Grid._of(memoryview(data).cast("B", (height, width)).tolist())
+    """The grid of checked cells, held until its rows are read; it owns a painted bytearray."""
+    grid = object.__new__(Grid)
+    grid._data = cells
+    return grid
 
 
 def _example(pair: tuple[Cells, Cells]) -> Example:
@@ -200,23 +218,30 @@ def _example(pair: tuple[Cells, Cells]) -> Example:
 
 
 def _cells(grid: Grid) -> Cells:
-    """A grid's checked cells, its rows joined once (``bytearray(row)``, by value).
+    """A grid's checked cells: those it was made from if its rows were never
+    read, shape and bytes checked again, else its rows joined once, by value.
 
-    It checks rows that may have been mutated since construction, among
-    them those of a :class:`TaskSet`'s examples, of a grid given to the
-    ``verifier`` of 05269061 or 543a7ed5 and of a judged program's result.
-    Rows out of the grid contract (ragged or empty rows, a cell that is not
-    an integer or lies outside 0-9) raise ``ValueError`` naming the first
-    bad row or cell, while a mutated-in ``bool`` or other integer-like cell
-    (a NumPy integer, say) is read as its value.
+    Joined rows may have been mutated, such as those of a :class:`TaskSet`'s
+    examples, of a grid given to the ``verifier`` of 05269061 or 543a7ed5 and
+    of a judged program's result. Rows out of the grid contract (ragged or
+    empty rows, a cell that is not an integer or lies outside 0-9) and held
+    bytes outside 0-9 raise ``ValueError`` naming the first bad row or cell;
+    a mutated-in ``bool`` or integer-like cell (a NumPy integer) is read as its value.
     """
+    cells = grid._data
+    if cells is not None:
+        height, width, data = cells
+        if not (0 < height <= MAX_SIDE and 0 < width <= MAX_SIDE and len(data) == height * width):
+            raise ValueError(_SHAPE_ERROR)
+        if not data.translate(None, _COLOR_BYTES):
+            return cells
     rows = list(grid)
     try:
         width = len(rows[0])
         # bytearray, not bytes: the same cells pass, and faster from a list.
         data = b"".join(map(bytearray, rows))
         if not 0 < width <= MAX_SIDE or set(map(len, rows)) != {width}:
-            raise ValueError(f"grid rows are not 1 to {MAX_SIDE} rows of 1 to {MAX_SIDE} cells")
+            raise ValueError(_SHAPE_ERROR)
         if data.translate(None, _COLOR_BYTES):
             raise ValueError("grid cell is not a color code")
     except (TypeError, ValueError):

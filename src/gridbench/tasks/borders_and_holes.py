@@ -20,7 +20,7 @@ from functools import lru_cache
 from ..errors import GenerationError, VerifierDomainError, check_int, check_ints
 from ..framework import MAX_ATTEMPTS
 from ..grid import CYAN, GREEN, MAX_SIDE, PINK, YELLOW, Cells, Example, Grid, TaskSet
-from ..grid import _cells, _grid, _via_grid
+from ..grid import _cells, _example, _grid, _via_grid
 
 TASK_ID = "543a7ed5"
 
@@ -76,16 +76,16 @@ def generate(
     else:
         colors = _checked_layout(rows, cols, widths, heights, colors, boxes, size)
 
-    grid = [[CYAN] * size for _ in range(size)]
-    out = [[CYAN] * size for _ in range(size)]
+    grid = bytearray((CYAN,)) * (size * size)
+    out = bytearray(grid)
     for i, (row, col, width, height, color) in enumerate(zip(rows, cols, widths, heights, colors)):
         if i < boxes:  # the green ring, whose middle the rectangle then covers
             for r in range(row - 1, row + height + 1):
-                out[r][col - 1 : col + width + 1] = [GREEN] * (width + 2)
-        for r in range(row, row + height):
-            grid[r][col : col + width] = [color if i < boxes else CYAN] * width
-            out[r][col : col + width] = [color] * width
-    return Example(input=Grid._of(grid), output=Grid._of(out))
+                out[r * size + col - 1 : r * size + col + width + 1] = bytes((GREEN,)) * (width + 2)
+        for at in range(row * size + col, (row + height) * size, size):
+            grid[at : at + width] = bytes((color if i < boxes else CYAN,)) * width
+            out[at : at + width] = bytes((color,)) * width
+    return _example(((size, size, grid), (size, size, out)))
 
 
 def _sample_layout(boxes, size, box_colors, rng):

@@ -8,7 +8,7 @@ yellow while the crossing itself keeps its color.
 from __future__ import annotations
 
 from ..errors import VerifierDomainError, check_int
-from ..grid import YELLOW, Cells, Example, Grid, _via_grid
+from ..grid import YELLOW, Cells, Example, Grid, _example, _via_grid
 
 TASK_ID = "67a423a3"
 
@@ -34,17 +34,14 @@ def generate(size=None, row=None, col=None, row_color=None, col_color=None, rng=
     if row_color == col_color:
         raise ValueError("row_color and col_color must differ")
 
-    grid_rows = [[0] * size for _ in range(size)]
-    for c in range(size):
-        grid_rows[row][c] = row_color
-    for r in range(size):
-        grid_rows[r][col] = col_color
-    out_rows = [list(r) for r in grid_rows]
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr or dc:
-                out_rows[row + dr][col + dc] = YELLOW
-    return Example(input=Grid._of(grid_rows), output=Grid._of(out_rows))
+    grid = bytearray(size * size)
+    grid[row * size : row * size + size] = bytes((row_color,)) * size
+    grid[col::size] = bytes((col_color,)) * size
+    out = bytearray(grid)
+    for r in (row - 1, row + 1):
+        out[r * size + col - 1 : r * size + col + 2] = bytes((YELLOW,)) * 3
+    out[row * size + col - 1] = out[row * size + col + 1] = YELLOW
+    return _example(((size, size, grid), (size, size, out)))
 
 
 def _reference(grid: Grid) -> Grid:

@@ -9,7 +9,7 @@ complete pattern.
 from __future__ import annotations
 
 from ..errors import check_int, check_ints
-from ..grid import Cells, Example, Grid, _cells, _grid, _via_grid
+from ..grid import Cells, Example, Grid, _cells, _example, _grid, _via_grid
 
 TASK_ID = "05269061"
 
@@ -38,17 +38,17 @@ def generate(size=None, colors=None, bands=None, corner=None, rng=None) -> Examp
     hi = lo + band
     # Input row r shows output row r only at the columns c with
     # lo <= r + c < hi; rows outside lo - size < r < hi meet no such column.
-    out_rows = _stripes(colors, size, size)
-    grid_rows = [[0] * size for _ in out_rows]
+    out = b"".join(_stripes(bytes(colors), size, size))
+    grid = bytearray(size * size)
     for r in range(max(0, lo - size + 1), min(size, hi)):
-        start, stop = max(0, lo - r), min(size, hi - r)
-        grid_rows[r][start:stop] = out_rows[r][start:stop]
-    return Example(input=Grid._of(grid_rows), output=Grid._of(out_rows))
+        start, stop = r * size + max(0, lo - r), r * size + min(size, hi - r)
+        grid[start:stop] = out[start:stop]
+    return _example(((size, size, grid), (size, size, out)))
 
 
-def _stripes(colors, h: int, w: int) -> list:
-    """Fresh rows of the full pattern, slices of ``colors`` (a list or bytes)
-    repeated: cell (r, c) holds ``colors[(r + c) % 3]``."""
+def _stripes(colors: bytes, h: int, w: int) -> list:
+    """The rows of the full pattern, slices of ``colors`` repeated: cell
+    (r, c) holds ``colors[(r + c) % 3]``."""
     period = colors * (w // 3 + 2)
     return [period[r % 3 : r % 3 + w] for r in range(h)]
 

@@ -97,6 +97,23 @@ def _cells(grid):
 
 
 @pytest.mark.parametrize("task_id", task_ids())
+def test_checked_cells_are_the_joined_rows(task_id):
+    # Generation writes and checks a grid's cells (grid._cells), which a
+    # generator may paint, while a reader sees its rows: the two must agree,
+    # at default parameters and at the largest size.
+    gen = lookup(task_id)
+    runs = [{}]
+    if "size" in params(task_id):
+        runs.append({"size": _largest_size(gen)})
+    for overrides in runs:
+        for index in range(40):
+            example = gen.generate(rng=new_stream(SEED, task_id, index), **overrides)
+            for grid in (example.input, example.output):
+                checked = gridbench.grid._cells(grid)  # before any row is read
+                assert checked == _cells(grid)
+
+
+@pytest.mark.parametrize("task_id", task_ids())
 def test_cells_verifier_gives_the_output_cells(task_id):
     # evaluate judges a task's verifier by its verify_cells on a canonical file.
     gen = lookup(task_id)

@@ -1,11 +1,13 @@
 """Grid, palette, and container behavior."""
 
+import sys
+import threading
 from enum import IntEnum
 
 import pytest
 
 from gridbench import PALETTE, Example, Grid, TaskSet, render_text
-from gridbench.grid import _check_cells
+from gridbench.grid import _SHAPE_ERROR, _cells, _check_cells, _grid
 from gridbench.rng import new_stream
 
 
@@ -161,3 +163,106 @@ def test_task_set_equality():
     a = TaskSet(train=[Example(g, h)], test=[Example(h, g)])
     b = TaskSet(train=[Example(Grid([[1]]), Grid([[2]]))], test=[Example(Grid([[2]]), Grid([[1]]))])
     assert a == b
+
+
+def _rows_built(grid):
+    """Whether the grid's rows exist, read without building them."""
+    try:
+        Grid._rows.__get__(grid, Grid)
+    except AttributeError:
+        return False
+    return True
+
+
+CELLS = (2, 3, bytes([0, 1, 2, 7, 8, 9]))
+ROWS = [[0, 1, 2], [7, 8, 9]]
+
+
+@pytest.mark.parametrize("data", [CELLS[2], bytearray(CELLS[2])])
+def test_grid_of_cells_gives_its_cells_without_building_rows(data):
+    cells = (2, 3, data)
+    g = _grid(cells)
+    assert _cells(g) is cells
+    assert g == _grid((2, 3, bytes(data)))
+    assert not _rows_built(g)
+
+
+def test_grid_of_cells_shows_a_write_to_its_rows():
+    g = _grid(CELLS)
+    g[0][0] = 5
+    assert _rows_built(g)
+    assert _cells(g) == (2, 3, bytes([5, 1, 2, 7, 8, 9]))
+    assert g != _grid(CELLS)
+    assert _grid(CELLS) == Grid(ROWS)
+
+
+def test_grid_of_cells_raises_as_its_rows_would():
+    bad = [[0, 1, 2], [10, 8, 9]]
+    with pytest.raises(ValueError) as joined:
+        _cells(Grid._of(bad))
+    with pytest.raises(ValueError) as held:
+        _cells(_grid((2, 3, bytes([0, 1, 2, 10, 8, 9]))))
+    assert str(held.value) == str(joined.value)
+    assert str(held.value) == "cell (1, 0) holds 10, not a color code in [0, 9]"
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        (2, 3, bytes(5)),
+        (2, 3, bytes(7)),
+        (1, 6, bytes(5)),
+        (0, 3, b""),
+        (1, 31, bytes(31)),
+        (31, 1, bytes(31)),
+    ],
+)
+def test_grid_of_cells_of_the_wrong_shape_raises_the_shape_error(cells):
+    # The text the row join raises for rows that are not a grid's shape.
+    with pytest.raises(ValueError) as info:
+        _cells(_grid(cells))
+    assert str(info.value) == _SHAPE_ERROR
+
+
+def test_grid_of_cells_agrees_with_the_grid_of_its_rows():
+    g, h = _grid(CELLS), Grid(ROWS)
+    assert repr(g) == repr(h) == "Grid([[0, 1, 2], [7, 8, 9]])"
+    assert (len(g), g.height, g.width) == (len(h), h.height, h.width) == (2, 2, 3)
+    assert g.to_lists() == h.to_lists() == ROWS
+    assert list(g) == list(h) and g == h and h == g
+    c = _grid(CELLS).copy()
+    assert c == h and type(c) is Grid
+    c[1][2] = 0
+    assert _cells(c) == (2, 3, bytes([0, 1, 2, 7, 8, 0]))
+    assert g == h and _cells(g) == CELLS
+    copies = _grid(CELLS).to_lists()
+    copies[0][0] = 9
+    assert g == h
+
+
+def test_threads_reading_a_fresh_grid_get_the_same_rows():
+    # Rows built twice would let a write through one thread's rows go missing.
+    # More readers than cores, switching threads as often as the interpreter
+    # allows, let a second reader in while the first one builds the rows.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            g = _grid((30, 30, bytes(range(10)) * 90))
+            start = threading.Barrier(4)
+            seen = []
+
+            def read():
+                start.wait(timeout=10)
+                seen.append(g[0])
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(seen) == 4 and all(rows is seen[0] for rows in seen)
+            assert seen[0] == list(range(10)) * 3
+    finally:
+        sys.setswitchinterval(interval)

@@ -90,7 +90,9 @@ COMMAND_LINES = [
     *(
         ["--task", "67a423a3", "--set", "size=30", "--set", f"row={row}", "--set", f"col={col}",
          "--set", f"row_color={row_color}", "--set", f"col_color={col_color}", "--count", "20"]
-        for row, col, row_color, col_color in ((1, 1, 1, 9), (28, 28, 9, 1), (1, 28, 9, 1), (28, 1, 1, 9))
+        for row, col, row_color, col_color in (
+            (1, 1, 1, 9), (28, 28, 9, 1), (1, 28, 9, 1), (28, 1, 1, 9)
+        )
     ),
     ["--task", "67a423a3", "--set", "size=3", "--set", "row=1", "--set", "col=1", "--count", "20"],
     ["--task", "67a423a3", "--set", "row=1", "--set", "row_color=9", "--count", "20"],

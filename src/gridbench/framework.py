@@ -4,9 +4,11 @@ A task couples a parameterized example generator with a reference
 verifier implementing the same transformation. Generators accept their
 parameters as keyword arguments; anything left unspecified is sampled
 from the per-example random stream, subject to the task's layout
-constraints. The verifier doubles as the correctness oracle: every
-generated example's input cells must give its output cells under the
-task's ``verify_cells``, or under ``verifier`` for a task without one.
+constraints. A task defines the transformation once, on cells
+(``verify_cells``), and :func:`register` derives its ``Grid`` entry
+(``verifier``) unless it defines one. The verifier doubles as the
+correctness oracle: every generated example's input cells must give its
+output cells under ``verify_cells``, or ``verifier`` for a task without one.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import partial
 from types import ModuleType
 
 from .errors import VerificationError, VerifierDomainError, check_int, shown
-from .grid import Cells, Example, _cells, _example, _via_grid
+from .grid import Cells, Example, Grid, _cells, _example, _grid, _via_grid
 from .rng import new_stream
 
 # Retry budget for constraint-satisfying layout sampling. Exhausting it
@@ -27,17 +29,28 @@ MAX_ATTEMPTS = 10_000
 
 
 # Task id -> (task, the parameter names its ``generate`` declares, its
-# ``verifier``), read once at registration, so a wrapper installed over
-# ``generate`` later keeps them, one over ``verifier`` is judged as given,
-# and generation checks with the registered ``verifier`` (``_on_cells``).
+# ``verifier``, given or derived), read once at registration, so a wrapper
+# installed over ``generate`` later keeps them, one over ``verifier`` is
+# judged as given, and generation checks with the registered ``verifier``
+# (``_on_cells``).
 _REGISTRY: dict[str, tuple[ModuleType, tuple[str, ...], Callable]] = {}
 
 
 def register(task: ModuleType) -> None:
-    """Add a task module, or any object with the same names; ids must be unique."""
+    """Add a task module, or any object with the same names; ids must be unique.
+    A task with ``verify_cells`` and no ``verifier`` gets, as ``verifier``,
+    ``verify_cells`` (looked up at each call) on a grid's checked cells."""
     if task.TASK_ID in _REGISTRY:
         raise ValueError(f"task {task.TASK_ID!r} is already registered")
     names = tuple(name for name in inspect.signature(task.generate).parameters if name != "rng")
+    if not hasattr(task, "verifier"):
+        if not hasattr(task, "verify_cells"):
+            raise ValueError(f"task {task.TASK_ID!r} defines neither verify_cells nor verifier")
+
+        def verifier(grid: Grid) -> Grid:
+            return _grid(task.verify_cells(_cells(grid)))
+
+        task.verifier = verifier
     _REGISTRY[task.TASK_ID] = (task, names, task.verifier)
 
 
@@ -49,7 +62,8 @@ def _entry(task_id: str) -> tuple[ModuleType, tuple[str, ...], Callable]:
 
 
 def lookup(task_id: str) -> ModuleType:
-    """The registered task: ``TASK_ID``, ``generate``, ``verifier`` and maybe ``validate``."""
+    """The registered task: ``TASK_ID``, ``generate``, ``verifier`` (given or
+    derived), and maybe ``verify_cells`` and ``validate``."""
     return _entry(task_id)[0]
 
 

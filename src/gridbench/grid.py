@@ -72,9 +72,10 @@ class Grid:
     ``load_task_file`` (which calls it, except on a file whose canonical
     layout already proves every cell a digit and every grid
     rectangular), :class:`TaskSet`, which keeps each example's grids as
-    their checked cells, the ``verifier`` of 05269061 and 543a7ed5, which
-    runs on a grid's checked cells, and a judge program's result that is
-    not a ``Grid`` (which ``evaluate`` passes to it). ``copy()``, the bundled
+    their checked cells, every ``verifier`` that ``register`` derives from a
+    task's ``verify_cells`` (each bundled task's but 67a423a3's), which runs
+    on a grid's checked cells, and a judge program's result that is not a
+    ``Grid`` (which ``evaluate`` passes to it). ``copy()``, the bundled
     verifiers and the grids of checked cells (``_grid``: the examples that
     generators paint or a task set holds) skip the checks; a grid of cells
     keeps its cells, and builds its rows in one C call when first read.
@@ -222,7 +223,7 @@ def _cells(grid: Grid) -> Cells:
     read, shape and bytes checked again, else its rows joined once, by value.
 
     Joined rows may have been mutated, such as those of a :class:`TaskSet`'s
-    examples, of a grid given to the ``verifier`` of 05269061 or 543a7ed5 and
+    examples, of a grid given to a ``verifier`` that ``register`` derived and
     of a judged program's result. Rows out of the grid contract (ragged or
     empty rows, a cell that is not an integer or lies outside 0-9) and held
     bytes outside 0-9 raise ``ValueError`` naming the first bad row or cell;

@@ -20,7 +20,7 @@ from functools import lru_cache
 from ..errors import GenerationError, VerifierDomainError, check_int, check_ints
 from ..framework import MAX_ATTEMPTS
 from ..grid import CYAN, GREEN, MAX_SIDE, PINK, YELLOW, Cells, Example, Grid, TaskSet
-from ..grid import _cells, _example, _grid, _via_grid
+from ..grid import _example, _grid, _via_grid
 
 TASK_ID = "543a7ed5"
 
@@ -292,11 +292,6 @@ def verify_cells(cells: Cells) -> Cells:
     if _crowded(boxes):
         return _via_grid(_reference, cells)
     return h, w, _paint(whole, h, w, bounds)
-
-
-def verifier(grid: Grid) -> Grid:
-    """The transformation on a ``Grid``: :func:`verify_cells` on its checked cells."""
-    return _grid(verify_cells(_cells(grid)))
 
 
 @lru_cache(maxsize=256)

@@ -9,7 +9,7 @@ complete pattern.
 from __future__ import annotations
 
 from ..errors import check_int, check_ints
-from ..grid import Cells, Example, Grid, _cells, _example, _grid, _via_grid
+from ..grid import Cells, Example, Grid, _example, _via_grid
 
 TASK_ID = "05269061"
 
@@ -74,11 +74,6 @@ def verify_cells(cells: Cells) -> Cells:
     # Row r of the pattern is row r % 3, so the cells repeat every three rows.
     block = b"".join(_stripes(bytes(seen[0] if seen else 0 for seen in classes), 3, w))
     return h, w, (block * (h // 3 + 1))[: h * w]
-
-
-def verifier(grid: Grid) -> Grid:
-    """The transformation on a ``Grid``: :func:`verify_cells` on its checked cells."""
-    return _grid(verify_cells(_cells(grid)))
 
 
 def _reference(grid: Grid) -> Grid:

@@ -8,9 +8,11 @@ from gridbench import (
     Example,
     GenerationError,
     Grid,
+    TaskScore,
     VerificationError,
     VerifierDomainError,
     emit_dataset,
+    evaluate,
     generate_examples,
     lookup,
     params,
@@ -20,6 +22,7 @@ from gridbench import (
 from gridbench import framework
 from gridbench.framework import _REGISTRY
 from gridbench.rng import new_stream
+from gridbench.tasks import crossing_marker
 from gridbench.tasks.borders_and_holes import _pink_components
 
 
@@ -73,6 +76,64 @@ def test_duplicate_registration_rejected():
             register(fake)
     finally:
         del _REGISTRY["ffffffff"]
+
+
+def _mirror_cells(cells):
+    # Each row reversed, on checked cells.
+    h, w, data = cells
+    return h, w, b"".join(data[i : i + w][::-1] for i in range(0, h * w, w))
+
+
+def _mirror_task(task_id):
+    """A task that defines its transformation on cells only, as ``verify_cells``."""
+
+    def generate(rng=None):
+        rows = [[rng.randint(0, 9) for _ in range(3)] for _ in range(2)]
+        return Example(Grid(rows), Grid([row[::-1] for row in rows]))
+
+    return SimpleNamespace(TASK_ID=task_id, generate=generate, verify_cells=_mirror_cells)
+
+
+def test_register_refuses_a_task_with_neither_verify_cells_nor_verifier(monkeypatch):
+    monkeypatch.setattr(framework, "_REGISTRY", dict(_REGISTRY))
+    task = SimpleNamespace(TASK_ID="fffffff9", generate=lambda rng=None: None)
+    with pytest.raises(ValueError, match=r"^task 'fffffff9' defines neither verify_cells nor verifier$"):
+        register(task)
+    assert "fffffff9" not in task_ids() and not hasattr(task, "verifier")
+
+
+def test_register_derives_the_grid_entry_from_verify_cells(monkeypatch):
+    monkeypatch.setattr(framework, "_REGISTRY", dict(_REGISTRY))
+    task = _mirror_task("fffffffb")
+    register(task)
+    verifier = lookup("fffffffb").verifier
+    assert verifier(Grid([[1, 2, 3], [4, 5, 0]])) == Grid([[3, 2, 1], [0, 5, 4]])
+    # Rows mutated out of the grid contract raise _cells' ValueError.
+    grid = Grid([[1, 2]])
+    grid[0][0] = 10
+    with pytest.raises(ValueError, match=r"^cell \(0, 0\) holds 10, not a color code in \[0, 9\]$"):
+        verifier(grid)
+    # The entry calls verify_cells as the task holds it at each call.
+    calls = []
+    monkeypatch.setattr(task, "verify_cells", lambda cells: calls.append(cells) or _mirror_cells(cells))
+    assert verifier(Grid([[7, 8]])) == Grid([[8, 7]])
+    assert calls == [(1, 2, bytes([7, 8]))]
+    # Judged as registered, the entry runs on cells.
+    assert framework._on_cells("fffffffb", verifier) is task.verify_cells
+
+
+def test_a_task_with_verify_cells_alone_generates_and_evaluates(tmp_path, monkeypatch):
+    monkeypatch.setattr(framework, "_REGISTRY", dict(_REGISTRY))
+    register(_mirror_task("fffffffa"))
+    assert len(list(generate_examples("fffffffa", 4, 1))) == 5
+    emit_dataset(["fffffffa"], 4, 1, tmp_path)
+    report = evaluate(tmp_path, {"fffffffa": lookup("fffffffa").verifier})
+    assert report.per_task == {"fffffffa": TaskScore(5, 5)}
+
+
+def test_a_task_that_defines_its_verifier_keeps_it():
+    # 67a423a3 defines verify_cells and its own verifier, the walk.
+    assert lookup("67a423a3").verifier is crossing_marker.verifier is crossing_marker._reference
 
 
 def test_fully_specified_generate_draws_nothing():

@@ -837,9 +837,9 @@ def test_cells_judge_and_grid_judge_give_the_same_score(tmp_path, monkeypatch, t
 
     by_grid = evaluate(tmp_path, {task_id: program}).per_task[task_id]
     assert len(grid_calls) == 7
-    # The Grid entries of 05269061 and 543a7ed5 run verify_cells too; the
-    # walks of 1e0a9b12 and 67a423a3 do not.
-    assert len(cells_calls) == 7 + 7 * (task.verifier is not task._reference)
+    # The Grid entries that register derives run verify_cells too; 67a423a3's
+    # walk, the one entry a task defines itself, does not.
+    assert len(cells_calls) == 7 + 7 * (task_id != "67a423a3")
     assert by_cells == by_grid == TaskScore(4, 7)
 
 

@@ -57,7 +57,11 @@ def _parse_scalar(raw: str) -> object:
 def _cmd_generate(args) -> int:
     if args.set and args.task is None:
         raise argparse.ArgumentError(None, "--set requires --task")
-    overrides = dict(_parse_override(item) for item in args.set)
+    overrides = {}
+    for key, value in map(_parse_override, args.set):
+        if key in overrides:
+            raise argparse.ArgumentError(None, f"--set {shown(key)} given more than once")
+        overrides[key] = value
     ids = [args.task] if args.task else task_ids()
     out_dir = Path(args.out)
     for task_id in emit_dataset(ids, args.count, args.seed, out_dir, overrides):
@@ -97,12 +101,17 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_render(args) -> int:
     if args.file is not None:
+        if args.seed is not None:
+            raise argparse.ArgumentError(None, "--seed requires --task")
+        split = args.split or "train"
         task_set = load_task_file(args.file)
-        pool = task_set.train if args.split == "train" else task_set.test
-        example = pool[check_int(f"{args.file}: {args.split} index", args.index, 0, len(pool) - 1)]
+        pool = task_set.train if split == "train" else task_set.test
+        example = pool[check_int(f"{args.file}: {split} index", args.index, 0, len(pool) - 1)]
     else:
+        if args.split is not None:
+            raise argparse.ArgumentError(None, "--split requires --file")
         index = check_int("example_index", args.index, 0, 2**64 - 1)
-        stream = generate_examples(args.task, max(index, 1), args.seed)
+        stream = generate_examples(args.task, max(index, 1), args.seed or 0)
         example = next(stream.block(index, index + 1))
     print("input:")
     print(render_text(example.input), end="")
@@ -158,8 +167,8 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--task", help="task id to generate from")
     source.add_argument("--file", help="task file to read instead of generating")
     ren.add_argument("--index", type=int, default=0, help="example index")
-    ren.add_argument("--split", choices=("train", "test"), default="train")
-    ren.add_argument("--seed", type=int, default=0, help="master seed (with --task)")
+    ren.add_argument("--split", choices=("train", "test"), help="split (with --file; default train)")
+    ren.add_argument("--seed", type=int, help="master seed (with --task; default 0)")
     ren.set_defaults(func=_cmd_render)
 
     lst = sub.add_parser("list", help="print registered task ids")

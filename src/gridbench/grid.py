@@ -1,15 +1,14 @@
 """Grids, the ten-color palette, and example/task containers.
 
 A grid is a rectangular array of color codes 0-9 with at most 30 cells
-per side, the native shape of ARC-style task files. Rows are exposed
-directly, so code can write cells with ``g[r][c] = color`` while a grid
-is being built; once a grid has been handed out inside an
-:class:`Example` it is treated as a value and must not be mutated.
+per side, the native shape of ARC-style task files. It is an immutable
+value over its checked cells, checked once when it is made: its rows read
+as tuples, and ``to_lists()`` gives mutable row lists to build another
+grid from.
 """
 
 from __future__ import annotations
 
-from _thread import allocate_lock  # loaded with the interpreter, unlike threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -38,7 +37,6 @@ _CELL_TYPES = frozenset((int,))
 _COLORS = frozenset(range(10))
 _COLOR_BYTES = bytes(range(10))
 _SHAPE_ERROR = f"grid rows are not 1 to {MAX_SIDE} rows of 1 to {MAX_SIDE} cells"
-_ROWS_LOCK = allocate_lock()  # builds a grid's rows from its cells once, whoever reads first
 
 
 def _check_cells(rows, width: int) -> None:
@@ -55,11 +53,15 @@ def _check_cells(rows, width: int) -> None:
 
 
 class Grid:
-    """Rectangular grid of color codes with value equality.
+    """Immutable rectangular grid of color codes, equal and hashed by value.
 
-    Construction copies and validates the given rows; indexing returns
-    the live row list, so ``g[r][c]`` both reads and writes a cell, and
-    ``for row in g`` iterates the live rows.
+    A grid holds its checked cells (:data:`Cells`) and nothing else, and is
+    checked once, when it is made: by this constructor, or by ``_grid`` for
+    cells (the examples that generators paint, that a task set or a loaded
+    file holds, and a ``verify_cells`` result). ``g[r]`` builds row ``r``
+    and ``for row in g`` builds each row, as tuples of ints, so a write
+    through a row raises ``TypeError``; ``to_lists()`` gives fresh, mutable
+    row lists to build another grid from. ``copy()`` returns the grid.
 
     Validation contract: ``rows`` is a non-empty list or tuple of 1 to
     30 rows, each a list or tuple of the same length (1 to 30), and
@@ -67,23 +69,9 @@ class Grid:
     ``IntEnum`` member, say) are accepted; ``bool`` is rejected, as are
     floats, strings and ``None``. A failure raises ``ValueError``
     naming the first bad row or cell in row-major order.
-
-    A grid is validated where its rows enter: this constructor,
-    ``load_task_file`` (which calls it, except on a file whose canonical
-    layout already proves every cell a digit and every grid
-    rectangular), :class:`TaskSet`, which keeps each example's grids as
-    their checked cells, every ``verifier`` that ``register`` derives from a
-    task's ``verify_cells`` (each bundled task's but 67a423a3's), which runs
-    on a grid's checked cells, and a judge program's result that is not a
-    ``Grid`` (which ``evaluate`` passes to it). ``copy()``, the bundled
-    verifiers and the grids of checked cells (``_grid``: the examples that
-    generators paint or a task set holds) skip the checks; a grid of cells
-    keeps its cells, and builds its rows in one C call when first read.
-    A grid is written, judged and checked against its task's verifier as
-    its cells (``_cells``), which read each cell by its integer value.
     """
 
-    __slots__ = ("_rows", "_data")
+    __slots__ = ("_data",)
 
     def __init__(self, rows) -> None:
         if not isinstance(rows, (list, tuple)) or not rows:
@@ -106,64 +94,49 @@ class Grid:
             and _COLORS.issuperset(chain.from_iterable(rows))
         ):
             _check_cells(rows, width)
-        self._rows = list(map(list, rows))
-        self._data = None
-
-    @classmethod
-    def _of(cls, rows: list[list[int]]) -> "Grid":
-        """Wrap freshly built row lists of checked cells, without checks.
-
-        The grid takes ownership of ``rows``: the caller must not keep
-        or share any of the lists.
-        """
-        grid = object.__new__(cls)
-        grid._rows = rows
-        grid._data = None
-        return grid
-
-    def __getattr__(self, name: str):  # runs only while a slot is unset
-        if name != "_rows":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        with _ROWS_LOCK:  # a second reader finds the rows the first one built
-            if self._data is not None:
-                height, width, data = self._data
-                self._rows = memoryview(data).cast("B", (height, width)).tolist()
-                self._data = None  # the rows may change from here on
-        return self._rows
+        # bytearray, not bytes: the same cells, and faster from a list.
+        self._data = height, width, b"".join(map(bytearray, rows))
 
     @property
     def height(self) -> int:
-        return len(self._rows)
+        return self._data[0]
 
     @property
     def width(self) -> int:
-        return len(self._rows[0])
+        return self._data[1]
 
-    def __getitem__(self, r: int) -> list[int]:
-        return self._rows[r]
+    def __getitem__(self, r):
+        height, width, data = self._data
+        start = range(0, height * width, width)[r]  # a list's negative indexes, slices and IndexError
+        if isinstance(start, range):
+            return tuple(tuple(data[s : s + width]) for s in start)
+        return tuple(data[start : start + width])
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._data[0]
 
-    def __iter__(self):
-        return iter(self._rows)
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        _, width, data = self._data
+        return zip(*[iter(data)] * width)  # one iterator read width cells at a time
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
-        if self._data is not None and other._data is not None:
-            return self._data == other._data
-        return self._rows == other._rows
+        return self._data == other._data
+
+    def __hash__(self) -> int:
+        return hash(self._data)
 
     def __repr__(self) -> str:
-        return f"Grid({self._rows!r})"
+        return f"Grid({self.to_lists()!r})"
 
     def copy(self) -> "Grid":
-        return Grid._of(list(map(list, self._rows)))
+        return self
 
     def to_lists(self) -> list[list[int]]:
-        """Plain list-of-lists copy, for callers that want mutable lists of ints."""
-        return [list(row) for row in self._rows]
+        """Fresh list-of-lists rows, for callers that want mutable lists of ints."""
+        height, width, data = self._data
+        return memoryview(data).cast("B", (height, width)).tolist()
 
 
 def render_text(g: Grid) -> str:
@@ -184,8 +157,7 @@ class TaskSet:
     """Ordered train and test examples for one task.
 
     Each split holds checked cells (:class:`LazyExamples`), whatever built it,
-    and compares, indexes and iterates as the tuple of its examples would;
-    the grids of examples given here are checked as ``_cells`` checks them.
+    and compares, indexes and iterates as the tuple of its examples would.
     """
 
     train: Sequence[Example]
@@ -207,9 +179,17 @@ Cells = tuple[int, int, bytes]
 
 
 def _grid(cells: Cells) -> Grid:
-    """The grid of checked cells, held until its rows are read; it owns a painted bytearray."""
+    """The grid of ``cells``, their shape and color codes checked; it keeps
+    the cells as ``bytes``, so a painted ``bytearray`` stays the painter's.
+    Cells out of shape raise ``ValueError`` with ``_SHAPE_ERROR``, and a byte
+    outside 0-9 one naming its cell, as the ``Grid`` of its rows would."""
+    height, width, data = cells
+    if not (0 < height <= MAX_SIDE and 0 < width <= MAX_SIDE and len(data) == height * width):
+        raise ValueError(_SHAPE_ERROR)
+    if data.translate(None, _COLOR_BYTES):
+        _check_cells(memoryview(data).cast("B", (height, width)).tolist(), width)  # raises
     grid = object.__new__(Grid)
-    grid._data = cells
+    grid._data = height, width, bytes(data)
     return grid
 
 
@@ -219,36 +199,8 @@ def _example(pair: tuple[Cells, Cells]) -> Example:
 
 
 def _cells(grid: Grid) -> Cells:
-    """A grid's checked cells: those it was made from if its rows were never
-    read, shape and bytes checked again, else its rows joined once, by value.
-
-    Joined rows may have been mutated, such as those of a :class:`TaskSet`'s
-    examples, of a grid given to a ``verifier`` that ``register`` derived and
-    of a judged program's result. Rows out of the grid contract (ragged or
-    empty rows, a cell that is not an integer or lies outside 0-9) and held
-    bytes outside 0-9 raise ``ValueError`` naming the first bad row or cell;
-    a mutated-in ``bool`` or integer-like cell (a NumPy integer) is read as its value.
-    """
-    cells = grid._data
-    if cells is not None:
-        height, width, data = cells
-        if not (0 < height <= MAX_SIDE and 0 < width <= MAX_SIDE and len(data) == height * width):
-            raise ValueError(_SHAPE_ERROR)
-        if not data.translate(None, _COLOR_BYTES):
-            return cells
-    rows = list(grid)
-    try:
-        width = len(rows[0])
-        # bytearray, not bytes: the same cells pass, and faster from a list.
-        data = b"".join(map(bytearray, rows))
-        if not 0 < width <= MAX_SIDE or set(map(len, rows)) != {width}:
-            raise ValueError(_SHAPE_ERROR)
-        if data.translate(None, _COLOR_BYTES):
-            raise ValueError("grid cell is not a color code")
-    except (TypeError, ValueError):
-        Grid(rows)  # names the first bad row or cell
-        raise
-    return len(rows), width, data
+    """A grid's checked cells, read as they are: the grid checked them when it was made."""
+    return grid._data
 
 
 def _via_grid(verify, cells: Cells) -> Cells:
@@ -262,7 +214,7 @@ class LazyExamples(Sequence):
     """Read-only examples held as the checked cells of their grids.
 
     Each ``Example`` is built when it is read, so only the examples in
-    use hold row lists, and reading one twice gives two equal examples.
+    use hold grids, and reading one twice gives two equal examples.
     It equals the tuple of its examples.
     """
 

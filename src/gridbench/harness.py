@@ -18,8 +18,8 @@ frame and keeping the cells of its even slots. Every other file is
 decoded as UTF-8, goes through ``json.loads`` and is validated element
 by element into the same cells. The whole file is checked before any
 example is built; ``evaluate`` holds a file's cells, judges a bundled
-verifier on them and builds the row lists of one example at a time for
-any other program.
+verifier on them and builds the grids of one example at a time for any
+other program.
 """
 
 from __future__ import annotations
@@ -372,8 +372,9 @@ def _judge(run: Callable[[Cells], Cells], task_set: TaskSet) -> tuple[int, int]:
     too, but not ``KeyboardInterrupt``) or returns a result that is not a valid grid.
 
     Each result is compared with the expected output as cells, shape and
-    bytes. A program lifted through a ``Grid`` gets an input ``Grid`` built
-    just before its call and may modify it, since each input is built afresh.
+    bytes. A program lifted through a ``Grid`` gets the input as a ``Grid``,
+    an immutable value: a write to it raises ``TypeError`` and fails the
+    example, and ``to_lists()`` gives rows the program may edit and return.
     """
     passed = 0
     for given, expected in (*task_set.train._pairs, *task_set.test._pairs):

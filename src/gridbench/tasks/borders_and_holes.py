@@ -20,7 +20,7 @@ from functools import lru_cache
 from ..errors import GenerationError, VerifierDomainError, check_int, check_ints
 from ..framework import MAX_ATTEMPTS
 from ..grid import CYAN, GREEN, MAX_SIDE, PINK, YELLOW, Cells, Example, Grid, TaskSet
-from ..grid import _example, _grid, _via_grid
+from ..grid import _cells, _example, _grid, _via_grid
 
 TASK_ID = "543a7ed5"
 
@@ -309,8 +309,8 @@ def _masks(w: int, width: int, height: int) -> tuple[int, int, int]:
 def _reference(grid: Grid) -> Grid:
     """The transformation cell by cell: the reference walk, which raises
     VerifierDomainError for every grid outside the domain."""
+    h, w, data = _cells(grid)
     rows = list(grid)
-    h, w = len(rows), len(rows[0])
     for r, row in enumerate(rows):
         if not _CYAN_PINK.issuperset(row):
             c, value = next((c, v) for c, v in enumerate(row) if v not in _CYAN_PINK)
@@ -328,7 +328,6 @@ def _reference(grid: Grid) -> Grid:
             or any(rows[r][c0] != PINK or rows[r][c1] != PINK for r in range(r0, r1 + 1))
         ):
             raise VerifierDomainError("pink component is not rectangular")
-    data = b"".join(map(bytes, rows))
     return _grid((h, w, _paint(int.from_bytes(data, "little"), h, w, bounds)))
 
 

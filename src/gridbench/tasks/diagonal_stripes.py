@@ -9,7 +9,7 @@ complete pattern.
 from __future__ import annotations
 
 from ..errors import check_int, check_ints
-from ..grid import Cells, Example, Grid, _example, _via_grid
+from ..grid import Cells, Example, Grid, _example, _grid, _via_grid
 
 TASK_ID = "05269061"
 
@@ -97,4 +97,4 @@ def _reference(grid: Grid) -> Grid:
                     carry[(r + c) % 3] = value
                 else:
                     row[c] = carry[(r + c) % 3]
-    return Grid._of(rows)
+    return _grid((len(rows), len(rows[0]), b"".join(map(bytearray, rows))))

@@ -98,38 +98,6 @@ def test_save_matches_json_dumps_for_int_enum_cells(tmp_path):
     assert load_task_file(path) == task_set
 
 
-@pytest.mark.parametrize(
-    ("mutate", "message"),
-    [
-        (lambda rows: rows[0].__setitem__(1, 10), "cell (0, 1) holds 10, not a color code in [0, 9]"),
-        (lambda rows: rows[1].__setitem__(0, -1), "cell (1, 0) holds -1, not a color code in [0, 9]"),
-        (lambda rows: rows[1].__setitem__(1, 1.0), "cell (1, 1) holds 1.0, not a color code in [0, 9]"),
-        (lambda rows: rows[0].__setitem__(0, None), "cell (0, 0) holds None, not a color code in [0, 9]"),
-        # The byte values of the row break and of the separators, and one
-        # that is not a byte, must not pass as cells either.
-        (lambda rows: rows[1].__setitem__(0, 10), "cell (1, 0) holds 10, not a color code in [0, 9]"),
-        (lambda rows: rows[0].__setitem__(1, 44), "cell (0, 1) holds 44, not a color code in [0, 9]"),
-        (lambda rows: rows[1].__setitem__(1, 91), "cell (1, 1) holds 91, not a color code in [0, 9]"),
-        (lambda rows: rows[0].__setitem__(0, 93), "cell (0, 0) holds 93, not a color code in [0, 9]"),
-        (lambda rows: rows[1].__setitem__(1, 256), "cell (1, 1) holds 256, not a color code in [0, 9]"),
-        (lambda rows: rows[1].append(3), "row 1 is not a list of 2 cells"),
-        (lambda rows: rows[0].clear(), "grid dimensions 2x0 outside [1, 30]"),
-    ],
-)
-def test_save_rejects_grids_mutated_outside_the_contract(tmp_path, mutate, message):
-    path = tmp_path / "t.json"
-    grid = Grid([[1, 2], [3, 4]])
-    save_task_file(path, TaskSet(train=[Example(grid, grid)], test=[Example(grid, grid)]))
-    before = path.read_bytes()
-    bad = Grid([[1, 2], [3, 4]])
-    mutate(list(bad))
-    with pytest.raises(ValueError) as info:
-        save_task_file(path, TaskSet(train=[Example(grid, grid)], test=[Example(grid, bad)]))
-    assert str(info.value) == message
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
-
-
 class Index:
     """An integer-like cell that is not an ``int``, as a NumPy integer is."""
 
@@ -140,18 +108,38 @@ class Index:
         return self.value
 
 
-@pytest.mark.parametrize("cell", [True, Index(7)], ids=["bool", "index"])
-def test_save_writes_mutated_in_integer_like_cells_as_their_digit(tmp_path, cell):
-    # Cell types are not checked again on save; such a cell is written by
-    # its integer value, so the file still loads.
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda rows: rows[0].__setitem__(1, 10),
+        lambda rows: rows[1].__setitem__(0, -1),
+        lambda rows: rows[1].__setitem__(1, 1.0),
+        lambda rows: rows[0].__setitem__(0, None),
+        # The byte values of the row break and of the separators, and one
+        # that is not a byte.
+        lambda rows: rows[0].__setitem__(1, 44),
+        lambda rows: rows[1].__setitem__(1, 91),
+        lambda rows: rows[0].__setitem__(0, 93),
+        lambda rows: rows[1].__setitem__(1, 256),
+        # Integer-like cells that are not color codes of type int.
+        lambda rows: rows[1].__setitem__(0, True),
+        lambda rows: rows[1].__setitem__(0, Index(7)),
+        lambda rows: rows[1].append(3),
+        lambda rows: rows[0].clear(),
+    ],
+)
+def test_a_write_through_rows_raises_and_save_writes_the_grid_as_made(tmp_path, mutate):
+    # Rows are tuples: a write raises, and the grid keeps the cells it was made with.
     path = tmp_path / "t.json"
     grid = Grid([[1, 2], [3, 4]])
+    save_task_file(path, TaskSet(train=[Example(grid, grid)], test=[Example(grid, grid)]))
+    before = path.read_bytes()
     bad = Grid([[1, 2], [3, 4]])
-    list(bad)[1][0] = cell
+    with pytest.raises((TypeError, AttributeError)):
+        mutate(list(bad))
     save_task_file(path, TaskSet(train=[Example(grid, grid)], test=[Example(grid, bad)]))
-    value = cell.__index__()
-    assert path.read_text(encoding="ascii").endswith(f'"output":[[1,2],[{value},4]]}}]}}')
-    assert load_task_file(path).test[0].output == Grid([[1, 2], [value, 4]])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
 
 def test_canonical_file_is_read_without_json(tmp_path, monkeypatch):

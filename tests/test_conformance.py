@@ -66,10 +66,10 @@ def _largest_size(gen):
 
 
 @pytest.mark.parametrize("task_id", task_ids())
-def test_examples_meet_the_grid_contract_and_own_their_rows(task_id):
-    # Generators and verifiers wrap their rows unchecked, so the checked
-    # constructor must accept every grid they make, and no two grids may
-    # share a row: a write through one must never show in another.
+def test_examples_meet_the_grid_contract_and_are_values(task_id):
+    # Generators and verifiers make grids of checked cells, so the checked
+    # constructor must accept every grid they make, and a write through a
+    # row must raise and never show in a grid.
     gen = lookup(task_id)
     runs = [{}]
     if "size" in params(task_id):
@@ -79,17 +79,15 @@ def test_examples_meet_the_grid_contract_and_own_their_rows(task_id):
             example = gen.generate(rng=new_stream(SEED, task_id, index), **overrides)
             for grid in (example.input, example.output):
                 assert Grid(grid.to_lists()) == grid
-            rows = [*example.input, *example.output]
-            assert len({id(row) for row in rows}) == len(rows)
 
             before = example.input.to_lists()
             result = gen.verifier(example.input)
-            assert result == example.output
-            rows = [*example.input, *result]
-            assert len({id(row) for row in rows}) == len(rows)
+            assert result == example.output and type(result) is Grid
             for row in result:
-                row[:] = [9] * len(row)
+                with pytest.raises(TypeError):
+                    row[:] = [9] * len(row)
             assert example.input.to_lists() == before
+            assert result == example.output
 
 
 def _cells(grid):

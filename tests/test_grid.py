@@ -6,7 +6,7 @@ from enum import IntEnum
 
 import pytest
 
-from gridbench import PALETTE, Example, Grid, TaskSet, render_text
+from gridbench import PALETTE, Example, Grid, TaskSet, lookup, render_text
 from gridbench.grid import _SHAPE_ERROR, _cells, _check_cells, _grid
 from gridbench.rng import new_stream
 
@@ -73,7 +73,8 @@ def test_grid_accepts_tuple_rows_and_int_subclasses():
 
     g = Grid(((Color.CYAN, 0), [1, Color.BLUE]))
     assert g == Grid([[8, 0], [1, 1]])
-    assert all(type(row) is list for row in g)
+    assert all(type(row) is tuple for row in g)
+    assert all(type(cell) is int for row in g for cell in row)
 
 
 def test_grid_whole_grid_checks_agree_with_cell_loop():
@@ -114,20 +115,36 @@ def test_grid_copies_input_rows():
     assert g[0][0] == 1
 
 
-def test_grid_copy_is_detached():
+def test_to_lists_is_detached_and_copy_is_the_grid():
     g = Grid([[1, 2], [3, 4]])
-    h = g.copy()
-    h[0][0] = 7
-    assert g[0][0] == 1
-    assert g != h
+    rows = g.to_lists()
+    assert rows == [[1, 2], [3, 4]] and all(type(row) is list for row in rows)
+    rows[0][0] = 7
+    assert g[0][0] == 1 and g.to_lists() == [[1, 2], [3, 4]]
+    assert g.to_lists() is not g.to_lists()
+    assert g.copy() == g and g.copy() is g
 
 
-def test_grid_copy_shares_no_row_list():
-    g = Grid([[1, 2, 3]] * 2 + [(4, 5, 6)])
-    h = g.copy()
-    assert h == g and type(h) is Grid
-    assert not {id(row) for row in h} & {id(row) for row in g}
-    assert all(type(row) is list for row in h)
+def _write_through_row(grid):
+    grid[0][0] = 5
+
+
+def _write_through_iteration(grid):
+    for row in grid:
+        row[0] = 5
+
+
+def _write_through_task_set(grid):
+    task_set = TaskSet(train=[Example(grid, grid)], test=[Example(grid, grid)])
+    task_set.train[0].input[0][0] = 5
+
+
+@pytest.mark.parametrize("write", [_write_through_row, _write_through_iteration, _write_through_task_set])
+def test_a_write_through_a_row_raises(write):
+    g = Grid([[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        write(g)
+    assert g == Grid([[1, 2], [3, 4]])
 
 
 def test_render_text_single_cell():
@@ -165,44 +182,25 @@ def test_task_set_equality():
     assert a == b
 
 
-def _rows_built(grid):
-    """Whether the grid's rows exist, read without building them."""
-    try:
-        Grid._rows.__get__(grid, Grid)
-    except AttributeError:
-        return False
-    return True
-
-
 CELLS = (2, 3, bytes([0, 1, 2, 7, 8, 9]))
 ROWS = [[0, 1, 2], [7, 8, 9]]
 
 
 @pytest.mark.parametrize("data", [CELLS[2], bytearray(CELLS[2])])
-def test_grid_of_cells_gives_its_cells_without_building_rows(data):
-    cells = (2, 3, data)
-    g = _grid(cells)
-    assert _cells(g) is cells
-    assert g == _grid((2, 3, bytes(data)))
-    assert not _rows_built(g)
-
-
-def test_grid_of_cells_shows_a_write_to_its_rows():
-    g = _grid(CELLS)
-    g[0][0] = 5
-    assert _rows_built(g)
-    assert _cells(g) == (2, 3, bytes([5, 1, 2, 7, 8, 9]))
-    assert g != _grid(CELLS)
-    assert _grid(CELLS) == Grid(ROWS)
+def test_grid_of_cells_keeps_them_as_bytes(data):
+    painted = bytearray(data)
+    g = _grid((2, 3, painted))
+    assert _cells(g) == CELLS and type(_cells(g)[2]) is bytes
+    painted[0] = 5  # the painter's bytearray is not the grid's
+    assert g == _grid(CELLS) == Grid(ROWS)
 
 
 def test_grid_of_cells_raises_as_its_rows_would():
-    bad = [[0, 1, 2], [10, 8, 9]]
-    with pytest.raises(ValueError) as joined:
-        _cells(Grid._of(bad))
+    with pytest.raises(ValueError) as rows:
+        Grid([[0, 1, 2], [10, 8, 9]])
     with pytest.raises(ValueError) as held:
-        _cells(_grid((2, 3, bytes([0, 1, 2, 10, 8, 9]))))
-    assert str(held.value) == str(joined.value)
+        _grid((2, 3, bytes([0, 1, 2, 10, 8, 9])))
+    assert str(held.value) == str(rows.value)
     assert str(held.value) == "cell (1, 0) holds 10, not a color code in [0, 9]"
 
 
@@ -218,9 +216,8 @@ def test_grid_of_cells_raises_as_its_rows_would():
     ],
 )
 def test_grid_of_cells_of_the_wrong_shape_raises_the_shape_error(cells):
-    # The text the row join raises for rows that are not a grid's shape.
     with pytest.raises(ValueError) as info:
-        _cells(_grid(cells))
+        _grid(cells)
     assert str(info.value) == _SHAPE_ERROR
 
 
@@ -229,21 +226,34 @@ def test_grid_of_cells_agrees_with_the_grid_of_its_rows():
     assert repr(g) == repr(h) == "Grid([[0, 1, 2], [7, 8, 9]])"
     assert (len(g), g.height, g.width) == (len(h), h.height, h.width) == (2, 2, 3)
     assert g.to_lists() == h.to_lists() == ROWS
-    assert list(g) == list(h) and g == h and h == g
-    c = _grid(CELLS).copy()
-    assert c == h and type(c) is Grid
-    c[1][2] = 0
-    assert _cells(c) == (2, 3, bytes([0, 1, 2, 7, 8, 0]))
-    assert g == h and _cells(g) == CELLS
-    copies = _grid(CELLS).to_lists()
-    copies[0][0] = 9
-    assert g == h
+    assert list(g) == list(h) == [(0, 1, 2), (7, 8, 9)] and g == h and h == g
+    assert (g[0], g[-1]) == ((0, 1, 2), (7, 8, 9))
+    assert (g[1:], g[::-1], g[5:]) == (((7, 8, 9),), ((7, 8, 9), (0, 1, 2)), ())
+    with pytest.raises(IndexError):
+        g[2]
+    assert _cells(g) == _cells(h) == CELLS
+    assert hash(g) == hash(h) and {g, h} == {g}
+    assert g != Grid([[0, 1, 2], [7, 8, 0]]) and g != ROWS
 
 
-def test_threads_reading_a_fresh_grid_get_the_same_rows():
-    # Rows built twice would let a write through one thread's rows go missing.
+@pytest.mark.parametrize("task_id", ["05269061", "1e0a9b12", "543a7ed5", "67a423a3"])
+def test_a_set_of_grids_holds_each_value_once(task_id):
+    # 05269061 and 67a423a3 repeat some of their smallest inputs.
+    inputs = [
+        lookup(task_id).generate(rng=new_stream(3, task_id, i)).input for i in range(300)
+    ]
+    distinct = []
+    for grid in inputs:
+        if not any(grid == other for other in distinct):
+            distinct.append(grid)
+    assert len(set(inputs)) == len(distinct)
+    assert len({Grid(grid.to_lists()) for grid in inputs}) == len(distinct)
+
+
+def test_threads_reading_a_fresh_grid_get_equal_rows():
+    # Rows are built from the cells at each read, with no state to share.
     # More readers than cores, switching threads as often as the interpreter
-    # allows, let a second reader in while the first one builds the rows.
+    # allows.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -254,7 +264,7 @@ def test_threads_reading_a_fresh_grid_get_the_same_rows():
 
             def read():
                 start.wait(timeout=10)
-                seen.append(g[0])
+                seen.append((g[0], list(g)))
 
             threads = [threading.Thread(target=read) for _ in range(4)]
             for thread in threads:
@@ -262,7 +272,7 @@ def test_threads_reading_a_fresh_grid_get_the_same_rows():
             for thread in threads:
                 thread.join(timeout=10)
             assert not any(thread.is_alive() for thread in threads)
-            assert len(seen) == 4 and all(rows is seen[0] for rows in seen)
-            assert seen[0] == list(range(10)) * 3
+            assert len(seen) == 4 and all(rows == seen[0] for rows in seen)
+            assert seen[0][0] == tuple(range(10)) * 3 and seen[0][1] == [seen[0][0]] * 30
     finally:
         sys.setswitchinterval(interval)

@@ -36,6 +36,7 @@ from gridbench import (
     render_text,
     save_task_file,
 )
+import gridbench.grid
 from gridbench import harness, parallel
 from gridbench.cli import run
 from gridbench.framework import _REGISTRY, _on_cells
@@ -71,9 +72,10 @@ def test_a_canonical_file_reads_as_its_tuples_of_examples(tmp_path, make_task_se
     assert loaded == load_task_file(path) and loaded != make_task_set("1e0a9b12", 3, 3)
     assert loaded.train[1:] == task_set.train[1:] and loaded.train[-1] == task_set.train[-1]
     assert list(loaded.test) == list(task_set.test) and repr(loaded) == repr(task_set)
-    # Each read builds a fresh example, so changing one leaves the task set as loaded.
+    # A write through an example's row raises, and the task set stays as loaded.
     first = loaded.train[0].input
-    first[0][0] = (first[0][0] + 1) % 10
+    with pytest.raises(TypeError):
+        first[0][0] = (first[0][0] + 1) % 10
     assert loaded.train[0] == task_set.train[0]
     # A task set built from examples holds their checked cells, as one read
     # from a file does, and the judge takes it as it is.
@@ -82,11 +84,11 @@ def test_a_canonical_file_reads_as_its_tuples_of_examples(tmp_path, make_task_se
     assert isinstance(task_set.train, LazyExamples) and isinstance(task_set.test, LazyExamples)
     assert (task_set.train._pairs, task_set.test._pairs) == (cells[:3], cells[3:])
     assert harness._judge(_on_cells("1e0a9b12", lookup("1e0a9b12").verifier), task_set) == (4, 4)
-    # Rows mutated out of the grid contract raise where they enter, before the file is touched.
+    # A write through a row raises, so the examples save as they were made.
     before = path.read_bytes()
-    list(examples[1].output)[2][0] = 10
-    with pytest.raises(ValueError, match=re.escape("cell (2, 0) holds 10, not a color code in [0, 9]")):
-        save_task_file(path, TaskSet(train=examples[:3], test=examples[3:]))
+    with pytest.raises(TypeError):
+        list(examples[1].output)[2][0] = 10
+    save_task_file(path, TaskSet(train=examples[:3], test=examples[3:]))
     assert path.read_bytes() == before and [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
 
@@ -99,7 +101,7 @@ def test_saving_a_loaded_file_writes_its_cells_and_builds_no_grid(tmp_path, monk
         raise AssertionError("a Grid was built")
 
     monkeypatch.setattr(Grid, "__init__", refuse)
-    monkeypatch.setattr(Grid, "_of", refuse)
+    monkeypatch.setattr(gridbench.grid, "_grid", refuse)
     for path, task_set in loaded.items():
         save_task_file(tmp_path / path.name, task_set)
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
@@ -738,7 +740,7 @@ def test_evaluate_checks_list_results(tmp_path):
         assert score.pass_count == 0 and score.total_count == 3
 
 
-def test_evaluate_programs_may_modify_their_input(tmp_path):
+def test_evaluate_fails_a_program_that_writes_to_its_input(tmp_path):
     from gridbench import lookup, task_ids
 
     emit_dataset(task_ids(), 3, 5, tmp_path)
@@ -748,22 +750,32 @@ def test_evaluate_programs_may_modify_their_input(tmp_path):
         def program(grid):
             answer = verify(grid)
             for row in grid:
-                row[:] = [9 - cell for cell in row]
+                row[:] = [9 - cell for cell in row]  # a grid is immutable: TypeError
             return answer
 
         return program
 
-    def zeroed(grid):
-        for row in grid:
-            row[:] = [0] * len(row)
-        return grid
-
     report = evaluate(tmp_path, {tid: answer_then_overwrite(v) for tid, v in verifiers.items()})
-    assert report.percent == 100.0
-    report = evaluate(tmp_path, {tid: zeroed for tid in task_ids()})
     assert all(score.pass_count == 0 for score in report.per_task.values())
-    # Each evaluate decodes the files again: what a program did to its input stays with it.
     assert evaluate(tmp_path, verifiers).percent == 100.0
+
+
+def test_evaluate_passes_a_program_that_edits_its_input_as_lists(tmp_path):
+    from gridbench import lookup, task_ids
+
+    emit_dataset(task_ids(), 3, 5, tmp_path)
+
+    def edit_lists(verify):
+        def program(grid):
+            rows = grid.to_lists()
+            for row, answer in zip(rows, verify(grid)):
+                row[:] = answer
+            return rows
+
+        return program
+
+    report = evaluate(tmp_path, {tid: edit_lists(lookup(tid).verifier) for tid in task_ids()})
+    assert report.percent == 100.0
 
 
 def test_evaluate_judges_each_example_once_after_checking_the_whole_file(tmp_path):
@@ -798,6 +810,13 @@ def test_evaluate_judges_each_example_once_after_checking_the_whole_file(tmp_pat
     assert judged() == TaskScore(21, 21) and len(calls) == 21
 
 
+def _flipped(grid):
+    """``grid`` with its first cell one color further on."""
+    rows = grid.to_lists()
+    rows[0][0] = (rows[0][0] + 1) % 10
+    return Grid(rows)
+
+
 def _edit_out_of_domain(task_id, rows):
     if task_id == "67a423a3":  # no crossing
         for row in rows:
@@ -819,8 +838,10 @@ def test_cells_judge_and_grid_judge_give_the_same_score(tmp_path, monkeypatch, t
     examples = [*task_set.train, *task_set.test]
     # One output cell changed, an input moved out of the domain, and an
     # output of another shape: each fails its example.
-    examples[0].output[0][0] = (examples[0].output[0][0] + 1) % 10
-    _edit_out_of_domain(task_id, list(examples[1].input))
+    examples[0] = Example(examples[0].input, _flipped(examples[0].output))
+    rows = examples[1].input.to_lists()
+    _edit_out_of_domain(task_id, rows)
+    examples[1] = Example(Grid(rows), examples[1].output)
     examples[-1] = Example(examples[-1].input, Grid([row[:-1] for row in examples[-1].output]))
     save_task_file(path, TaskSet(train=examples[:-1], test=examples[-1:]))
     task = lookup(task_id)
@@ -852,7 +873,7 @@ def test_an_arc_spaced_copy_reads_to_the_same_cells_and_report(tmp_path):
     path = canonical / "1e0a9b12.json"
     task_set = load_task_file(path)
     examples = [*task_set.train, *task_set.test]
-    examples[2].output[0][0] = (examples[2].output[0][0] + 1) % 10
+    examples[2] = Example(examples[2].input, _flipped(examples[2].output))
     save_task_file(path, TaskSet(train=examples[:-1], test=examples[-1:]))
     spaced.mkdir()
     for source in canonical.glob("*.json"):
@@ -949,8 +970,8 @@ def test_reduced_generator_is_caught_by_golden_comparison():
     # Negative control: a generator that only draws closed boxes (no hole
     # logic) cannot reproduce the golden pairs, no matter its parameters.
     def reduced_generate(rows, cols, widths, heights, size=15):
-        grid = Grid([[8] * size for _ in range(size)])
-        out = Grid([[8] * size for _ in range(size)])
+        grid = [[8] * size for _ in range(size)]
+        out = [[8] * size for _ in range(size)]
         for row, col, width, height in zip(rows, cols, widths, heights):
             for r in range(row - 1, row + height + 1):
                 for c in range(col - 1, col + width + 1):
@@ -958,7 +979,7 @@ def test_reduced_generator_is_caught_by_golden_comparison():
                     if row <= r < row + height and col <= c < col + width:
                         grid[r][c] = 6
                         out[r][c] = 6
-        return Example(input=grid, output=out)
+        return Example(input=Grid(grid), output=Grid(out))
 
     golden = borders_and_holes.validate()
     reduced = reduced_generate(rows=[2, 4, 10], cols=[8, 3, 5], widths=[4, 2, 4], heights=[5, 2, 4])

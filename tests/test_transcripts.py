@@ -5,7 +5,7 @@ directory, with relative paths, so no transcript holds an absolute path.
 The first command writes a small dataset; copies of it are then made
 ARC-spaced, with one output digit flipped, truncated, and with an input
 cell edited out of its verifier's domain, and ``evaluate`` reads each.
-``validate``, ``render``, ``list`` and three usage errors follow. The
+``validate``, ``render``, ``list`` and six usage errors follow. The
 usage errors are gridbench's own messages and argparse's integer type
 error, which read the same on every supported Python version.
 
@@ -44,6 +44,9 @@ COMMANDS = [
     ["generate", "--count", "abc"],
     ["generate", "--set", "size=20"],
     ["render", "--task", "1e0a9b12", "--index", "x"],
+    ["render", "--task", "67a423a3", "--split", "test"],
+    ["render", "--file", "ds/67a423a3.json", "--seed", "5"],
+    ["generate", "--task", "67a423a3", "--set", "size=5", "--set", "size=6"],
 ]
 
 # The canonical file's end: the last output grid's "]]", then "}]}".

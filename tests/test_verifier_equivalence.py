@@ -3,33 +3,30 @@
 Each task defines its transformation once, as ``verify_cells`` on a grid's
 checked cells. ``register`` derives the ``Grid`` entry, ``verifier``, of
 every task but 67a423a3: ``verify_cells`` on a grid's checked cells
-(``_cells``), so rows mutated out of the grid contract raise the
-``ValueError`` that the checked constructor gives them. 67a423a3 keeps its
-row walk, ``_reference``, as its ``Grid`` entry. The ``verify_cells`` of
-05269061 and 543a7ed5 run a bulk core and hand any input that the core does
-not confirm to ``_reference``, a private walk over a grid built from those
-cells; those of 1e0a9b12 and 67a423a3 never walk.
+(``_cells``). 67a423a3 keeps its row walk, ``_reference``, as its ``Grid``
+entry. The ``verify_cells`` of 05269061 and 543a7ed5 run a bulk core and
+hand any input that the core does not confirm to ``_reference``, a private
+walk over a grid built from those cells; those of 1e0a9b12 and 67a423a3
+never walk.
 
 The expected outcomes below never take a byte path. For 543a7ed5 they come
 from ``_reference`` with its components taken from the flood fill below and
 its painting done cell by cell instead of by ``_paint``, which the bulk
 core shares. For 05269061 they come from three row-major carry passes
-over every cell. For a grid with a mutated-in ``bool`` or ``__index__``
-cell they come from the same walk on the grid of the cells' values. For
-1e0a9b12 they come from ``reference_gravity``, a column walk kept here
-only, and for 67a423a3 from its row walk. On seeded random grids of every
-shape from 1x1 to 30x30, on generated inputs, on a grid for each condition
-that sends a grid to the reference walk and on grids whose rows were
-mutated after construction, every path must give the same output grid or
-the same exception, message included, and leave the input grid unchanged.
+over every cell. For 1e0a9b12 they come from ``reference_gravity``, a
+column walk kept here only, and for 67a423a3 from its row walk. On seeded
+random grids of every shape from 1x1 to 30x30, on generated inputs and on
+a grid for each condition that sends a grid to the reference walk, every
+path must give the same output grid or the same exception, message
+included, and leave the input grid unchanged. No path sees a write through
+a grid's rows: it raises.
 """
 
-import operator
 import random
 
 import pytest
 
-from gridbench import Example, Grid, TaskSet, VerifierDomainError, lookup, new_stream, task_ids
+from gridbench import Example, Grid, TaskSet, lookup, new_stream, task_ids
 from gridbench.grid import BLUE, CYAN, GREEN, PINK, RED, YELLOW, _grid
 from gridbench.tasks import borders_and_holes, column_gravity, crossing_marker, diagonal_stripes
 
@@ -181,33 +178,6 @@ def _dense(rnd, h, w):
     return Grid([[rnd.choice((0, rnd.randint(1, 9), rnd.randint(1, 9))) for _ in range(w)] for _ in range(h)])
 
 
-def _checked(grid):
-    """Whether ``grid``'s rows still meet the grid contract, so that it has cells."""
-    try:
-        Grid(grid.to_lists())
-    except ValueError:
-        return False
-    return True
-
-
-def _expected(walk, grid):
-    """What a ``Grid`` entry must give for ``grid``: ``walk``'s outcome on it;
-    for a mutated-in ``bool`` or ``__index__`` cell, on the grid of the cells'
-    values; for other rows out of the grid contract, the ``ValueError`` that
-    the checked constructor gives them."""
-    try:
-        Grid(list(grid))
-    except ValueError as err:
-        error = ValueError, str(err)
-    else:
-        return _outcome(walk, grid)
-    try:
-        by_value = Grid([[operator.index(value) for value in row] for row in grid])
-    except (TypeError, ValueError):
-        return error
-    return _outcome(walk, by_value)
-
-
 def _grids(rnd, fills):
     # One grid of every shape, the fills taking turns.
     return [fills[(h + w) % len(fills)](rnd, h, w) for h in SIDES for w in SIDES]
@@ -226,74 +196,12 @@ def _cyan(h, w):
     return [[CYAN] * w for _ in range(h)]
 
 
-class Index:
-    """An integer-like cell that is not an ``int``, as a NumPy integer is:
-    it converts, compares and hashes as its value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
-
-    def __eq__(self, other):
-        return other == self.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-
-class IndexOnly:
-    """An integer-like cell with only ``__index__``: it neither compares
-    nor hashes as its value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
-
-
-def _mutated(rows):
-    """Grids of ``rows`` whose live rows were changed after the checked constructor.
-
-    The ``Grid`` entries join rows into cells, which takes a ``bool`` or
-    ``__index__`` cell by its value, even one that does not compare equal
-    to its value, and rejects the rows of the ``REJECTED`` grids.
-    """
-    names = (
-        "ragged row", "ragged rows of the right total", "short last row", "cell 256", "cell -1",
-        "float cell", "None cell", "bool cell", "__index__ cell", "__index__-only cell",
-    )
-    grids = {name: Grid(rows) for name in names}
-    live = {name: list(grid) for name, grid in grids.items()}
-    live["ragged row"][1].append(rows[1][0])
-    live["ragged rows of the right total"][1].append(rows[1][0])
-    live["ragged rows of the right total"][2].pop()
-    live["short last row"][-1].pop()
-    live["cell 256"][0][0] = 256
-    live["cell -1"][0][0] = -1
-    live["float cell"][0][0] = float(rows[0][0])  # equal to a color, not an int
-    live["None cell"][0][0] = None
-    live["bool cell"][0][0] = False
-    live["__index__ cell"][0][0] = Index(rows[0][0])
-    live["__index__-only cell"][0][0] = IndexOnly(rows[0][0])
-    return grids
-
-
-# A hollow 543a7ed5 box, the rows of its mutated grids.
+# A hollow 543a7ed5 box.
 BOX = _box(_cyan(10, 10), 2, 2, 6, 6)
-
-# The mutated grids whose rows ``_cells`` rejects.
-REJECTED = {
-    "ragged row", "ragged rows of the right total", "short last row", "cell 256", "cell -1",
-    "float cell", "None cell",
-}
 
 
 def _borders_fallbacks():
-    """One grid per condition that the byte check hands to the reference walk,
-    and the mutated grids of ``_mutated``."""
+    """One grid per condition that the byte check hands to the reference walk."""
     peninsula = _box(_cyan(12, 12), 2, 2, 8, 8)
     peninsula[6][3] = peninsula[6][4] = peninsula[5][4] = PINK  # its own corner at (5, 4)
     island = _box(_cyan(12, 12), 2, 2, 9, 9)
@@ -322,15 +230,13 @@ def _borders_fallbacks():
         "two boxes at gap 1": _box(_box(_cyan(12, 12), 2, 2, 5, 5), 2, 7, 5, 9),
         "another color": another_color,
     }
-    grids = {name: Grid(rows) for name, rows in grids.items()}
-    return grids | _mutated(BOX)
+    return {name: Grid(rows) for name, rows in grids.items()}
 
 
 def _stripes_fallbacks():
-    """One grid per condition that the byte check hands to the reference walk,
-    and the mutated grids of ``_mutated``."""
+    """One grid per condition that the byte check hands to the reference walk."""
     two_colors = Grid([[0, 0, 0, 0], [0, 0, 0, 0], [RED, 0, 0, 0], [0, 0, BLUE, 0]])
-    return {"two colors in a class and an empty class": two_colors} | _mutated([[RED, 0, 0, 0]] * 4)
+    return {"two colors in a class and an empty class": two_colors}
 
 
 def test_pink_components_and_borders_verify_match_references(monkeypatch):
@@ -346,13 +252,12 @@ def test_pink_components_and_borders_verify_match_references(monkeypatch):
         assert borders_and_holes._pink_components(grid) == reference_pink_components(grid), grid
     cases += _borders_fallbacks().values()
     actual = [_outcome(borders_and_holes.verifier, g) for g in cases]
-    on_cells = [_outcome(_on_cells(borders_and_holes), g) if _checked(g) else None for g in cases]
+    on_cells = [_outcome(_on_cells(borders_and_holes), g) for g in cases]
     monkeypatch.setattr(borders_and_holes, "_pink_components", reference_pink_components)
     monkeypatch.setattr(borders_and_holes, "_paint", reference_paint)
-    expected = [_expected(borders_and_holes._reference, g) for g in cases]
+    expected = [_outcome(borders_and_holes._reference, g) for g in cases]
     for grid, got, got_cells, want in zip(cases, actual, on_cells, expected):
-        assert got == want, grid
-        assert got_cells in (None, want), grid
+        assert got == got_cells == want, grid
     assert any(isinstance(outcome, Grid) for outcome in expected)
     assert any(isinstance(outcome, tuple) for outcome in expected)
 
@@ -393,20 +298,9 @@ def test_stripes_verify_matches_three_pass_reference():
     cases.append(Grid([[RED, BLUE, 0, RED], [BLUE, 0, RED, 0]]))
     cases += _stripes_fallbacks().values()
     for grid in cases:
-        want = _expected(reference_stripes, grid)
+        want = _outcome(reference_stripes, grid)
         assert _outcome(diagonal_stripes.verifier, grid) == want, grid
-        if _checked(grid):
-            assert _outcome(_on_cells(diagonal_stripes), grid) == want, grid
-
-
-# The mutated grids that stay on the byte path: a cell that the join
-# takes and that leaves the grid in the verifier's bulk case. A bool
-# cell is no 543a7ed5 color, so it is a fallback there. Neither these
-# nor the REJECTED grids reach the walk.
-BYTE_PATH = {
-    borders_and_holes: {"__index__ cell", "__index__-only cell"},
-    diagonal_stripes: {"bool cell", "__index__ cell", "__index__-only cell"},
-}
+        assert _outcome(_on_cells(diagonal_stripes), grid) == want, grid
 
 
 @pytest.mark.parametrize(
@@ -421,39 +315,31 @@ def test_each_fallback_condition_reaches_the_reference_walk(monkeypatch, module,
     for name, grid in fallbacks().items():
         calls.clear()
         _outcome(module.verifier, grid)
-        assert len(calls) == (name not in BYTE_PATH[module] | REJECTED), name
-        # The walk sees only grids that meet the grid contract.
-        assert all(Grid(g.to_lists()) == g for g in calls), name
-        # A grid with cells reaches the walk from its cells too.
-        if _checked(grid):
-            calls.clear()
-            _outcome(_on_cells(module), grid)
-            assert len(calls) == 1, name
+        assert len(calls) == 1, name
+        # The grid reaches the walk from its cells too.
+        calls.clear()
+        _outcome(_on_cells(module), grid)
+        assert len(calls) == 1, name
 
 
-@pytest.mark.parametrize("name", list(_mutated(BOX)))
-def test_every_entry_checks_mutated_rows_by_one_rule(name):
-    # TaskSet and every Grid entry that register derived take a grid's
-    # checked cells: all raise the same ValueError, or none raises one.
+@pytest.mark.parametrize("value", [256, -1, 1.0, None, False])
+def test_a_write_through_a_row_raises_and_every_entry_sees_the_grid_as_made(value):
+    # Rows are tuples: a write through one raises, so TaskSet and every Grid
+    # entry that register derived see the grid as it was made.
     def task_set(g):
-        return TaskSet(train=[Example(g, g)], test=[Example(g, g)])
+        return TaskSet(train=[Example(g, g)], test=[Example(g, g)]).train[0].input
 
     entries = {"TaskSet": task_set, **_derived_entries()}
     assert set(entries) >= {"05269061", "1e0a9b12", "543a7ed5"}
-    grid = _mutated(BOX)[name]
-    errors, outcomes = set(), {}
-    for key, entry in entries.items():
-        try:
-            outcomes[key] = entry(grid)
-        except ValueError as err:
-            errors.add(str(err))
-            outcomes[key] = ValueError
-        except VerifierDomainError as err:
-            outcomes[key] = str(err)
-    assert len(errors) == (name in REJECTED)
-    assert list(outcomes.values()).count(ValueError) in (0, len(entries))
-    if name == "bool cell":
-        assert outcomes["543a7ed5"] == "cell (0, 0) holds 0, expected cyan or pink"
+    grid = Grid(BOX)
+    before = {key: entry(grid) for key, entry in entries.items()}
+    row = grid[0]
+    with pytest.raises(TypeError):
+        row[0] = value
+    with pytest.raises(AttributeError):
+        next(iter(grid)).append(value)
+    assert {key: entry(grid) for key, entry in entries.items()} == before
+    assert grid == Grid(BOX) and before["543a7ed5"] != grid
 
 
 @pytest.mark.parametrize(

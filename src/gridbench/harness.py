@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import FormatError, shown
+from .errors import FormatError, GenerationError, shown
 from .framework import _on_cells, generate_examples, lookup
 from .grid import MAX_SIDE, Cells, Grid, LazyExamples, TaskSet, _cells
 
@@ -235,8 +235,9 @@ def _read_pairs(path: Path, payload: dict, split: str) -> LazyExamples:
     return LazyExamples(pairs)
 
 
-# Consecutive indexes per block. The caller's process makes the first block
-# of each task; the later blocks of a run may go to helper processes.
+# Consecutive indexes per block. ``emit_dataset`` alone decides what a block
+# holds: it makes the first block of each task, and its ``make`` tells
+# ``parallel.Blocks`` what block k of the later ones is.
 _BLOCK = 8
 
 
@@ -250,13 +251,17 @@ def emit_dataset(task_list, count: int, master_seed: int, out_dir, overrides=Non
     exists: a failure before that leaves none, and one later in the first file
     leaves it empty. Each file is written atomically, the manifest last.
 
-    Each task's indexes are made in blocks of ``_BLOCK``. This process makes
-    every task's first block, so that a bad argument or an early failure
-    stops the run here; the later blocks may be spread over helper
-    processes (``parallel.Blocks``) and are written in index order as they
-    arrive, so memory does not grow with the count. A failure is raised
-    once the files of the tasks before its own are written, as in a run
-    that makes every index in turn."""
+    This function alone owns the block layout. Each task's indexes are made
+    in blocks of ``_BLOCK``. This process makes every task's first block, so
+    that a bad argument or an early failure stops the run here. The later
+    blocks are numbered task by task, and each task's by index: block k is
+    made by ``make(k)``, which returns its bytes and whether the task's
+    stream has met an example outside its verifier's domain. They may be
+    spread over helper processes (``parallel.Blocks``) and are written in
+    index order as they arrive, so memory does not grow with the count. A
+    failure is raised once the files of the tasks before its own are
+    written, as in a run that makes every index in turn; a helper that ends
+    without sending its block raises :class:`GenerationError`."""
     directory = Path(out_dir)
     heads, failure = [], None  # (task id, stream, chunks of the first block)
     started = time.perf_counter()
@@ -271,18 +276,38 @@ def emit_dataset(task_list, count: int, master_seed: int, out_dir, overrides=Non
             failure = err
             break
         heads.append((task_id, stream, first))
-    from .parallel import Blocks  # here, so that importing the package does not load it
+    from .parallel import Blocks, HelperLost  # here, so that importing the package does not load it
 
-    blocks = Blocks(heads, count, (time.perf_counter() - started) / max(len(heads), 1))
-    entries, unchecked = [], []
+    per_task = count // _BLOCK  # the later blocks of each task
+
+    def make(k: int) -> tuple[bytes, bool]:
+        (_, stream, _), start = heads[k // per_task], (k % per_task + 1) * _BLOCK
+        text = b"".join(_task_text(stream._pairs(start, start + _BLOCK), count, start))
+        return text, stream.domain_error is not None
+
+    blocks = Blocks(len(heads) * per_task, make, (time.perf_counter() - started) / (len(heads) or 1))
+    entries, unchecked, marks = [], [], [False] * len(heads)
+
+    def later(task: int) -> Iterator[bytes]:
+        """The bytes of task ``task``'s later blocks as they arrive; a marked
+        block marks the task."""
+        for k, start in enumerate(range(_BLOCK, count + 1, _BLOCK), task * per_task):
+            try:
+                text, marked = blocks.get(k)
+            except HelperLost as lost:
+                raise GenerationError(
+                    f"task {heads[task][0]}: the helper process making examples {start} "
+                    f"to {min(start + _BLOCK - 1, count)} ended with status {lost.args[0]}"
+                ) from None
+            marks[task] |= marked
+            yield text
+
     try:
-        for task_id, stream, first in heads:
-            starts = range(_BLOCK, count + 1, _BLOCK)
-            later = (blocks.text(task_id, stream, start) for start in starts)
+        for task, (task_id, stream, first) in enumerate(heads):
             name = f"{task_id}.json"
-            _write_atomic(directory / name, itertools.chain(first, later, (_TAIL,)))
+            _write_atomic(directory / name, itertools.chain(first, later(task), (_TAIL,)))
             entries.append({"id": task_id, "train_count": count, "test_count": 1, "file": name})
-            if stream.domain_error is not None or task_id in blocks.unchecked:
+            if stream.domain_error is not None or marks[task]:
                 unchecked.append(task_id)
     finally:
         blocks.close()

@@ -1,8 +1,12 @@
-"""Helper processes that make the later blocks of an ``emit_dataset`` run.
+"""An ordered pool of helper processes forked from this one, which make
+numbered blocks of bytes: ``Blocks(blocks, make, block_seconds)``.
 
-``harness.emit_dataset`` makes the first block of each task itself and
-imports this module only then, so importing the package loads none of it,
-nor ``select`` or ``signal``.
+It knows nothing of what a block holds. ``harness.emit_dataset`` decides
+what block ``k`` of a run is and passes a ``make`` that makes it; the pool
+only decides who makes each block, here or in a helper, and hands the
+blocks back in order. It imports only the standard library, and
+``emit_dataset`` imports it once a run is past its first blocks, so
+importing the package loads none of it, nor ``select`` or ``signal``.
 """
 
 from __future__ import annotations
@@ -10,11 +14,8 @@ from __future__ import annotations
 import os
 import select
 import signal
+from collections.abc import Callable
 from typing import BinaryIO, NoReturn
-
-from .errors import GenerationError
-from .framework import generate_examples
-from .harness import _BLOCK, _task_text
 
 # Seconds of work, estimated from the first blocks, per helper process. On a
 # 2-vCPU x86-64 virtual machine (CPython 3.11) forking a helper, the
@@ -23,38 +24,42 @@ from .harness import _BLOCK, _task_text
 _HELPER_S = 0.02
 
 
-def _block_text(stream: generate_examples, start: int, count: int) -> bytes:
-    """The bytes of the block of ``stream``'s task file from index ``start``."""
-    return b"".join(_task_text(stream._pairs(start, start + _BLOCK), count, start))
+class HelperLost(Exception):
+    """A helper process ended before it sent the block it claimed. Its one
+    argument is the helper's exit status; a negative one names the signal
+    that ended it."""
 
 
 class Blocks:
-    """The later blocks of a run's tasks, in the run's order: task by task,
-    and each task's blocks by index. ``heads`` holds ``(task_id, stream,
-    chunks of the first block)`` for each task, in that order.
+    """Blocks ``0`` to ``blocks - 1``, handed out by ``get(k)`` in that order.
 
-    They are made by helper processes forked from this one when that pays
-    (``_helper_count``); otherwise each block is made here when it is asked
-    for. One pipe holds a token, the 8-byte number of the run's next block.
-    A helper reads it, appends its 2-byte share number to the claims pipe
-    and writes the number + 1 back before it makes the block, so a free
-    helper claims the next block and the claims name each block's maker in
-    the run's order. It writes the block to its own pipe as a kind byte, an
-    8-byte length and the bytes, running ahead of the caller only as far as
-    that pipe holds. A helper whose block raises sends the kind ``e`` with
-    no bytes and leaves, and that block is made here, so it raises exactly
-    as in a run without helpers. A helper leaves by ``os._exit``, without
-    running this process's exit handlers or flushing its buffers."""
+    ``make(k)`` returns block ``k``'s bytes and a mark, a flag that travels
+    with them unchanged; ``get(k)`` returns the same pair, whoever made it.
+    The blocks are made by helper processes forked from this one when that
+    pays (``_helper_count``), given about ``block_seconds`` of work per
+    block; otherwise each block is made here when it is asked for. One pipe
+    holds a token, the 8-byte number of the next block. A helper reads it,
+    appends its 2-byte share number to the claims pipe and writes the number
+    + 1 back before it makes the block, so a free helper claims the next
+    block and the claims name each block's maker in order. It writes the
+    block to its own pipe as a kind byte (``c``, or ``u`` for a marked
+    block), an 8-byte length and the bytes, running ahead of the caller only
+    as far as that pipe holds. A helper whose ``make`` raises, ``SystemExit``
+    included, sends the kind ``e`` with no bytes and leaves, and ``get``
+    makes that block here, so it raises exactly as without helpers. A helper
+    that ends before it sends its block makes ``get`` raise
+    :class:`HelperLost`. A helper leaves by ``os._exit``, without running
+    this process's exit handlers or flushing its buffers."""
 
-    def __init__(self, heads: list, count: int, block_seconds: float) -> None:
-        self._heads, self._count = heads, count
-        self._blocks = len(heads) * (count // _BLOCK)
-        self.unchecked: set[str] = set()  # tasks a helper wrote outside the verifier's domain
+    def __init__(
+        self, blocks: int, make: Callable[[int], tuple[bytes, bool]], block_seconds: float
+    ) -> None:
+        self._blocks, self._make = blocks, make
         # (pid, the pipe it writes blocks to) by share, and the claims' read
         # end; with no helper left the blocks are made here.
         self._helpers: dict[int, tuple[int, BinaryIO]] = {}
         self._claims = -1
-        helpers = _helper_count(self._blocks, block_seconds)
+        helpers = _helper_count(blocks, block_seconds)
         ends: list[int] = []  # the token's pipe, then the claims' write end
         try:
             if helpers:
@@ -101,11 +106,10 @@ class Blocks:
                         os.write(token_out, (block + 1).to_bytes(8, "little"))
                     if block >= self._blocks:
                         break
-                    (_, stream, _), start = self._locate(block)
                     try:
-                        text = _block_text(stream, start, self._count)
-                        kind = b"c" if stream.domain_error is None else b"u"
-                    except Exception:
+                        text, marked = self._make(block)
+                        kind = b"u" if marked else b"c"
+                    except (Exception, SystemExit):  # made again by the caller, to raise there
                         kind, text = b"e", b""
                     out.write(kind + len(text).to_bytes(8, "little"))
                     out.write(text)
@@ -116,35 +120,24 @@ class Blocks:
         finally:
             os._exit(status)
 
-    def _locate(self, block: int) -> tuple[tuple, int]:
-        """The head of the task that block ``block`` of the run belongs to, and
-        the block's first index."""
-        per_task = self._count // _BLOCK
-        return self._heads[block // per_task], (block % per_task + 1) * _BLOCK
-
-    def text(self, task_id: str, stream: generate_examples, start: int) -> bytes:
-        """The bytes of the block of ``task_id`` from index ``start``; blocks are
-        asked for in the run's order, and a block that failed raises its error."""
+    def get(self, k: int) -> tuple[bytes, bool]:
+        """Block ``k``'s bytes and mark, as ``make(k)`` returns them; blocks are
+        asked for in order, a block that failed raises what ``make`` raises
+        here, and a helper that ended without sending it raises
+        :class:`HelperLost`."""
         share = self._owner() if self._helpers else None
         if share is None:
-            return _block_text(stream, start, self._count)
+            return self._make(k)
         pipe = self._helpers[share][1]
         head = pipe.read(9)
         size = int.from_bytes(head[1:], "little")
         text = pipe.read(size)
         if len(head) < 9 or len(text) < size:
-            status = self._end(share)
-            stop = min(start + _BLOCK, self._count + 1) - 1
-            raise GenerationError(
-                f"task {task_id}: the helper process making examples {start} to {stop} "
-                f"ended with status {status}"
-            )
+            raise HelperLost(self._end(share))
         if head[:1] == b"e":  # make it here, to raise what it raised in the helper
             self._end(share)
-            return _block_text(stream, start, self._count)
-        if head[:1] == b"u":
-            self.unchecked.add(task_id)
-        return text
+            return self._make(k)
+        return text, head[:1] == b"u"
 
     def _owner(self) -> int | None:
         """The share of the helper that claimed the next block, or None once

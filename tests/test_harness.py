@@ -276,10 +276,11 @@ class OddExample(ValueError):
 
 @pytest.fixture
 def failing_tasks(request):
-    """Four tasks whose example 5, or the index a test passes indirectly,
+    """Five tasks whose example 5, or the index a test passes indirectly,
     fails: the first's generator raises, the second's verifier disagrees with
-    the output, the third's verifier rejects the input as outside its domain
-    and the fourth's generator raises an :class:`OddExample`."""
+    the output, the third's verifier rejects the input as outside its domain,
+    the fourth's generator raises an :class:`OddExample` and the fifth's
+    raises ``SystemExit(3)``, as ``sys.exit(3)`` does."""
     bad = getattr(request, "param", 5)
 
     def generate(rng=None, level=0):  # level only lets a test pass an override
@@ -287,6 +288,8 @@ def failing_tasks(request):
             raise GenerationError(f"no layout for example {bad}")
         if rng.example_index == bad and rng.task_id == "f3000005":
             raise OddExample(rng.task_id, bad)
+        if rng.example_index == bad and rng.task_id == "f4000005":
+            raise SystemExit(3)
         grid = Grid([[int(rng.example_index == bad)]])
         return Example(input=grid, output=grid)
 
@@ -302,15 +305,17 @@ def failing_tasks(request):
     register(SimpleNamespace(TASK_ID="f1000005", generate=generate, verifier=verifier))
     register(SimpleNamespace(TASK_ID="f2000005", generate=generate, verifier=verifier_domain))
     register(SimpleNamespace(TASK_ID="f3000005", generate=generate, verifier=lambda grid: grid))
+    register(SimpleNamespace(TASK_ID="f4000005", generate=generate, verifier=lambda grid: grid))
     try:
         yield {
             "f0000005": GenerationError,
             "f1000005": VerificationError,
             "f2000005": VerifierDomainError,
             "f3000005": OddExample,
+            "f4000005": SystemExit,
         }
     finally:
-        for task_id in ("f0000005", "f1000005", "f2000005", "f3000005"):
+        for task_id in ("f0000005", "f1000005", "f2000005", "f3000005", "f4000005"):
             del _REGISTRY[task_id]
 
 
@@ -438,7 +443,7 @@ def test_generate_writes_the_same_bytes_with_any_number_of_helpers(tmp_path, mon
 
 
 @pytest.mark.parametrize("failing_tasks", [37], indirect=True)
-@pytest.mark.parametrize("task_id", ["f0000005", "f1000005", "f2000005", "f3000005"])
+@pytest.mark.parametrize("task_id", ["f0000005", "f1000005", "f2000005", "f3000005", "f4000005"])
 def test_a_failure_in_a_helper_reaches_the_caller_unchanged(tmp_path, monkeypatch, failing_tasks, task_id):
     out = tmp_path / "d"
     emit_dataset([task_id], 3, 1, out)
@@ -457,6 +462,29 @@ def test_a_failure_in_a_helper_reaches_the_caller_unchanged(tmp_path, monkeypatc
     if task_id == "f2000005":  # with overrides a helper's block is written unchecked
         assert emit_dataset([task_id], 50, 2, out, {"level": 1}) == [task_id]
         _no_child_left()
+
+
+def test_blocks_hands_out_what_make_makes_in_order(monkeypatch):
+    # Blocks knows nothing of tasks: any make(k) giving bytes and a mark will
+    # do. Block 40 ends the helper that makes it, with status 5.
+    caller = os.getpid()
+
+    def make(k):
+        if k == 40 and os.getpid() != caller:
+            os._exit(5)
+        return str(k).encode() * k, k % 3 == 0
+
+    forked = _cpus(monkeypatch, 2)
+    blocks = parallel.Blocks(41, make, 1.0)
+    try:
+        made = [blocks.get(k) for k in range(40)]
+        with pytest.raises(parallel.HelperLost) as info:
+            blocks.get(40)
+    finally:
+        blocks.close()
+    assert made == [make(k) for k in range(40)]
+    assert info.value.args == (5,) and len(forked) == 2
+    _no_child_left()
 
 
 def test_a_helper_that_dies_ends_in_one_error_line(tmp_path, monkeypatch, capsys):

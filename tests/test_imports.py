@@ -33,6 +33,20 @@ def test_runtime_imports_only_the_standard_library():
     assert not foreign
 
 
+def test_the_helper_pool_imports_only_the_standard_library():
+    # parallel.Blocks makes opaque blocks; what a block holds is decided in
+    # harness alone, so the pool imports only the standard library.
+    source = (PACKAGE / "parallel.py").read_text(encoding="utf-8")
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):  # a relative import reads ".module"
+            names.append("." * node.level + (node.module or ""))
+    foreign = [name for name in names if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert names and foreign == []
+
+
 def test_package_imported_from_a_zip_archive_registers_every_task(tmp_path):
     # Task discovery goes through pkgutil, which also reads archives.
     archive = tmp_path / "gridbench.zip"

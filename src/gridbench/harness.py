@@ -10,16 +10,16 @@ to identical bytes. Any other JSON layout of the same content (spaces
 after separators, another key order, a trailing newline) loads to the
 same task set, and a malformed file fails with the same error whatever
 its layout. Both sides of the canonical layout go through one strided
-byte frame per grid shape, whose even slots hold the cells and the
-commas between rows and whose odd slots hold fixed separators: a grid
-is written by copying its cells into the frame, and read, without
-building a JSON object tree, by checking the file's bytes against the
-frame and keeping the cells of its even slots. Every other file is
-decoded as UTF-8, goes through ``json.loads`` and is validated element
-by element into the same cells. The whole file is checked before any
-example is built; ``evaluate`` holds a file's cells, judges a bundled
-verifier on them and builds the grids of one example at a time for any
-other program.
+byte frame per grid shape, the blank text of that grid: "0" in every
+cell slot, a comma between rows and fixed separators at the odd slots.
+A grid is written by copying its cells' digits over the frame's even
+slots, and read, without building a JSON object tree, by checking that
+its text, with every digit read as "0", equals the frame, and keeping
+its digits. Every other file is decoded as UTF-8, goes through
+``json.loads`` and is validated element by element into the same
+cells. The whole file is checked before any example is built;
+``evaluate`` holds a file's cells, judges a bundled verifier on them
+and builds the grids of one example at a time for any other program.
 """
 
 from __future__ import annotations
@@ -50,20 +50,22 @@ _SPLIT = b']]}],"test":[{"input":[['
 _TAIL = b']]}]}'
 # Cell value -> ASCII digit (only cells are ever translated).
 _TO_DIGIT = bytes.maketrans(bytes(range(10)), b"0123456789")
-# ASCII digit -> cell value (only digits are ever translated).
+# ASCII digit -> cell value (a checked grid's separators are deleted).
 _FROM_DIGIT = bytes.maketrans(b"0123456789", bytes(range(10)))
+# Every ASCII digit -> "0": a canonical grid's text becomes its shape's frame.
+_BLANK = bytes.maketrans(b"123456789", b"0" * 9)
 
 
 @functools.cache
 def _frame(height: int, width: int) -> bytes:
-    """The text of a ``height`` x ``width`` grid with a comma in every cell slot.
+    """The blank text of a ``height`` x ``width`` grid: "0" in every cell slot.
 
     A grid's text is strided: cell (r, c) sits at index
     ``2 * (r * (width + 1) + c)``, the comma between rows r and r + 1 at
     the pad slot c = width, and every odd index holds a fixed separator:
     "," inside a row, "]" and "[" around a pad slot.
     """
-    return b"],[".join([b"," * (2 * width - 1)] * height)
+    return b"],[".join([b"0" + b",0" * (width - 1)] * height)
 
 
 def _text(cells: Cells) -> bytearray:
@@ -157,8 +159,8 @@ def _decode_canonical(data: bytes) -> TaskSet | None:
     without a second check, each time one is read. The cells are
     ``bytes``, which the cyclic garbage collector never scans, and hold
     no reference to ``data``. Every byte is checked: the separators
-    here, and each grid's frame and digits in ``_decode_grid``, so a
-    file that is not ASCII returns None.
+    here, and each grid's text against its frame in ``_decode_grid``, so
+    a file that is not ASCII returns None.
     """
     if not (data.startswith(_HEAD) and data.endswith(_TAIL)):
         return None
@@ -194,26 +196,20 @@ def _decode_grid(data: bytes) -> Cells | None:
     """The checked cells of the grid whose canonical text is ``data``;
     None for any other bytes.
 
-    The shape is read off the first row, the odd slots must match its
-    frame, and the even slots must hold ASCII digits except for one
-    comma at each pad slot.
+    The width is read off the first row and the height off the length.
+    With every digit read as "0", the text must equal that shape's frame,
+    which holds "0" in every cell slot: so each cell slot holds one ASCII
+    digit and every other byte is the frame's. The cells are the digits
+    left once the frame's separators are deleted.
     """
     end = data.find(b"]")
     width = (len(data) if end < 0 else end) // 2 + 1  # a row is 2 * width - 1 long
     height = (len(data) + 3) // (2 * width + 2)
     if not (width <= MAX_SIDE and 1 <= height <= MAX_SIDE):
         return None
-    if data[1::2] != _frame(height, width)[1::2]:
+    if data.translate(_BLANK) != _frame(height, width):
         return None
-    cells = data[::2]
-    digits = cells.translate(None, b",")
-    if not (
-        len(digits) == height * width
-        and cells[width :: width + 1] == b"," * (height - 1)
-        and digits.isdigit()
-    ):
-        return None
-    return height, width, digits.translate(_FROM_DIGIT)
+    return height, width, data.translate(_FROM_DIGIT, b",[]")
 
 
 def _read_pairs(path: Path, payload: dict, split: str) -> LazyExamples:

@@ -15,7 +15,16 @@ from enum import IntEnum
 
 import pytest
 
-from gridbench import Example, FormatError, Grid, TaskSet, load_task_file, save_task_file
+from gridbench import (
+    Example,
+    FormatError,
+    Grid,
+    TaskSet,
+    emit_dataset,
+    load_task_file,
+    save_task_file,
+    task_ids,
+)
 from gridbench import harness
 
 SIDES = range(1, 31)
@@ -142,20 +151,40 @@ def test_a_write_through_rows_raises_and_save_writes_the_grid_as_made(tmp_path, 
     assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
 
+# Each task's smallest, default and largest sizes; 543a7ed5 needs a size
+# of 6 to fit one box and its ring.
+SIZES = {
+    "05269061": [{"size": 3}, None, {"size": 30}],
+    "1e0a9b12": [{"size": 3}, None, {"size": 10}],
+    "543a7ed5": [{"size": 6, "boxes": 1}, None, {"size": 30}],
+    "67a423a3": [{"size": 3}, None, {"size": 30}],
+}
+
+
 def test_canonical_file_is_read_without_json(tmp_path, monkeypatch):
+    # Every file that save_task_file or generate writes is canonical, so none
+    # may fall back to json.loads: one that did would still load, only slower.
     rnd = random.Random(7)
-    path = tmp_path / "t.json"
     task_set = TaskSet(
         train=[Example(_grid(rnd, 30, 30), _grid(rnd, 1, 1)) for _ in range(3)],
         test=[Example(_grid(rnd, 4, 9), _grid(rnd, 9, 4))],
     )
-    save_task_file(path, task_set)
+    save_task_file(tmp_path / "t.json", task_set)
+    assert sorted(SIZES) == task_ids()
+    for task_id, runs in SIZES.items():
+        for i, overrides in enumerate(runs):
+            emit_dataset([task_id], 10, 3, tmp_path / f"{task_id}-{i}", overrides)
+    paths = [tmp_path / "t.json", *sorted(tmp_path.glob("*/[!m]*.json"))]  # not the manifests
+    assert len(paths) == 1 + 3 * len(SIZES)
 
     def no_json(text):
         raise AssertionError("canonical file decoded with json.loads")
 
-    monkeypatch.setattr(harness.json, "loads", no_json)
-    assert load_task_file(path) == task_set
+    with monkeypatch.context() as patch:
+        patch.setattr(harness.json, "loads", no_json)
+        loaded = [load_task_file(path) for path in paths]
+    assert loaded[0] == task_set
+    assert loaded == [reference_load(path) for path in paths]
 
 
 CANONICAL = '{"train":[{"input":[[0,1],[2,3]],"output":[[1,0],[3,2]]}],"test":[{"input":[[4,5]],"output":[[5,4]]}]}'
@@ -190,6 +219,10 @@ NAMED = {
     "empty grid": _with_input("[[]]"),
     "no rows": _with_input("[]"),
     "ragged rows": _with_input("[[1,2],[3]]"),
+    # Ragged rows as long as a 3 by 2 grid's text, which the length alone admits.
+    "ragged rows of a 3 by 2 length": _with_input("[[1,2],[3,4,5],[6]]"),
+    "1 by 30": _with_input(json.dumps([[3] * 30], separators=(",", ":"))),
+    "30 by 1": _with_input(json.dumps([[3]] * 30, separators=(",", ":"))),
     # Same-length rows whose separators sit where a digit belongs.
     "comma in a digit slot": _with_input("[[0,1,2],[3,,,5]]"),
     "bracket in a digit slot": _with_input("[[0,1,2],[],1,2]]"),
@@ -295,10 +328,16 @@ def test_fuzzed_texts_decode_as_the_json_reference(tmp_path):
     for _ in range(3000):
         text = _mutate(rnd, _random_text(rnd))
         task_set = harness._decode_canonical(text.encode())
+        reference = _reference_decode(text, path)
+        # A text is canonical when it is the text the JSON reference's task
+        # set is written as: the decoder accepts exactly those, so a decoder
+        # that wrongly hands one to json.loads fails here.
+        canonical = isinstance(reference, TaskSet) and reference_text(reference) == text
+        assert (task_set is not None) == canonical, text
         if task_set is not None:
             accepted += 1
             # The examples built from the checked cells, one by one.
             built = TaskSet(train=tuple(task_set.train), test=tuple(task_set.test))
-            assert built == _reference_decode(text, path), text
+            assert built == reference, text
     # The mutations keep some texts canonical and break the rest.
     assert 300 < accepted < 2700
